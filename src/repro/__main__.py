@@ -487,7 +487,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_selfperf(args) -> int:
-    """Measure harness speed: simulator events per host second."""
+    """Measure harness speed: events, or simulated seconds, per host second."""
     from repro.bench.selfperf import check_floor, run_selfperf
 
     block = run_selfperf(include_point=not args.engine_only,
@@ -500,6 +500,10 @@ def cmd_selfperf(args) -> int:
         print(f"{name}: {data['events_processed']} events in "
               f"{data['sim_wall_seconds']:.3f}s host = "
               f"{data['events_per_second']:,.0f} events/s")
+        if "sim_seconds_per_second" in data:
+            print(f"  {data['simulated_seconds']:.3f} simulated s = "
+                  f"{data['sim_seconds_per_second']:,.2f} simulated s "
+                  "per host s")
         if name == "engine_churn":
             print(f"  heap compactions {data['heap_compactions']}, "
                   f"cancelled purged {data['cancelled_purged']}, "
@@ -520,7 +524,7 @@ def cmd_selfperf(args) -> int:
         for line in lines:
             print(line)
         if not ok:
-            print("selfperf: BELOW the events/s ratchet floor",
+            print("selfperf: BELOW the ratchet floor",
                   file=sys.stderr)
             return 1
         print("selfperf: above the ratchet floor")
@@ -863,7 +867,7 @@ def main(argv=None) -> int:
                        help="HTML output path (default report.html)")
 
     p_perf = sub.add_parser(
-        "selfperf", help="measure harness speed (events per host second)")
+        "selfperf", help="measure harness speed (host seconds per workload)")
     p_perf.add_argument("--engine-only", action="store_true",
                         help="skip the end-to-end point workload")
     p_perf.add_argument("--json", metavar="FILE",
@@ -872,7 +876,8 @@ def main(argv=None) -> int:
                         help="run each workload N times, keep the best "
                              "(default 1)")
     p_perf.add_argument("--floor", metavar="FILE",
-                        help="check events/s against a ratchet floor file "
+                        help="check each workload's ratchet metric "
+                             "against a floor file "
                              "(exit 1 if below the calibration-scaled "
                              "floor)")
 

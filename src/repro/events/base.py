@@ -73,6 +73,9 @@ class EventBackend:
     def __init__(self, server) -> None:
         self.server = server
         self.stats = BackendStats()
+        #: ``events.<name>.<op>`` counters; the tally builds each name
+        #: once, so counting stays off the per-call string formatting
+        self._counts = server.kernel.metrics.tally(f"events.{self.name}")
 
     # -- conveniences over the owning server ---------------------------
 
@@ -93,7 +96,7 @@ class EventBackend:
         return self.server.kernel.costs
 
     def _count(self, op: str, by: int = 1) -> None:
-        self.kernel.counters.inc(f"events.{self.name}.{op}", by)
+        self._counts.inc(op, by)
 
     def _deadline_timeout(self, deadline: Optional[float],
                           timeout: Optional[float]) -> Optional[float]:

@@ -62,8 +62,11 @@ class SyscallInterface:
         if seconds > 0:
             yield self.kernel.cpu.consume(seconds, PRIO_USER, category)
 
-    def _enter(self, name: str):
-        self.kernel.counters.inc(f"sys.{name}")
+    def _enter(self, key: str):
+        """Count one syscall under its counter ``key`` (``"sys.read"``,
+        spelled out at each call site so no name is built per call) and
+        charge the entry cost."""
+        self.kernel.counters.inc(key)
         yield from self._charge(self.costs.syscall_entry, "syscall")
 
     def cpu_work(self, seconds: float, category: str = "user"):
@@ -78,7 +81,7 @@ class SyscallInterface:
     # ------------------------------------------------------------------
     def read(self, fd: int, nbytes: int):
         file = self._file(fd)
-        yield from self._enter("read")
+        yield from self._enter("sys.read")
         result = yield from file.do_read(self.task, nbytes)
         return result
 
@@ -92,7 +95,7 @@ class SyscallInterface:
             result = yield from file.do_write(
                 self.task, data, entry_part=kernel.fused.entry_part)
             return result
-        yield from self._enter("write")
+        yield from self._enter("sys.write")
         result = yield from file.do_write(self.task, data)
         return result
 
@@ -106,7 +109,7 @@ class SyscallInterface:
             yield kernel.cpu.consume_parts(kernel.fused.close_parts,
                                            PRIO_USER)
         else:
-            yield from self._enter("close")
+            yield from self._enter("sys.close")
             yield from self._charge(self.costs.close_op, "close")
         self.task.fdtable.close(fd)
         return 0
@@ -115,7 +118,7 @@ class SyscallInterface:
         """Duplicate a descriptor at the lowest free slot; both share the
         same file description (flags, offsets, fasync state)."""
         file = self._file(fd)
-        yield from self._enter("dup")
+        yield from self._enter("sys.dup")
         yield from self._charge(self.costs.fd_alloc, "dup")
         return self.task.fdtable.alloc(file)
 
@@ -123,7 +126,7 @@ class SyscallInterface:
         """Duplicate ``old_fd`` onto ``new_fd``, closing any previous
         occupant, as dup2(2) does."""
         file = self._file(old_fd)
-        yield from self._enter("dup2")
+        yield from self._enter("sys.dup2")
         yield from self._charge(self.costs.fd_alloc, "dup")
         if old_fd == new_fd:
             return new_fd
@@ -132,7 +135,7 @@ class SyscallInterface:
 
     def ioctl(self, fd: int, op: int, arg=None):
         file = self._file(fd)
-        yield from self._enter("ioctl")
+        yield from self._enter("sys.ioctl")
         result = yield from file.do_ioctl(self.task, op, arg)
         return result
 
@@ -144,7 +147,7 @@ class SyscallInterface:
             yield kernel.cpu.consume_parts(kernel.fused.fcntl_parts,
                                            PRIO_USER)
         else:
-            yield from self._enter("fcntl")
+            yield from self._enter("sys.fcntl")
             yield from self._charge(self.costs.fcntl_op, "fcntl")
         if op == F_GETFL:
             return file.f_flags
@@ -195,7 +198,7 @@ class SyscallInterface:
                 self.task, interests, timeout, deadline_abs=deadline,
                 build_part=build_part, tail_parts=tail_parts, fuse=True)
             return result
-        yield from self._enter("poll")
+        yield from self._enter("sys.poll")
         result = yield from sys_poll(self.task, interests, timeout)
         return result
 
@@ -218,7 +221,7 @@ class SyscallInterface:
                 self.task, readfds, writefds, timeout, deadline_abs=deadline,
                 build_part=build_part, tail_parts=tail_parts)
             return result
-        yield from self._enter("select")
+        yield from self._enter("sys.select")
         result = yield from sys_select(self.task, readfds, writefds, timeout)
         return result
 
@@ -230,7 +233,7 @@ class SyscallInterface:
         """
         from ..core.devpoll import DevPollFile
 
-        yield from self._enter("open")
+        yield from self._enter("sys.open")
         yield from self._charge(self.costs.fd_alloc, "open")
         file = DevPollFile(self.kernel, config=config)
         fd = self.task.fdtable.alloc(file)
@@ -244,7 +247,7 @@ class SyscallInterface:
         from ..core.devpoll import DevPollFile
 
         file = self._file(fd)
-        yield from self._enter("mmap")
+        yield from self._enter("sys.mmap")
         if not isinstance(file, DevPollFile):
             raise SyscallError(EINVAL, "mmap only modelled for /dev/poll")
         return file.mmap(self.task)
@@ -253,7 +256,7 @@ class SyscallInterface:
         from ..core.devpoll import DevPollFile
 
         file = self._file(fd)
-        yield from self._enter("munmap")
+        yield from self._enter("sys.munmap")
         if not isinstance(file, DevPollFile):
             raise SyscallError(EINVAL, "munmap only modelled for /dev/poll")
         file.munmap(self.task)
@@ -270,7 +273,7 @@ class SyscallInterface:
         """
         from ..core.epoll import EpollFile
 
-        yield from self._enter("epoll_create")
+        yield from self._enter("sys.epoll_create")
         yield from self._charge(self.costs.fd_alloc, "open")
         file = EpollFile(self.kernel)
         fd = self.task.fdtable.alloc(file)
@@ -287,7 +290,7 @@ class SyscallInterface:
             result = yield from file.ctl(self.task, op, fd, events,
                                          entry_part=kernel.fused.entry_part)
             return result
-        yield from self._enter("epoll_ctl")
+        yield from self._enter("sys.epoll_ctl")
         if not isinstance(file, EpollFile):
             raise SyscallError(EINVAL, f"epoll_ctl: fd {epfd} is not epoll")
         result = yield from file.ctl(self.task, op, fd, events)
@@ -299,7 +302,7 @@ class SyscallInterface:
         from ..core.epoll import EpollFile
 
         file = self._file(epfd)
-        yield from self._enter("epoll_wait")
+        yield from self._enter("sys.epoll_wait")
         if not isinstance(file, EpollFile):
             raise SyscallError(EINVAL, f"epoll_wait: fd {epfd} is not epoll")
         result = yield from file.do_wait(self.task, max_events, timeout)
@@ -326,7 +329,7 @@ class SyscallInterface:
         if max_signals < 1:
             raise SyscallError(EINVAL, "max_signals must be >= 1")
         sigset = frozenset(sigset)
-        yield from self._enter("sigtimedwait")
+        yield from self._enter("sys.sigtimedwait")
         queue = self.task.signal_queue
         while True:
             if queue.has_pending(sigset):
@@ -355,7 +358,7 @@ class SyscallInterface:
     def flush_rt_signals(self):
         """Model the SIG_DFL trick that discards queued RT signals during
         overflow recovery (section 2).  Returns the number discarded."""
-        yield from self._enter("flush_signals")
+        yield from self._enter("sys.flush_signals")
         return self.task.signal_queue.flush_rt()
 
     # ------------------------------------------------------------------
@@ -372,7 +375,7 @@ class SyscallInterface:
             yield kernel.cpu.consume_parts(kernel.fused.socket_parts,
                                            PRIO_USER)
         else:
-            yield from self._enter("socket")
+            yield from self._enter("sys.socket")
             yield from self._charge(
                 self.costs.socket_create + self.costs.fd_alloc, "socket")
         file = SocketFile(self.kernel)
@@ -383,7 +386,7 @@ class SyscallInterface:
         from ..net.socket import require_socket
 
         sock = require_socket(self._file(fd))
-        yield from self._enter("bind")
+        yield from self._enter("sys.bind")
         sock.bind(port)
         return 0
 
@@ -391,7 +394,7 @@ class SyscallInterface:
         from ..net.socket import require_socket
 
         sock = require_socket(self._file(fd))
-        yield from self._enter("listen")
+        yield from self._enter("sys.listen")
         sock.listen(backlog)
         return 0
 
@@ -401,7 +404,7 @@ class SyscallInterface:
         from ..net.socket import require_socket
 
         sock = require_socket(self._file(fd))
-        yield from self._enter("setsockopt")
+        yield from self._enter("sys.setsockopt")
         yield from self._charge(self.costs.setsockopt_op, "setsockopt")
         sock.set_option(level, optname, value)
         return 0
@@ -411,7 +414,7 @@ class SyscallInterface:
         from ..net.socket import require_socket
 
         sock = require_socket(self._file(fd))
-        yield from self._enter("accept")
+        yield from self._enter("sys.accept")
         child = yield from sock.do_accept(self.task)
         yield from self._charge(
             self.costs.accept_op + self.costs.fd_alloc, "accept")
@@ -429,7 +432,7 @@ class SyscallInterface:
             yield kernel.cpu.consume_parts(kernel.fused.connect_parts,
                                            PRIO_USER)
         else:
-            yield from self._enter("connect")
+            yield from self._enter("sys.connect")
             yield from self._charge(self.costs.connect_op, "connect")
         result = yield from sock.do_connect(self.task, addr, timeout)
         return result
@@ -441,7 +444,7 @@ class SyscallInterface:
         from ..net.socket import require_socket
 
         sock = require_socket(self._file(out_fd))
-        yield from self._enter("sendfile")
+        yield from self._enter("sys.sendfile")
         result = yield from sock.do_sendfile(self.task, data)
         return result
 
@@ -451,7 +454,7 @@ class SyscallInterface:
     def socketpair(self):
         from ..net.unix import UnixSocketFile
 
-        yield from self._enter("socketpair")
+        yield from self._enter("sys.socketpair")
         yield from self._charge(
             2 * (self.costs.socket_create + self.costs.fd_alloc), "socket")
         a, b = UnixSocketFile.make_pair(self.kernel)
@@ -467,7 +470,7 @@ class SyscallInterface:
         if not isinstance(file, UnixSocketFile):
             raise SyscallError(ENOTSOCK, "send_fds requires a unix socket")
         files = [self._file(f) for f in fds]
-        yield from self._enter("sendmsg")
+        yield from self._enter("sys.sendmsg")
         yield from self._charge(
             self.costs.fd_pass_op * max(1, len(files)), "fdpass")
         file.send_message(payload, files)
@@ -483,7 +486,7 @@ class SyscallInterface:
         file = self._file(fd)
         if not isinstance(file, UnixSocketFile):
             raise SyscallError(ENOTSOCK, "recv_fds requires a unix socket")
-        yield from self._enter("recvmsg")
+        yield from self._enter("sys.recvmsg")
         message = yield from file.recv_message(self.task, timeout)
         if message is None:
             raise SyscallError(EAGAIN, "recvmsg timed out")

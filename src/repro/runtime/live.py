@@ -204,9 +204,10 @@ class LiveSyscallInterface:
         except KeyError:
             raise SyscallError(EBADF, f"bad live fd {fd}") from None
 
-    def _enter(self, name: str, modeled_extra: float = 0.0):
-        """Count one syscall and charge its modeled cost."""
-        self.kernel.counters.inc(f"sys.{name}")
+    def _enter(self, key: str, modeled_extra: float = 0.0):
+        """Count one syscall under its counter ``key`` (``"sys.read"``)
+        and charge its modeled cost."""
+        self.kernel.counters.inc(key)
         self.kernel.cpu.consume(self.costs.syscall_entry + modeled_extra,
                                 category="syscall")
 
@@ -221,7 +222,7 @@ class LiveSyscallInterface:
     def socket(self):
         with self.runtime.timed("socket"):
             sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
-        self._enter("socket",
+        self._enter("sys.socket",
                     self.costs.socket_create + self.costs.fd_alloc)
         fd = sock.fileno()
         self.runtime.sockets[fd] = sock
@@ -235,7 +236,7 @@ class LiveSyscallInterface:
         with self.runtime.timed("bind"):
             sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
             sock.bind((self.runtime.host, port))
-        self._enter("bind")
+        self._enter("sys.bind")
         self.runtime.bound_ports[fd] = sock.getsockname()[1]
         return 0
         yield  # pragma: no cover
@@ -244,7 +245,7 @@ class LiveSyscallInterface:
         sock = self._sock(fd)
         with self.runtime.timed("listen"):
             sock.listen(backlog)
-        self._enter("listen")
+        self._enter("sys.listen")
         self.runtime.listen_address = sock.getsockname()
         return 0
         yield  # pragma: no cover
@@ -254,7 +255,7 @@ class LiveSyscallInterface:
         with self.runtime.timed("fcntl"):
             if op == F_SETFL:
                 sock.setblocking(not (arg & O_NONBLOCK))
-        self._enter("fcntl", self.costs.fcntl_op)
+        self._enter("sys.fcntl", self.costs.fcntl_op)
         if op == F_GETFL:
             return 0 if sock.getblocking() else O_NONBLOCK
         if op in (F_SETFL, F_SETOWN, F_SETSIG):
@@ -264,7 +265,7 @@ class LiveSyscallInterface:
 
     def setsockopt(self, fd: int, level: int, optname: int, value: int = 1):
         self._sock(fd)  # validate; live runs need no real options here
-        self._enter("setsockopt", self.costs.setsockopt_op)
+        self._enter("sys.setsockopt", self.costs.setsockopt_op)
         return 0
         yield  # pragma: no cover
 
@@ -274,7 +275,7 @@ class LiveSyscallInterface:
             raise SyscallError(EBADF, f"close({fd})")
         with self.runtime.timed("close"):
             sock.close()
-        self._enter("close", self.costs.close_op)
+        self._enter("sys.close", self.costs.close_op)
         return 0
         yield  # pragma: no cover
 
@@ -286,7 +287,7 @@ class LiveSyscallInterface:
                 child, addr = sock.accept()
         except (BlockingIOError, InterruptedError):
             raise SyscallError(EAGAIN, "accept would block") from None
-        self._enter("accept", self.costs.accept_op + self.costs.fd_alloc)
+        self._enter("sys.accept", self.costs.accept_op + self.costs.fd_alloc)
         new_fd = child.fileno()
         self.runtime.sockets[new_fd] = child
         return new_fd, addr
@@ -301,7 +302,7 @@ class LiveSyscallInterface:
             raise SyscallError(EAGAIN, "read would block") from None
         except ConnectionResetError:
             raise SyscallError(ECONNRESET, "connection reset") from None
-        self._enter("read", self.costs.sock_read_base
+        self._enter("sys.read", self.costs.sock_read_base
                     + self.costs.sock_copy_per_byte * len(data))
         return data
         yield  # pragma: no cover
@@ -315,7 +316,7 @@ class LiveSyscallInterface:
             raise SyscallError(EAGAIN, "write would block") from None
         except (BrokenPipeError, ConnectionResetError):
             raise SyscallError(EPIPE, "peer went away") from None
-        self._enter("write", self.costs.sock_write_base
+        self._enter("sys.write", self.costs.sock_write_base
                     + self.costs.sock_copy_per_byte * sent)
         return sent
         yield  # pragma: no cover

@@ -14,9 +14,15 @@ runs are fully deterministic for a given seed.
 
 Hot-path layout (see docs/performance.md, "hot-path anatomy"):
 
-* The calendar heap stores ``(time, seq, timer)`` tuples, so sift
+* The calendar heaps store ``(time, seq, timer)`` tuples, so sift
   comparisons are C-level tuple comparisons and never call back into
   Python (`Timer.__lt__` exists only for explicit comparisons).
+* The calendar has two tiers.  Timers due at least ``FAR_DELAY`` ahead
+  (TIME-WAIT expiries, idle and client timeouts, most of which are
+  cancelled) wait in a *far* heap; the µs-scale CPU-grant completions
+  that make up most of the traffic sift through a small *hot* heap.  A
+  far timer moves into the hot heap, with its original key, just before
+  it could be next, so firing order is exactly the single-heap order.
 * Same-timestamp work (``call_soon``, event-trigger fan-out) goes to a
   FIFO *ready queue* instead of the heap.  Because ``now`` never
   decreases and ``seq`` always increases, the ready queue is sorted by
@@ -25,7 +31,8 @@ Hot-path layout (see docs/performance.md, "hot-path anatomy"):
   ``(time, seq)`` order.
 * Timers whose handles never escape (event-callback dispatch, internal
   unref schedules) are recycled through a freelist instead of being
-  allocated per event.
+  allocated per event, and each CPU re-arms one resident completion
+  timer (:meth:`Simulator._arm`) instead of scheduling one per grant.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -45,15 +53,16 @@ class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
     A cancelled timer stays in the calendar (removal from a binary heap
-    is O(n)) but its callback is skipped when it pops.  The simulator
-    tracks how many armed entries have been cancelled this way and
-    compacts the heap wholesale once dead entries dominate, so
+    is O(n)) but its callback is skipped when it pops, and its ``fn`` and
+    ``args`` are released at once so a dead entry pins nothing.  The
+    simulator tracks how many armed entries have been cancelled this way
+    and compacts a heap wholesale once dead entries dominate it, so
     cancel-heavy workloads (idle-timeout sweeps re-arming per I/O) do
     not accumulate garbage until pop.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim",
-                 "ready", "pooled")
+                 "ready", "far", "pooled")
 
     def __init__(self, time: float, seq: int, fn: Callable, args: Tuple,
                  sim: Optional["Simulator"] = None):
@@ -64,8 +73,10 @@ class Timer:
         self.cancelled = False
         self.sim = sim
         #: True while the timer sits in the ready queue (same-timestamp
-        #: FIFO) rather than the heap; cancel accounting differs.
+        #: FIFO) rather than a heap; cancel accounting differs.
         self.ready = False
+        #: True while the timer waits in the far heap
+        self.far = False
         #: True for freelist-managed timers whose handle never escaped;
         #: recycled after firing.
         self.pooled = False
@@ -75,6 +86,7 @@ class Timer:
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = self.args = None
         if self.sim is not None:
             self.sim._note_cancel(self)
 
@@ -160,11 +172,19 @@ class Simulator:
     COMPACT_MIN_HEAP = 256
     #: ... whose entries are more than this fraction cancelled
     COMPACT_FRACTION = 0.5
+    #: timers due at least this many seconds ahead wait in the far heap
+    FAR_DELAY = 0.25
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: calendar heap of ``(time, seq, Timer)`` entries
+        #: hot calendar heap of ``(time, seq, Timer)`` entries
         self._heap: List[Tuple[float, int, Timer]] = []
+        #: far calendar heap, same entries; every far timer is due after
+        #: ``now`` (timers migrate to the hot heap before they can be next)
+        self._far: List[Tuple[float, int, Timer]] = []
+        #: a lower bound on the far heap's first time, +inf iff it is
+        #: empty: while the hot head is earlier, the far heap is ignored
+        self._far_next: float = _INF
         #: FIFO of same-timestamp timers, sorted by (time, seq) by
         #: construction (now is nondecreasing, seq is increasing)
         self._ready: List[Timer] = []
@@ -182,11 +202,13 @@ class Simulator:
         #: tracing keys its nesting stacks on this, so spans from
         #: concurrently-running simulated processes never interleave.
         self.current_process: Optional[Any] = None
-        #: cancelled timers still sitting in the heap (lazy deletion)
+        #: cancelled timers still sitting in the hot heap (lazy deletion)
         self._cancelled_pending: int = 0
+        #: cancelled timers still sitting in the far heap
+        self._far_cancelled: int = 0
         #: cancelled timers still sitting in the ready queue
         self._ready_cancelled: int = 0
-        #: times the calendar was rebuilt to shed cancelled entries
+        #: times a heap was rebuilt to shed cancelled entries
         self.compactions: int = 0
         #: cancelled entries discarded by compaction (not by popping)
         self.cancelled_purged: int = 0
@@ -208,7 +230,10 @@ class Simulator:
             )
         self._seq += 1
         timer = Timer(time, self._seq, fn, args, self)
-        _heappush(self._heap, (time, self._seq, timer))
+        if time - self.now < self.FAR_DELAY:
+            _heappush(self._heap, (time, self._seq, timer))
+        else:
+            self._push_far(timer)
         return timer
 
     def call_soon(self, fn: Callable, *args: Any) -> Timer:
@@ -254,7 +279,33 @@ class Simulator:
         else:
             timer = Timer(time, self._seq, fn, args, None)
             timer.pooled = True
-        _heappush(self._heap, (time, self._seq, timer))
+        if delay < self.FAR_DELAY:
+            _heappush(self._heap, (time, self._seq, timer))
+        else:
+            self._push_far(timer)
+
+    def _arm(self, timer: Timer, delay: float) -> None:
+        """Schedule a resident internal timer ``delay`` seconds from now.
+
+        Resident timers (one completion timer per CPU) are owned by their
+        caller and re-armed after each firing: never pooled, never
+        cancelled, and their callback takes no arguments, so a re-arm
+        allocates nothing but the heap entry.
+        """
+        time = self.now + delay
+        self._seq += 1
+        timer.time = time
+        timer.seq = self._seq
+        if delay < self.FAR_DELAY:
+            _heappush(self._heap, (time, self._seq, timer))
+        else:
+            self._push_far(timer)
+
+    def _push_far(self, timer: Timer) -> None:
+        timer.far = True
+        _heappush(self._far, (timer.time, timer.seq, timer))
+        if timer.time < self._far_next:
+            self._far_next = timer.time
 
     def event(self, name: str = "") -> Event:
         """Create a fresh one-shot :class:`Event` bound to this simulator."""
@@ -269,52 +320,72 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _migrate(self) -> None:
+        """Move far timers that could be next into the hot heap, keys
+        unchanged: every far entry due no later than the hot head (or,
+        with the hot heap empty, than the first live far entry)."""
+        far = self._far
+        heap = self._heap
+        while far and far[0][2].cancelled:
+            _heappop(far)
+            self._far_cancelled -= 1
+        if far:
+            limit = heap[0][0] if heap else far[0][0]
+            while far and far[0][0] <= limit:
+                entry = _heappop(far)
+                timer = entry[2]
+                if timer.cancelled:
+                    self._far_cancelled -= 1
+                    continue
+                timer.far = False
+                _heappush(heap, entry)
+        self._far_next = far[0][0] if far else _INF
+
+    def _head_entry(self) -> Optional[Tuple[float, int, Timer]]:
+        """The calendar's next live ``(time, seq, timer)`` entry, left in
+        the hot heap (after dropping cancelled heads and migrating far
+        timers that could precede it); None when both heaps are empty."""
+        heap = self._heap
+        while True:
+            if heap:
+                entry = heap[0]
+                if entry[2].cancelled:
+                    _heappop(heap)
+                    self._cancelled_pending -= 1
+                    continue
+                if entry[0] < self._far_next:
+                    return entry
+            elif not self._far:
+                return None
+            self._migrate()
+
     def _pop_next(self) -> Optional[Timer]:
         """Remove and return the next armed timer in (time, seq) order,
-        merging the ready queue with the heap; None when both are empty."""
+        merging the ready queue with the calendar; None when all are
+        empty."""
         ready = self._ready
-        heap = self._heap
         head = self._ready_head
-        while True:
-            if head < len(ready):
-                first = ready[head]
-                if first.cancelled:
-                    head += 1
-                    self._ready_cancelled -= 1
-                    continue
-                if heap:
-                    entry = heap[0]
-                    timer = entry[2]
-                    if timer.cancelled:
-                        _heappop(heap)
-                        self._cancelled_pending -= 1
-                        continue
-                    if (entry[0] < first.time
-                            or (entry[0] == first.time
-                                and entry[1] < first.seq)):
-                        self._ready_head = head
-                        return _heappop(heap)[2]
+        while head < len(ready) and ready[head].cancelled:
+            head += 1
+            self._ready_cancelled -= 1
+        entry = self._head_entry()
+        if head < len(ready):
+            first = ready[head]
+            if (entry is None or entry[0] > first.time
+                    or (entry[0] == first.time and entry[1] > first.seq)):
                 head += 1
                 if head == len(ready):
                     ready.clear()
                     head = 0
                 self._ready_head = head
                 return first
-            if heap:
-                entry = heap[0]
-                timer = entry[2]
-                if timer.cancelled:
-                    _heappop(heap)
-                    self._cancelled_pending -= 1
-                    continue
-                _heappop(heap)
-                self._ready_head = head
-                return timer
-            if ready:
-                ready.clear()
-                head = 0
-            self._ready_head = head
+        elif ready:
+            ready.clear()
+            head = 0
+        self._ready_head = head
+        if entry is None:
             return None
+        return _heappop(self._heap)[2]
 
     def _requeue(self, timer: Timer) -> None:
         """Put back a timer popped past the run horizon."""
@@ -360,47 +431,48 @@ class Simulator:
         """Run until the calendar drains, ``until`` is reached, or
         ``max_events`` timers have fired (whichever comes first).
 
-        The loop body is :meth:`_pop_next` + :meth:`_fire` inlined --
-        this is the engine's innermost loop, and the two calls plus
-        repeated attribute loads are measurable at millions of events.
-        Heap and ready bindings are refreshed every iteration because a
-        callback can trigger :meth:`_compact` (which rebinds ``_heap``).
+        The loop body is :meth:`_pop_next` + :meth:`_fire` inlined for
+        the common cases -- this is the engine's innermost loop, and the
+        two calls plus repeated attribute loads are measurable at
+        millions of events.  With no ready work pending, the hot head
+        pops directly while it is due before the far tier, and
+        otherwise the far timers that could be next migrate first; with
+        ready work pending, a live ready entry due before the hot head
+        pops directly (horizon loop only) and everything else takes
+        :meth:`_pop_next`.  Both heaps and the ready list only ever
+        change in place, so they are bound once.
         """
         self._running = True
         fired = 0
         bounded = max_events is not None
         pool = self._pool
+        ready = self._ready
+        heap = self._heap
         heappop = _heappop
         try:
             if until is None and not bounded:
                 # -- dedicated full-drain loop: no horizon or event-budget
-                # check per iteration.  ``_ready`` is bound once (it is
-                # only ever cleared in place, never rebound); ``_heap``
-                # is re-read per iteration because a callback can
-                # trigger _compact, which rebinds it.
-                ready = self._ready
+                # check per iteration
                 while True:
-                    heap = self._heap
-                    head = self._ready_head
-                    timer = None
-                    if head >= len(ready):
-                        if ready:
-                            ready.clear()
-                            self._ready_head = head = 0
-                        while heap:
-                            timer = heappop(heap)[2]
-                            if timer.cancelled:
-                                self._cancelled_pending -= 1
-                                timer = None
-                                continue
-                            break
-                        if timer is None:
-                            break
-                    else:
+                    if self._ready_head < len(ready):
                         # same-timestamp ready work pending: rare on this
                         # loop's workloads, so take the out-of-line merge
                         timer = self._pop_next()
                         if timer is None:
+                            break
+                    else:
+                        if ready:
+                            ready.clear()
+                            self._ready_head = 0
+                        if heap and heap[0][0] < self._far_next:
+                            timer = heappop(heap)[2]
+                            if timer.cancelled:
+                                self._cancelled_pending -= 1
+                                continue
+                        elif self._far:
+                            self._migrate()
+                            continue
+                        else:
                             break
                     fired += 1
                     self.now = timer.time
@@ -416,80 +488,45 @@ class Simulator:
             while True:
                 if bounded and fired >= max_events:
                     return
-                # -- inline _pop_next: merge ready queue and heap
-                ready = self._ready
-                heap = self._heap
                 head = self._ready_head
-                timer = None
-                if head >= len(ready):
-                    # fast path: no same-timestamp ready work pending,
-                    # so pop straight off the heap (no peek-compare)
+                if head < len(ready):
+                    # ready entries are due at ``now`` and far timers
+                    # after it, so only the hot head can precede this one
+                    first = ready[head]
+                    if not first.cancelled and (
+                            not heap or heap[0][0] > first.time
+                            or (heap[0][0] == first.time
+                                and heap[0][1] > first.seq)):
+                        head += 1
+                        if head == len(ready):
+                            ready.clear()
+                            head = 0
+                        self._ready_head = head
+                        timer = first
+                    else:
+                        timer = self._pop_next()
+                        if timer is None:
+                            break
+                else:
                     if ready:
                         ready.clear()
-                        self._ready_head = head = 0
-                    while heap:
+                        self._ready_head = 0
+                    if heap and heap[0][0] < self._far_next:
                         timer = heappop(heap)[2]
                         if timer.cancelled:
                             self._cancelled_pending -= 1
-                            timer = None
                             continue
-                        break
-                    if timer is None:
-                        break
-                else:
-                    head0 = head
-                    while True:
-                        if head < len(ready):
-                            first = ready[head]
-                            if first.cancelled:
-                                head += 1
-                                self._ready_cancelled -= 1
-                                continue
-                            if heap:
-                                entry = heap[0]
-                                if entry[2].cancelled:
-                                    heappop(heap)
-                                    self._cancelled_pending -= 1
-                                    continue
-                                if (entry[0] < first.time
-                                        or (entry[0] == first.time
-                                            and entry[1] < first.seq)):
-                                    if head != head0:
-                                        self._ready_head = head
-                                    timer = heappop(heap)[2]
-                                    break
-                            head += 1
-                            if head == len(ready):
-                                ready.clear()
-                                head = 0
-                            self._ready_head = head
-                            timer = first
-                            break
-                        if heap:
-                            entry = heap[0]
-                            nxt = entry[2]
-                            if nxt.cancelled:
-                                heappop(heap)
-                                self._cancelled_pending -= 1
-                                continue
-                            heappop(heap)
-                            if head != head0:
-                                self._ready_head = head
-                            timer = nxt
-                            break
-                        if ready:
-                            ready.clear()
-                            head = 0
-                        if head != head0:
-                            self._ready_head = head
-                        break
-                    if timer is None:
+                    elif self._far:
+                        self._migrate()
+                        continue
+                    else:
                         break
                 # -- inline _fire
                 time = timer.time
                 if until is not None and time > until:
                     self._requeue(timer)
-                    self.now = until
+                    if until > self.now:  # a past horizon keeps the clock
+                        self.now = until
                     return
                 fired += 1
                 self.now = time
@@ -513,10 +550,7 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next armed timer, or None if the calendar is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            _heappop(heap)
-            self._cancelled_pending -= 1
+        entry = self._head_entry()
         ready = self._ready
         head = self._ready_head
         while head < len(ready) and ready[head].cancelled:
@@ -526,7 +560,7 @@ class Simulator:
             ready.clear()
             head = 0
         self._ready_head = head
-        heap_time = heap[0][0] if heap else None
+        heap_time = entry[0] if entry is not None else None
         ready_time = ready[head].time if head < len(ready) else None
         if ready_time is None:
             return heap_time
@@ -543,26 +577,36 @@ class Simulator:
             # the ready queue fully drains every time the clock reaches
             # its tail, so cancelled entries cannot pile up there
             self._ready_cancelled += 1
-            return
-        self._cancelled_pending += 1
-        if (len(self._heap) >= self.COMPACT_MIN_HEAP
-                and self._cancelled_pending
-                > self.COMPACT_FRACTION * len(self._heap)):
-            self._compact()
+        elif timer.far:
+            self._far_cancelled += 1
+            far = self._far
+            if (len(far) >= self.COMPACT_MIN_HEAP
+                    and self._far_cancelled > self.COMPACT_FRACTION * len(far)):
+                self._compact(far)
+                self._far_cancelled = 0
+                self._far_next = far[0][0] if far else _INF
+        else:
+            self._cancelled_pending += 1
+            heap = self._heap
+            if (len(heap) >= self.COMPACT_MIN_HEAP
+                    and self._cancelled_pending
+                    > self.COMPACT_FRACTION * len(heap)):
+                self._compact(heap)
+                self._cancelled_pending = 0
 
-    def _compact(self) -> None:
-        """Rebuild the heap without its cancelled entries (O(n))."""
-        before = len(self._heap)
-        self._heap = [e for e in self._heap if not e[2].cancelled]
-        heapq.heapify(self._heap)
-        self.cancelled_purged += before - len(self._heap)
-        self._cancelled_pending = 0
+    def _compact(self, heap: List[Tuple[float, int, Timer]]) -> None:
+        """Rebuild ``heap`` in place without its cancelled entries (O(n))."""
+        before = len(heap)
+        heap[:] = [e for e in heap if not e[2].cancelled]
+        heapq.heapify(heap)
+        self.cancelled_purged += before - len(heap)
         self.compactions += 1
 
     @property
     def pending(self) -> int:
         """Armed (non-cancelled) timers still in the calendar."""
         return (len(self._heap) - self._cancelled_pending
+                + len(self._far) - self._far_cancelled
                 + (len(self._ready) - self._ready_head)
                 - self._ready_cancelled)
 

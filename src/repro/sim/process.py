@@ -7,7 +7,10 @@ yielding one of:
 * an :class:`~repro.sim.engine.Event` -- suspend until it triggers; the
   ``yield`` expression evaluates to the event's value;
 * an :class:`AnyOf` -- suspend until the first of several events triggers;
-  evaluates to ``(event, value)`` for the winner.
+  evaluates to ``(event, value)`` for the winner;
+* a :class:`TimedWait` (built by :func:`wait_with_timeout`) -- suspend
+  until an event triggers or a timeout expires; evaluates to
+  ``(timed_out, value)``.
 
 Sub-steps compose with ``yield from``, so a syscall implemented as a
 generator can be called from server code naturally::
@@ -45,6 +48,49 @@ class AnyOf:
         self.events = list(events)
         if not self.events:
             raise SimulationError("AnyOf requires at least one event")
+
+
+class TimedWait:
+    """Yieldable behind :func:`wait_with_timeout`: an event or a timeout.
+
+    One cancellable timer and one callback (the wait itself) per wait.
+    The event side resumes the process from the event's own callback
+    bounce; an expired timer bounces once through the ready queue, at
+    the point where a timeout Event's callback would, so same-instant
+    races resolve as they would for ``AnyOf([event, timeout_event])``:
+    the first bounce queued wins and the other is a no-op.
+    """
+
+    __slots__ = ("event", "timer", "proc")
+
+    def __init__(self, sim: Simulator, event: Event, timeout: float):
+        self.event = event
+        self.timer = sim.schedule(timeout, self._expire)
+        self.proc: Optional["Process"] = None
+
+    def _start(self, proc: "Process") -> None:
+        self.proc = proc
+        self.event.add_callback(self)
+
+    def __call__(self, event: Event) -> None:
+        """The event's bounce: resume unless the timeout already won."""
+        proc = self.proc
+        if proc is None:
+            return
+        self.proc = None
+        self.timer.cancel()
+        proc._resume((False, event.value), None)
+
+    def _expire(self) -> None:
+        self.proc.sim._call_soon_unref(self._timed_out, ())
+
+    def _timed_out(self) -> None:
+        proc = self.proc
+        if proc is None:
+            return  # the event's bounce was queued first
+        self.proc = None
+        self.event.remove_callback(self)
+        proc._resume((True, None), None)
 
 
 class Process:
@@ -119,6 +165,9 @@ class Process:
                         continue
                     sim._schedule_unref(float(yielded), self._resume_cb,
                                         (None, None))
+                    return
+                if isinstance(yielded, TimedWait):
+                    yielded._start(self)
                     return
                 if isinstance(yielded, AnyOf):
                     self._wait_any(yielded)
@@ -197,15 +246,11 @@ def wait_with_timeout(sim: Simulator, event: Event, timeout: Optional[float]):
 
     Returns ``(timed_out, value)``.  ``timeout=None`` waits forever.
     A ``timeout`` of 0 still allows an already-triggered event to win:
-    both fire at the same timestamp and the event was scheduled first.
+    both fire at the same timestamp and the event's bounce is queued
+    before the expired timer's.
     """
     if timeout is None:
         value = yield event
         return False, value
-    timer_ev = sim.event("timeout")
-    timer = sim.schedule(timeout, timer_ev.trigger, None)
-    winner, value = yield AnyOf([event, timer_ev])
-    if winner is timer_ev:
-        return True, None
-    timer.cancel()
-    return False, value
+    result = yield TimedWait(sim, event, timeout)
+    return result

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from .engine import Event, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator, Timer
 
 PRIO_SOFTIRQ = 0
 PRIO_USER = 1
@@ -36,6 +36,11 @@ class CPU:
     ``consume()`` returns an Event that triggers when the requested slice
     has been executed; process code does ``yield cpu.consume(dt)`` or the
     ``yield from cpu.run(dt)`` sugar.
+
+    One resident completion timer per CPU ends every grant: the running
+    grant's state lives on the CPU (``_done``, plus ``_parts``/``_idx``/
+    ``_prio``/``_stamps`` for a fused grant) and the timer is re-armed
+    for each grant or part, so no timer or args tuple is built per grant.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
@@ -66,8 +71,20 @@ class CPU:
         self._created_at = sim.now
         #: grant-Event name, built once (consume() runs per syscall step)
         self._grant_name = name + ".grant"
-        self._finish_cb = self._finish
-        self._part_cb = self._part_finish
+        #: resident completion timer, re-armed per grant or fused part;
+        #: its callback is ``_finish`` or, for a fused grant,
+        #: ``_part_finish`` (both bound once: one per grant shows up)
+        self._grant_done = self._finish
+        self._part_done = self._part_finish
+        self._timer = Timer(0.0, 0, self._grant_done, ())
+        #: the running grant: its completion Event (None for nowait) and,
+        #: for a fused grant, its parts, running part, priority and stamps
+        #: (read only while that grant runs)
+        self._done: Optional[Event] = None
+        self._parts = None
+        self._idx = 0
+        self._prio = PRIO_USER
+        self._stamps: Optional[list] = None
 
     # ------------------------------------------------------------------
     def consume(self, duration: float, priority: int = PRIO_USER,
@@ -115,7 +132,10 @@ class CPU:
             if self.profiler is not None:
                 self.profiler.record(category, duration, breakdown,
                                      cpu=self.index)
-            sim._schedule_unref(duration, self._finish_cb, (done,))
+            self._done = done
+            timer = self._timer
+            timer.fn = self._grant_done
+            sim._arm(timer, duration)
         return done
 
     def consume_parts(self, parts,
@@ -179,8 +199,8 @@ class CPU:
         yield self.consume(duration, priority, category)
 
     # ------------------------------------------------------------------
-    def _run_part(self, done: Event, parts, idx: int, priority: int,
-                  stamps: Optional[list]) -> None:
+    def _run_part(self, done: Optional[Event], parts, idx: int,
+                  priority: int, stamps: Optional[list]) -> None:
         """Start the (non-zero) part at ``idx`` of a fused grant.
 
         Accounting happens here, at part start, exactly as ``consume``
@@ -203,11 +223,16 @@ class CPU:
         if self.profiler is not None:
             self.profiler.record(category, seconds, breakdown,
                                  cpu=self.index)
-        self.sim._schedule_unref(seconds, self._part_cb,
-                                 (done, parts, idx, priority, stamps))
+        self._done = done
+        self._parts = parts
+        self._idx = idx
+        self._prio = priority
+        self._stamps = stamps
+        timer = self._timer
+        timer.fn = self._part_done
+        self.sim._arm(timer, seconds)
 
-    def _part_finish(self, done: Event, parts, idx: int, priority: int,
-                     stamps: Optional[list]) -> None:
+    def _part_finish(self) -> None:
         """A fused grant's part completed; continue or finish the grant.
 
         Zero-length follow-up parts are skipped here, at the boundary
@@ -215,20 +240,22 @@ class CPU:
         them synchronously on resume -- before any softirq work queued
         behind this grant gets the CPU.
         """
-        sim = self.sim
+        now = self.sim.now
+        parts = self._parts
+        stamps = self._stamps
         if stamps is not None:
-            stamps.append(sim.now)
-        idx += 1
+            stamps.append(now)
+        idx = self._idx + 1
         nparts = len(parts)
         while idx < nparts and parts[idx][1] == 0:
             if stamps is not None:
-                stamps.append(sim.now)
+                stamps.append(now)
             idx += 1
         if idx >= nparts:
-            if done is not None:
-                done.trigger(None)
-            self._dispatch()
+            self._finish()
             return
+        done = self._done
+        priority = self._prio
         # Re-enter the FIFO exactly where a back-to-back consume() from
         # the resumed process would have landed, so softirq enqueued
         # during this part still interposes at the same boundary.  Fast
@@ -263,10 +290,41 @@ class CPU:
         if self.profiler is not None:
             self.profiler.record(category, duration, payload,
                                  cpu=self.index)
-        self.sim._schedule_unref(duration, self._finish_cb, (done,))
+        self._done = done
+        timer = self._timer
+        timer.fn = self._grant_done
+        self.sim._arm(timer, duration)
 
-    def _finish(self, done: Optional[Event]) -> None:
+    def _finish(self) -> None:
+        """The running grant is over: wake its waiter, start the next grant.
+
+        Triggering ``done`` would queue one bounce per waiter on the
+        ready queue.  With a single waiter, no ready entry pending and
+        nothing else due at this instant, that bounce is provably the
+        next entry to fire -- dispatching the next grant only adds a
+        later one -- so the waiter runs inline, right after the dispatch,
+        and the engine skips the event.  Otherwise (several waiters,
+        ready work pending, another entry due now such as a second CPU
+        completing at the same instant) the trigger queues the bounces
+        as usual.
+        """
+        done = self._done
         if done is not None:
+            self._done = None
+            callbacks = done._callbacks
+            # nothing else due now: no ready entry pending, no hot entry
+            # at ``now`` (far timers are always due after ``now``)
+            sim = self.sim
+            heap = sim._heap
+            if (callbacks is not None and len(callbacks) == 1
+                    and sim._ready_head >= len(sim._ready)
+                    and (not heap or heap[0][0] > sim.now)):
+                done.triggered = True
+                done._callbacks = None
+                self._dispatch()
+                (waiter,) = callbacks
+                waiter(done)
+                return
             done.trigger(None)
         self._dispatch()
 

@@ -44,6 +44,11 @@ def test_point_workload_reports_full_stack_numbers():
     assert result.events_processed > 0
     assert result.detail["replies_ok"] > 0
     assert result.events_per_second > 0
+    # the ratchet metric: fixed simulated work over host time
+    assert result.detail["simulated_seconds"] > 0.5
+    assert result.detail["sim_seconds_per_second"] == pytest.approx(
+        result.detail["simulated_seconds"] / result.sim_wall_seconds,
+        rel=1e-2)
 
 
 def test_run_selfperf_block_shape():
@@ -104,13 +109,15 @@ def test_check_floor_passes_and_fails():
 
     block = {
         "engine_churn": {"events_per_second": 1_000_000.0},
-        "point": {"events_per_second": 200_000.0},
+        "point": {"events_per_second": 100_000.0,
+                  "sim_seconds_per_second": 20.0},
         "calibration": {"loops_per_second": 30_000_000.0},
     }
     floor = {
         "calibration_loops_per_second": 30_000_000.0,
         "margin": 0.5,
-        "floors": {"engine_churn": 1_000_000.0, "point": 200_000.0},
+        "floors": {"engine_churn": {"events_per_second": 1_000_000.0},
+                   "point": {"sim_seconds_per_second": 20.0}},
     }
     ok, lines = check_floor(block, floor)
     assert ok
@@ -121,6 +128,15 @@ def test_check_floor_passes_and_fails():
     ok, lines = check_floor(slow, floor)
     assert not ok
     assert any("BELOW FLOOR" in line for line in lines)
+
+    # the point is gated on simulated seconds per host second, not on
+    # its (informational) events/s
+    fewer_events = dict(block, point={"events_per_second": 1.0,
+                                      "sim_seconds_per_second": 20.0})
+    assert check_floor(fewer_events, floor)[0]
+    slower = dict(block, point={"events_per_second": 1e9,
+                                "sim_seconds_per_second": 9.0})
+    assert not check_floor(slower, floor)[0]
 
 
 def test_check_floor_scales_with_calibration():
@@ -135,7 +151,7 @@ def test_check_floor_scales_with_calibration():
     floor = {
         "calibration_loops_per_second": 30_000_000.0,
         "margin": 1.0,
-        "floors": {"engine_churn": 500_000.0},
+        "floors": {"engine_churn": {"events_per_second": 500_000.0}},
     }
     ok, _ = check_floor(block, floor)
     assert ok   # 300k >= 500k * 0.5 * 1.0

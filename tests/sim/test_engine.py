@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import heapq
+import math
+import weakref
+
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timer
 
 
 def test_clock_starts_at_zero():
@@ -199,6 +204,26 @@ def test_cancel_after_fire_does_not_skew_accounting():
     assert fired == ["a", "b"]
 
 
+def test_cancelled_timer_releases_its_callback():
+    """A cancelled timer may wait in the far heap for a long time; it
+    must not keep its callback's target (a client process, its
+    generator frame) alive meanwhile."""
+    class Target:
+        def fire(self, *args):
+            pass
+
+    sim = Simulator()
+    bound, arg = Target(), Target()
+    refs = [weakref.ref(bound), weakref.ref(arg)]
+    timers = [sim.schedule(60.0, bound.fire), sim.schedule(60.0, print, arg)]
+    del bound, arg
+    for timer in timers:
+        timer.cancel()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert sim.pending == 0
+
+
 def test_pending_property_tracks_armed_timers():
     sim = Simulator()
     timers = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
@@ -307,46 +332,178 @@ def test_ready_queue_merges_with_heap_in_time_seq_order():
     assert order == ["soon-1", "heap-1", "soon-2", "heap-2", "later"]
 
 
-def test_ready_queue_drain_matches_reference_order():
-    """Randomized interleavings of call_soon / schedule_at(now) /
-    schedule(later) fire in exactly the (time, seq) issue order a pure
-    heap would produce."""
+class ReferenceCalendar:
+    """The engine's ordering contract with none of its machinery: one
+    heap of ``(time, seq)`` keys, lazy cancellation, no ready queue, no
+    tiers, no freelist."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule_at(self, time, fn):
+        self._seq += 1
+        entry = [time, self._seq, fn, False]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def schedule(self, delay, fn):
+        return self.schedule_at(self.now + delay, fn)
+
+    def call_soon(self, fn):
+        return self.schedule_at(self.now, fn)
+
+    @staticmethod
+    def cancel(entry):
+        entry[3] = True
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            self.peek()
+            if not self._heap or (until is not None
+                                  and self._heap[0][0] > until):
+                if until is not None and until > self.now:
+                    self.now = until
+                return
+            entry = heapq.heappop(self._heap)
+            fired += 1
+            self.events_processed += 1
+            self.now = entry[0]
+            entry[2]()
+
+    def peek(self):
+        while self._heap and self._heap[0][3]:
+            heapq.heappop(self._heap)
+        return self._heap[0][0] if self._heap else None
+
+    @property
+    def pending(self):
+        return sum(1 for entry in self._heap if not entry[3])
+
+
+#: delays straddling Simulator.FAR_DELAY (0.25 s) on both sides
+DELAYS = (1e-6, 0.01, 0.2499, 0.25, 0.2501, 0.3, 1.0, 7.5, 60.0)
+#: grid for absolute due times (a binary fraction: sums stay exact)
+GRID = 0.125
+
+
+def _drive(engine, seed, cancel, nested):
+    """Run a randomized schedule on ``engine`` (``cancel`` adapts the
+    handle type); returns the firing log plus observations taken after
+    every run()/step() call.  Each callback's actions come from its own
+    tag-seeded RNG, so two engines that fire in the same order perform
+    the same actions."""
     import random
 
-    rng = random.Random(99)
-    sim = Simulator()
-    fired = []
-    expected = []
+    log = []
+    observed = []
+    live = {}  # tag -> (due time, handle)
     counter = [0]
+    depth = [0]
+
+    def add(kind, delay=0.0):
+        tag = counter[0]
+        counter[0] += 1
+        if tag >= 3000:
+            return
+        if kind == "soon":
+            handle = engine.call_soon(make(tag))
+            due = engine.now
+        elif kind == "now":
+            handle = engine.schedule_at(engine.now, make(tag))
+            due = engine.now
+        elif kind == "grid":
+            # absolute times on a coarse grid, so timers filed in the far
+            # tier long ago tie with near ones filed just before
+            due = math.ceil((engine.now + delay) / GRID) * GRID
+            handle = engine.schedule_at(due, make(tag))
+        else:
+            handle = engine.schedule(delay, make(tag))
+            due = engine.now + delay
+        live[tag] = (due, handle)
 
     def make(tag):
         def cb():
-            fired.append(tag)
+            live.pop(tag, None)
+            log.append((engine.now, tag))
+            rng = random.Random(seed * 100003 + tag)
+            for _ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                if roll < 0.2:
+                    add("soon")
+                elif roll < 0.35:
+                    add("now")
+                elif roll < 0.6:
+                    add("later", rng.choice(DELAYS))
+                elif roll < 0.8:
+                    add("grid", rng.choice(DELAYS))
+                elif live:
+                    if roll < 0.9:
+                        # cancel the earliest far timer (the far tier's
+                        # head) or, failing that, the earliest of all
+                        far = [(due, t) for t, (due, _h) in live.items()
+                               if due - engine.now >= 0.25]
+                        victim = min(far or [(d, t) for t, (d, _h)
+                                             in live.items()])[1]
+                    else:
+                        victim = rng.choice(sorted(live))
+                    cancel(live.pop(victim)[1])
+            if nested and rng.random() < 0.02 and depth[0] == 0:
+                depth[0] += 1
+                engine.run(until=engine.now + rng.choice((0.0, 0.1, 0.6)))
+                depth[0] -= 1
         return cb
 
-    def emit():
-        for _ in range(rng.randint(1, 4)):
-            tag = counter[0]
-            counter[0] += 1
-            kind = rng.random()
-            if kind < 0.4:
-                sim.call_soon(make(("now", tag)))
-                expected.append((sim.now, ("now", tag)))
-            elif kind < 0.7:
-                sim.schedule_at(sim.now, make(("now", tag)))
-                expected.append((sim.now, ("now", tag)))
-            else:
-                delay = rng.choice((0.5, 1.0, 1.5))
-                sim.schedule(delay, make(("later", tag)))
-                expected.append((sim.now + delay, ("later", tag)))
+    for t in (0.0, 0.0, 0.1, 0.5, 2.0, 30.0):
+        engine.schedule_at(t, make(counter[0]))
+        counter[0] += 1
 
-    for t in (0.0, 0.5, 1.0, 2.0):
-        sim.schedule_at(t, emit)
+    def observe():
+        observed.append((len(log), engine.now, engine.peek(),
+                         engine.pending, engine.events_processed))
+
+    for call in ({"until": 0.3}, {"max_events": 40}, {"until": 0.3},
+                 {"until": 1.0}, {"max_events": 1}, {"until": 2.0},
+                 {"max_events": 200}, {}):
+        engine.run(**call)
+        observe()
+    return log, observed
+
+
+def test_ready_queue_drain_matches_reference_order():
+    """Randomized interleavings of call_soon / schedule_at(now) /
+    schedule(later) -- across the far tier's boundary, with cancels of
+    the far tier's head, horizon stops, event budgets and nested run()
+    calls -- fire in exactly the order, at exactly the times, of a
+    naive single-heap calendar; peek, pending and events_processed
+    agree after every run() call."""
+    for seed in range(6):
+        nested = seed % 2 == 1
+        got = _drive(Simulator(), seed, Timer.cancel, nested)
+        want = _drive(ReferenceCalendar(), seed, ReferenceCalendar.cancel,
+                      nested)
+        assert got[0] == want[0], f"seed {seed}: firing order diverged"
+        assert got[1] == want[1], f"seed {seed}: observations diverged"
+        assert len(got[0]) > 500
+
+
+def test_far_tier_is_used_and_adds_no_events():
+    sim = Simulator()
+    fired = []
+    far = [sim.schedule(1.0 + i, fired.append, i) for i in range(5)]
+    near = sim.schedule(0.1, fired.append, "near")
+    assert len(sim._far) == 5 and len(sim._heap) == 1
+    assert sim.pending == 6 and sim.peek() == 0.1
+    near.cancel()
+    far[0].cancel()  # the far tier's head
+    assert sim.peek() == 2.0
+    sim.run(max_events=2)
+    assert fired == [1, 2] and sim.events_processed == 2
     sim.run()
-    # stable sort by time reproduces (time, seq) order: same-time
-    # entries keep their issue order
-    expected.sort(key=lambda item: item[0])
-    assert fired == [tag for _t, tag in expected]
+    assert fired == [1, 2, 3, 4] and sim.events_processed == 4
 
 
 def test_ready_queue_cancel_skips_without_firing():

@@ -286,6 +286,94 @@ def test_wait_with_timeout_zero_and_pretriggered_event():
     assert got == [(False, "now")]
 
 
+# Native timed wait: each case pins the resumption order against other
+# same-instant callbacks.  The expected orders are those of the original
+# construction, AnyOf([event, timeout_event]): the event resumes the
+# process from its own callback bounce, an expiry bounces once more.
+
+def test_timed_wait_event_first_resumes_in_the_event_bounce():
+    sim = Simulator()
+    ev = sim.event()
+    order = []
+
+    def body():
+        result = yield from wait_with_timeout(sim, ev, 5.0)
+        order.append(("resumed", result, sim.now))
+
+    spawn(sim, body())
+    sim.schedule(1.0, ev.trigger, "v")
+    sim.schedule(1.0, order.append, "same-instant")
+    sim.run()
+    assert order == ["same-instant", ("resumed", (False, "v"), 1.0)]
+    assert sim.pending == 0  # the timeout was cancelled
+
+
+def test_timed_wait_timeout_first_bounces_once():
+    sim = Simulator()
+    ev = sim.event()
+    order = []
+
+    def body():
+        result = yield from wait_with_timeout(sim, ev, 2.0)
+        order.append(("resumed", result, sim.now))
+
+    def late_peer():
+        # scheduled after the wait's timer: fires after it, but before
+        # the expiry's bounce
+        sim.schedule_at(2.0, order.append, "same-instant")
+
+    spawn(sim, body())
+    sim.schedule(0.5, late_peer)
+    sim.run()
+    assert order == ["same-instant", ("resumed", (True, None), 2.0)]
+    sim.schedule(1.0, ev.trigger, "late")
+    sim.run()
+    assert len(order) == 2  # the expired wait left no callback behind
+
+
+@pytest.mark.parametrize("trigger_first, expected", [
+    (True, (False, "v")),   # event's bounce queued before the expiry's
+    (False, (True, None)),  # expiry fired (and bounced) first
+])
+def test_timed_wait_event_and_timeout_at_the_same_instant(trigger_first,
+                                                          expected):
+    sim = Simulator()
+    ev = sim.event()
+    order = []
+    if trigger_first:
+        sim.schedule_at(1.0, ev.trigger, "v")
+
+    def body():
+        result = yield from wait_with_timeout(sim, ev, 1.0)
+        order.append(result)
+        yield 10.0  # a second resume would cut this sleep short
+        order.append(sim.now)
+
+    spawn(sim, body())
+    if not trigger_first:
+        # scheduled once the wait's timer is armed, so it fires after it
+        sim.schedule(0.5, sim.schedule_at, 1.0, ev.trigger, "v")
+    sim.run()
+    assert order == [expected, 11.0]
+
+
+def test_timed_wait_on_an_already_triggered_event():
+    sim = Simulator()
+    ev = sim.event()
+    ev.trigger("now")
+    order = []
+
+    def body():
+        sim.call_soon(order.append, "queued-before-the-wait")
+        result = yield from wait_with_timeout(sim, ev, 0.5)
+        order.append((result, sim.now))
+
+    spawn(sim, body())
+    sim.run()
+    assert order == ["queued-before-the-wait", ((False, "now"), 0.0)]
+    assert sim.pending == 0
+
+
 def test_two_processes_interleave():
     sim = Simulator()
     trace = []

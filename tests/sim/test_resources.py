@@ -295,3 +295,100 @@ def test_consume_parts_rejects_negative_part():
     cpu = CPU(Simulator())
     with pytest.raises(SimulationError):
         cpu.consume_parts((("ok", 1.0, None), ("bad", -0.1, None)))
+
+
+# ---------------------------------------------------------------------------
+# completion wakeups: inline when provably next, the ready queue otherwise
+# ---------------------------------------------------------------------------
+
+def test_lone_waiter_resumes_without_a_bounce_event():
+    """With nothing else due, a grant's waiter runs inside the grant's
+    completion: one engine event per grant, none per wakeup."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    times = []
+
+    def body():
+        for _ in range(3):
+            yield cpu.consume(1.0)
+            times.append(sim.now)
+
+    spawn(sim, body())
+    sim.run()
+    assert times == [1.0, 2.0, 3.0]
+    assert sim.events_processed == 1 + 3  # the spawn bounce + 3 grants
+
+
+def test_wakeup_falls_back_when_another_cpu_completes_at_the_same_instant():
+    """CPU a's completion must not resume its waiter inline while CPU
+    b's completion is also due now: in (time, seq) order both
+    completions fire before either bounce, so anything pa queues runs
+    after pb resumes."""
+    sim = Simulator()
+    cpu_a, cpu_b = CPU(sim, "a"), CPU(sim, "b")
+    order = []
+
+    def pa():
+        yield cpu_a.consume(1.0)
+        order.append("pa")
+        sim.call_soon(order.append, "pa-soon")
+
+    def pb():
+        yield cpu_b.consume(1.0)
+        order.append("pb")
+
+    spawn(sim, pa())
+    spawn(sim, pb())
+    sim.run()
+    assert order == ["pa", "pb", "pa-soon"]
+
+
+def test_wakeup_falls_back_when_ready_work_is_pending():
+    """Same-instant ready work queued before the completion fires runs
+    before the waiter, exactly as the bounce would have ordered it."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    order = []
+    sim.schedule_at(1.0, lambda: sim.call_soon(order.append, "soon"))
+
+    def body():
+        yield cpu.consume(1.0)
+        order.append("resumed")
+
+    spawn(sim, body())
+    sim.run()
+    assert order == ["soon", "resumed"]
+
+
+def test_wakeup_falls_back_with_several_waiters():
+    sim = Simulator()
+    cpu = CPU(sim)
+    order = []
+    done = cpu.consume(1.0)
+    done.add_callback(lambda e: order.append("first"))
+    done.add_callback(lambda e: order.append("second"))
+    sim.schedule_at(1.0, order.append, "later-timer")
+    sim.run()
+    assert order == ["later-timer", "first", "second"]
+
+
+def test_inline_wakeup_keeps_softirq_interposition():
+    """The waiter resumed inline issues its next grant after the
+    completion dispatched the softirq work queued meanwhile, so the
+    softirq still runs first."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    order = []
+
+    def body():
+        yield cpu.consume(1.0)
+        order.append(("p1", sim.now))
+        yield cpu.consume(1.0)
+        order.append(("p2", sim.now))
+
+    spawn(sim, body())
+    sim.schedule(0.5, lambda: cpu.consume(0.25, PRIO_SOFTIRQ).add_callback(
+        lambda e: order.append(("irq", sim.now))))
+    sim.run()
+    assert order == [("p1", 1.0), ("irq", 1.25), ("p2", 2.25)]
+    assert cpu.busy_time == pytest.approx(2.25)

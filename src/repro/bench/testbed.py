@@ -18,9 +18,9 @@ from ..net.link import ETHERNET_100MBIT, LAN_LATENCY, Network
 from ..net.stack import NetStack
 from ..obs.causal import CausalLedger
 from ..obs.profiler import CpuProfiler
+from ..obs.spans import Tracer
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
-from ..sim.tracing import Tracer
 
 SERVER_HOST = "server"
 CLIENT_HOST = "client"

@@ -132,8 +132,9 @@ class DevPollFile(File):
                  entry_part=None):
         """write() of a pollfd array: add/modify/remove interests.
 
-        With ``entry_part`` (uniprocessor fast path) the syscall-entry
-        charge fuses with the per-fd update charge into one grant.
+        With ``entry_part`` (a plain ``write()``; ``DP_POLL_WRITE`` has
+        already paid its entry) the syscall-entry charge fuses with the
+        per-fd update charge into one grant.
         """
         costs = self.kernel.costs
         if updates:
@@ -329,10 +330,9 @@ class DevPollFile(File):
             # the ioctl path ran under the big kernel lock in 2.2; the
             # hint-driven scan is O(ready), so the serialized hold is
             # short -- the SMP advantage over select/poll
-            if self.kernel.smp is not None:
-                self.kernel.smp.bkl_wait(scan_work)
-            yield self.kernel.cpu.consume(
-                scan_work, PRIO_USER, "devpoll.scan", breakdown=charges)
+            yield self.kernel.cpu.consume_parts(
+                self.kernel.under_bkl(("devpoll.scan", scan_work, charges)),
+                PRIO_USER)
             if ready or dvp.dp_timeout == 0:
                 ready = ready[:max_results]
                 self.stats.results_returned += len(ready)

@@ -97,19 +97,11 @@ class EpollFile(File):
     # ------------------------------------------------------------------
     # epoll_ctl
     # ------------------------------------------------------------------
-    def ctl(self, task: "Task", op: int, fd: int, events: int = 0,
-            entry_part=None):
-        """One interest mutation; charges ``epoll_ctl_op``.
-
-        With ``entry_part`` (uniprocessor fast path) the syscall-entry
-        charge fuses with the mutation charge into one grant.
-        """
-        if entry_part is not None:
-            yield self.kernel.cpu.consume_parts(
-                self.kernel.fused.epoll_ctl_parts, PRIO_USER)
-        else:
-            yield self.kernel.cpu.consume(
-                self.kernel.costs.epoll_ctl_op, PRIO_USER, "epoll.ctl")
+    def ctl(self, task: "Task", op: int, fd: int, events: int = 0):
+        """One ``epoll_ctl`` interest mutation: the syscall entry and
+        ``epoll_ctl_op`` charged as one fused grant."""
+        yield self.kernel.cpu.consume_parts(
+            self.kernel.fused.epoll_ctl_parts, PRIO_USER)
         if op == EPOLL_CTL_ADD:
             self._ctl_add(task, fd, events)
         elif op == EPOLL_CTL_MOD:
@@ -278,10 +270,9 @@ class EpollFile(File):
             # kernel-side harvest serializes on the big kernel lock, but
             # the hold is O(ready), not O(interests) -- the SMP
             # advantage over select/poll
-            if self.kernel.smp is not None:
-                self.kernel.smp.bkl_wait(scan_work)
-            yield self.kernel.cpu.consume(
-                scan_work, PRIO_USER, "epoll.wait", breakdown=charges)
+            yield self.kernel.cpu.consume_parts(
+                self.kernel.under_bkl(("epoll.wait", scan_work, charges)),
+                PRIO_USER)
             if ready or timeout == 0:
                 reported = ready[:max_events]
                 for entry in reported:

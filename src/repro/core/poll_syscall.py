@@ -29,30 +29,24 @@ from ..sim.resources import PRIO_USER
 
 def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
              timeout: Optional[float], deadline_abs: Optional[float] = None,
-             build_part=None, tail_parts=(), fuse: bool = False):
+             build_part=None, tail_parts=()):
     """Generator implementing poll(); called via SyscallInterface.poll.
 
-    With ``build_part`` set (uniprocessor fast path), the caller's
-    userspace build charge, the syscall entry, the copyin, and the first
-    scan are issued as one fused grant -- each still its own FIFO slice,
-    so interrupt work interposes identically -- and the copyout plus the
+    The syscall entry, the copyin and the first scan go out as one
+    fused grant -- each still its own FIFO slice, so interrupt work
+    interposes identically -- led by the caller's userspace
+    ``build_part`` (its pollfd array build) when there is one; on SMP a
+    big-kernel-lock part precedes every scan.  The copyout plus the
     caller's ``tail_parts`` (its revents scan) fuse on the way out.  The
-    boundary stamps reproduce the legacy path's two clock reads: the
-    relative timeout derived from ``deadline_abs`` after the build, and
-    the absolute wakeup deadline pinned after the copyin.
+    boundary stamps supply the call's two clock reads: the relative
+    timeout derived from ``deadline_abs`` after the build, and the
+    absolute wakeup deadline pinned after the copyin.
     """
     kernel = task.kernel
-    costs = kernel.costs
+    fused = kernel.fused
+    cpu = kernel.cpu
     sim = kernel.sim
     n = len(interests)
-    fuse = fuse or build_part is not None
-
-    def charge(seconds: float, category: str,
-               operation: Optional[str] = None):
-        if seconds > 0:
-            breakdown = ((operation, seconds),) if operation else None
-            yield kernel.cpu.consume(seconds, PRIO_USER, category,
-                                     breakdown=breakdown)
 
     def scan():
         """Invoke the driver poll callback on every descriptor."""
@@ -86,86 +80,45 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
             for entry in entries:
                 entry.queue.remove(entry)
 
-    if fuse:
-        fused = kernel.fused
-        cpu = kernel.cpu
-        scan_cost = fused.poll_scan_per_fd * n
-        copyin = ("poll.copyin", fused.poll_copyin_per_fd * n, None)
-        scan_part = ("poll.scan", scan_cost,
-                     (("driver_callback", scan_cost),))
-        stamps: List[float] = []
-        if build_part is not None:
-            yield cpu.consume_parts(
-                (build_part, fused.entry_part, copyin, scan_part),
-                PRIO_USER, stamps=stamps)
-            t_build_end, t_copyin_end = stamps[0], stamps[2]
-        else:
-            # no userspace build part: a deadline-passing caller would
-            # have derived its timeout at issue time
-            t_build_end = sim.now
-            yield cpu.consume_parts(
-                (fused.entry_part, copyin, scan_part),
-                PRIO_USER, stamps=stamps)
-            t_copyin_end = stamps[1]
-        # Reconstruct the legacy clock reads from the boundary stamps:
-        # the backend derived the relative timeout right after its
-        # pollfd build; the kernel pinned the absolute deadline right
-        # after the copyin.
-        if timeout is None and deadline_abs is not None:
-            timeout = max(0.0, deadline_abs - t_build_end)
-        deadline = None if timeout is None else t_copyin_end + timeout
-        ready = scan()
-        if kernel.tracer.enabled:
-            kernel.trace("poll", f"scan n={n} ready={len(ready)}")
-        while True:
-            if ready or timeout == 0:
-                yield cpu.consume_parts(
-                    (("poll.copyout",
-                      fused.poll_copyout_per_ready * len(ready), None),)
-                    + tuple(tail_parts), PRIO_USER)
-                return ready
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = deadline - sim.now
-                if remaining <= 0:
-                    if tail_parts:
-                        yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
-                    return []
-            yield from charge(costs.poll_waitqueue_per_fd * n,
-                              "poll.waitqueue")
-            yield from wait_for_ready(remaining)
-            yield from charge(costs.poll_driver_callback * n, "poll.scan",
-                              "driver_callback")
-            ready = scan()
-            if kernel.tracer.enabled:
-                kernel.trace("poll", f"scan n={n} ready={len(ready)}")
-
-    # 1. copy in and parse the whole interest set
-    yield from charge(costs.poll_copyin_per_fd * n, "poll.copyin")
-
-    deadline = None if timeout is None else sim.now + timeout
+    # 1. copy in the whole interest set; 2. one driver callback per
+    # descriptor -- under the big kernel lock, so on SMP the whole O(n)
+    # walk serializes against every other CPU's scan
+    scan_cost = fused.poll_scan_per_fd * n
+    scan_part = ("poll.scan", scan_cost, (("driver_callback", scan_cost),))
+    head = (fused.entry_part,
+            ("poll.copyin", fused.poll_copyin_per_fd * n, None))
+    if build_part is not None:
+        head = (build_part,) + head
+    issued_at = sim.now
+    stamps: List[float] = []
+    yield cpu.consume_parts(head + kernel.under_bkl(scan_part), PRIO_USER,
+                            stamps=stamps)
+    if timeout is None and deadline_abs is not None:
+        # the caller derives its relative timeout after its build
+        built_at = stamps[0] if build_part is not None else issued_at
+        timeout = max(0.0, deadline_abs - built_at)
+    deadline = None if timeout is None else stamps[len(head) - 1] + timeout
+    waitqueue_cost = fused.poll_waitqueue_per_fd * n
 
     while True:
-        # 2. full scan, one driver callback per descriptor.  2.2 ran the
-        # scan under the big kernel lock, so on SMP the whole O(n) walk
-        # serializes against every other CPU's scan.
-        if kernel.smp is not None:
-            kernel.smp.bkl_wait(costs.poll_driver_callback * n)
-        yield from charge(costs.poll_driver_callback * n, "poll.scan",
-                          "driver_callback")
         ready = scan()
         if kernel.tracer.enabled:
             kernel.trace("poll", f"scan n={n} ready={len(ready)}")
         if ready or timeout == 0:
             # 4. copy out the results
-            yield from charge(
-                costs.poll_copyout_per_ready * len(ready), "poll.copyout")
+            yield cpu.consume_parts(
+                (("poll.copyout", fused.poll_copyout_per_ready * len(ready),
+                  None),) + tuple(tail_parts), PRIO_USER)
             return ready
         remaining: Optional[float] = None
         if deadline is not None:
             remaining = deadline - sim.now
             if remaining <= 0:
+                if tail_parts:
+                    yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
                 return []
-        yield from charge(costs.poll_waitqueue_per_fd * n, "poll.waitqueue")
+        if waitqueue_cost > 0:
+            yield cpu.consume(waitqueue_cost, PRIO_USER, "poll.waitqueue")
         yield from wait_for_ready(remaining)
         # loop around: rescan (and notice deadline expiry)
+        yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)

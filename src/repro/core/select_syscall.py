@@ -46,12 +46,15 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
     for closed descriptors (select, unlike poll, has no per-fd error
     reporting -- the whole call fails).
 
-    ``build_part``/``tail_parts``/``deadline_abs`` engage the fused
-    uniprocessor fast path exactly as in
-    :func:`repro.core.poll_syscall.sys_poll`.
+    The charges fuse exactly as in
+    :func:`repro.core.poll_syscall.sys_poll`: the caller's
+    ``build_part``, the entry, the bitmap copyin and the first scan are
+    one grant, the bitmap copyout and ``tail_parts`` another, and the
+    boundary stamps supply the timeout clock reads.
     """
     kernel = task.kernel
-    costs = kernel.costs
+    fused = kernel.fused
+    cpu = kernel.cpu
     sim = kernel.sim
     rset = sorted(set(readfds))
     wset = sorted(set(writefds))
@@ -61,14 +64,6 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
             raise SyscallError(EINVAL, f"fd {fd} outside FD_SETSIZE")
     maxfd = (watched[-1] + 1) if watched else 0
     words = (maxfd + _FDS_PER_WORD - 1) // _FDS_PER_WORD
-
-    def charge(seconds: float, category: str):
-        if seconds > 0:
-            yield kernel.cpu.consume(seconds, PRIO_USER, category)
-
-    # three bitmaps (read/write/except) copied in, three copied out --
-    # proportional to maxfd, not to the number of watched fds
-    bitmap_cost = 6 * words * costs.poll_copyin_per_fd
 
     def scan() -> Tuple[List[int], List[int]]:
         readable, writable = [], []
@@ -101,62 +96,40 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
             for entry in entries:
                 entry.queue.remove(entry)
 
+    # three bitmaps (read/write/except) copied in, three copied out --
+    # proportional to maxfd, not to the number of watched fds
+    bitmaps = ("select.bitmaps", 6 * words * fused.select_word_cost, None)
+    # the O(watched) driver scan ran under the big kernel lock in 2.2,
+    # so on SMP it serializes against every other CPU's scan
+    scan_part = ("select.scan", fused.poll_scan_per_fd * len(watched), None)
+    head = (fused.entry_part, bitmaps)
     if build_part is not None:
-        fused = kernel.fused
-        cpu = kernel.cpu
-        scan_cost = costs.poll_driver_callback * len(watched)
-        stamps: List[float] = []
-        yield cpu.consume_parts(
-            (build_part, fused.entry_part,
-             ("select.bitmaps", bitmap_cost, None),
-             ("select.scan", scan_cost, None)),
-            PRIO_USER, stamps=stamps)
-        # boundary stamps reproduce the legacy clock reads: relative
-        # timeout after the caller's fd_set build, absolute deadline
-        # after the bitmap copyin
-        if timeout is None and deadline_abs is not None:
-            timeout = max(0.0, deadline_abs - stamps[0])
-        deadline = None if timeout is None else stamps[2] + timeout
-        readable, writable = scan()
-        while True:
-            if readable or writable or timeout == 0:
-                yield cpu.consume_parts(
-                    (("select.bitmaps", bitmap_cost, None),)
-                    + tuple(tail_parts), PRIO_USER)
-                return readable, writable
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = deadline - sim.now
-                if remaining <= 0:
-                    if tail_parts:
-                        yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
-                    return [], []
-            yield from charge(costs.poll_waitqueue_per_fd * len(watched),
-                              "select.waitqueue")
-            yield from wait_for_ready(remaining)
-            yield from charge(scan_cost, "select.scan")
-            readable, writable = scan()
-
-    yield from charge(bitmap_cost, "select.bitmaps")
-
-    deadline = None if timeout is None else sim.now + timeout
+        head = (build_part,) + head
+    issued_at = sim.now
+    stamps: List[float] = []
+    yield cpu.consume_parts(head + kernel.under_bkl(scan_part), PRIO_USER,
+                            stamps=stamps)
+    if timeout is None and deadline_abs is not None:
+        # the caller derives its relative timeout after its fd_set build
+        built_at = stamps[0] if build_part is not None else issued_at
+        timeout = max(0.0, deadline_abs - built_at)
+    deadline = None if timeout is None else stamps[len(head) - 1] + timeout
+    waitqueue_cost = fused.poll_waitqueue_per_fd * len(watched)
 
     while True:
-        # the O(watched) driver scan ran under the big kernel lock in
-        # 2.2, so on SMP it serializes against every other CPU's scan
-        if kernel.smp is not None:
-            kernel.smp.bkl_wait(costs.poll_driver_callback * len(watched))
-        yield from charge(costs.poll_driver_callback * len(watched),
-                          "select.scan")
         readable, writable = scan()
         if readable or writable or timeout == 0:
-            yield from charge(bitmap_cost, "select.bitmaps")
+            yield cpu.consume_parts((bitmaps,) + tuple(tail_parts),
+                                    PRIO_USER)
             return readable, writable
         remaining: Optional[float] = None
         if deadline is not None:
             remaining = deadline - sim.now
             if remaining <= 0:
+                if tail_parts:
+                    yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
                 return [], []
-        yield from charge(costs.poll_waitqueue_per_fd * len(watched),
-                          "select.waitqueue")
+        if waitqueue_cost > 0:
+            yield cpu.consume(waitqueue_cost, PRIO_USER, "select.waitqueue")
         yield from wait_for_ready(remaining)
+        yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)

@@ -135,24 +135,14 @@ class EventBackend:
         """Block until readiness; returns a list of ``(fd, revents)``."""
         raise NotImplementedError
 
-    def charge_dispatch(self) -> Generator:
-        """Per-delivered-event bookkeeping charge (mechanism-specific).
+    def dispatch_parts(self) -> tuple:
+        """Per-delivered-event bookkeeping charge, as fused-grant parts.
 
         The ``poll``/``select`` servers re-scan their whole watch array
-        per handled event (the paper's fdwatch overhead); ready-list
-        mechanisms pay nothing here.
-        """
-        return
-        yield  # pragma: no cover - marks this as a generator
-
-    def dispatch_parts(self) -> tuple:
-        """:meth:`charge_dispatch` as fused-grant parts.
-
-        The uniprocessor server loop fuses these behind its own
-        ``app.dispatch`` charge (one grant, one calendar round-trip per
-        delivered event); must describe exactly the charges
-        :meth:`charge_dispatch` would issue.  Ready-list mechanisms
-        return the empty tuple.
+        per handled event (the paper's fdwatch overhead); the server
+        loop fuses these parts behind its own ``app.dispatch`` charge
+        (one grant, one calendar round-trip per delivered event).
+        Ready-list mechanisms pay nothing here: the empty tuple.
         """
         return ()
 

@@ -62,44 +62,27 @@ class PollBackend(EventBackend):
     def wait(self, max_events: Optional[int] = None,
              timeout: Optional[float] = None,
              deadline: Optional[float] = None) -> Generator:
-        server = self.server
         kernel = self.kernel
         interests = self._build()
         n = len(interests)
         self._nwatched = n
-        if kernel.smp is None and not kernel.tracer.enabled:
-            # fused fast path: app.build + syscall entry + copyin + scan
-            # become one grant, and copyout + app.scan another; the
-            # timeout-after-build clock read is reconstructed inside
-            # sys_poll from the grant's boundary stamps
-            fused = kernel.fused
-            ready = yield from self.sys.poll(
-                interests, timeout, deadline=deadline,
-                build_part=("app.build", fused.user_build_per_fd * n, None),
-                tail_parts=(("app.scan", fused.user_scan_per_fd * n, None),))
-            self._note_wait(ready, n)
-            return ready
-        costs = self.costs
-        yield from self.sys.cpu_work(
-            costs.user_pollfd_build_per_fd * n, "app.build")
-        # timeout is derived *after* the array build, which advanced
-        # simulated time -- exactly where the legacy loop computed it
-        timeout = self._deadline_timeout(deadline, timeout)
-        ready = yield from self.sys.poll(interests, timeout)
+        # app.build + syscall entry + copyin + scan are one grant, and
+        # copyout + app.scan another; the timeout is derived from the
+        # deadline after the array build, which advanced simulated time
+        # (sys_poll reads that instant off the grant's boundary stamps)
+        fused = kernel.fused
+        ready = yield from self.sys.poll(
+            interests, timeout, deadline=deadline,
+            build_part=("app.build", fused.user_build_per_fd * n, None),
+            tail_parts=(("app.scan", fused.user_scan_per_fd * n, None),))
         if kernel.tracer.enabled:
+            server = self.server
             kernel.trace(
                 server.name,
                 f"loop {server.stats.loops}: poll over "
                 f"{n} fds, {len(ready)} ready")
-        yield from self.sys.cpu_work(
-            costs.user_scan_per_fd * n, "app.scan")
         self._note_wait(ready, n)
         return ready
-
-    def charge_dispatch(self) -> Generator:
-        yield from self.sys.cpu_work(
-            self.costs.user_fdwatch_check_per_fd * self._nwatched,
-            "app.fdwatch")
 
     def dispatch_parts(self) -> tuple:
         return (("app.fdwatch",

@@ -55,7 +55,6 @@ class SelectBackend(EventBackend):
     def wait(self, max_events: Optional[int] = None,
              timeout: Optional[float] = None,
              deadline: Optional[float] = None) -> Generator:
-        costs = self.costs
         readfds = [self.server.listen_fd]
         readfds.extend(fd for fd, mask in self._interests.items()
                        if mask & POLLIN)
@@ -63,33 +62,16 @@ class SelectBackend(EventBackend):
                     if mask & POLLOUT]
         nwatched = len(readfds) + len(writefds)
         self._nwatched = nwatched
-        kernel = self.kernel
-        if kernel.smp is None and not kernel.tracer.enabled:
-            # fused fast path; see PollBackend.wait
-            fused = kernel.fused
-            readable, writable = yield from self.sys.select(
-                readfds, writefds, timeout, deadline=deadline,
-                build_part=("app.build",
-                            fused.user_build_per_fd * nwatched, None),
-                tail_parts=(("app.scan",
-                             fused.user_scan_per_fd * nwatched, None),))
-        else:
-            yield from self.sys.cpu_work(
-                costs.user_pollfd_build_per_fd * nwatched, "app.build")
-            timeout = self._deadline_timeout(deadline, timeout)
-            readable, writable = yield from self.sys.select(
-                readfds, writefds, timeout)
-            yield from self.sys.cpu_work(
-                costs.user_scan_per_fd * nwatched, "app.scan")
+        # fused exactly as in PollBackend.wait
+        fused = self.kernel.fused
+        readable, writable = yield from self.sys.select(
+            readfds, writefds, timeout, deadline=deadline,
+            build_part=("app.build", fused.user_build_per_fd * nwatched, None),
+            tail_parts=(("app.scan", fused.user_scan_per_fd * nwatched, None),))
         ready = ([(fd, POLLIN) for fd in readable]
                  + [(fd, POLLOUT) for fd in writable])
         self._note_wait(ready, nwatched)
         return ready
-
-    def charge_dispatch(self) -> Generator:
-        yield from self.sys.cpu_work(
-            self.costs.user_fdwatch_check_per_fd * self._nwatched,
-            "app.fdwatch")
 
     def dispatch_parts(self) -> tuple:
         return (("app.fdwatch",

@@ -8,10 +8,10 @@ cost model, so each kernel builds this table once at construction
 (``kernel.fused``) instead of re-deriving ``(category, seconds,
 breakdown)`` tuples and per-unit coefficient sums on every syscall.
 
-Every entry here mirrors a charge sequence that exists verbatim on the
-unfused fallback paths; see docs/performance.md for the equivalence
-argument (part-per-slice scheduling keeps softirq interposition and all
-measured accounting byte-identical).
+Every entry here is issued as one fused grant on uniprocessor, SMP and
+traced kernels alike.  See docs/performance.md for why that is
+equivalent to charging the parts one by one (part-per-slice scheduling
+keeps softirq interposition and all measured accounting byte-identical).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class FusedCostTable:
         "poll_waitqueue_per_fd",
         "select_word_cost",
         "user_build_per_fd", "user_scan_per_fd",
-        "devpoll_update_per_fd",
         "net_rx_per_segment", "net_tx_per_segment",
         "net_ack_tx_per_ack", "net_ack_rx_per_ack",
     )
@@ -55,7 +54,7 @@ class FusedCostTable:
                               ("connect", costs.connect_op, None))
         self.epoll_ctl_parts = (self.entry_part,
                                 ("epoll.ctl", costs.epoll_ctl_op, None))
-        # per-fd coefficients for assembling poll()/select() fast paths
+        # per-fd coefficients for assembling poll()/select() grants
         self.poll_copyin_per_fd = costs.poll_copyin_per_fd
         self.poll_scan_per_fd = costs.poll_driver_callback
         self.poll_copyout_per_ready = costs.poll_copyout_per_ready
@@ -64,7 +63,6 @@ class FusedCostTable:
         self.select_word_cost = costs.poll_copyin_per_fd
         self.user_build_per_fd = costs.user_pollfd_build_per_fd
         self.user_scan_per_fd = costs.user_scan_per_fd
-        self.devpoll_update_per_fd = costs.devpoll_update_per_fd
         # net softirq per-unit sums (charge = units * per_unit)
         self.net_rx_per_segment = costs.tcp_rx_packet + costs.irq_per_packet
         self.net_tx_per_segment = costs.tcp_tx_packet + costs.irq_per_packet

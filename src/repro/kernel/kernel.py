@@ -100,6 +100,17 @@ class Kernel:
         )
 
     # ------------------------------------------------------------------
+    def under_bkl(self, part) -> tuple:
+        """A kernel-side readiness scan ``part`` as fused-grant parts.
+
+        2.2 ran every backend's scan under the big kernel lock, so on an
+        SMP kernel a lock-wait part for the scan's own length goes
+        first; a uniprocessor never contends and gets the scan alone.
+        """
+        if self.smp is None:
+            return (part,)
+        return (self.smp.bkl_part(part[1]), part)
+
     def charge_softirq(self, seconds: float, category: str = "softirq") -> None:
         """Fire-and-forget CPU charge for interrupt/softirq-context work.
 

@@ -88,7 +88,7 @@ class SyscallInterface:
     def write(self, fd: int, data: bytes):
         file = self._file(fd)
         kernel = self.kernel
-        if kernel.smp is None and file.fuse_write_entry and data:
+        if file.fuse_write_entry and data:
             # files that opt in (the /dev/poll interest list) take the
             # syscall-entry charge fused with their own update charge
             kernel.counters.inc("sys.write")
@@ -104,13 +104,8 @@ class SyscallInterface:
         if file is None:
             raise SyscallError(EBADF, f"close({fd})")
         kernel = self.kernel
-        if kernel.smp is None:
-            kernel.counters.inc("sys.close")
-            yield kernel.cpu.consume_parts(kernel.fused.close_parts,
-                                           PRIO_USER)
-        else:
-            yield from self._enter("sys.close")
-            yield from self._charge(self.costs.close_op, "close")
+        kernel.counters.inc("sys.close")
+        yield kernel.cpu.consume_parts(kernel.fused.close_parts, PRIO_USER)
         self.task.fdtable.close(fd)
         return 0
 
@@ -142,13 +137,8 @@ class SyscallInterface:
     def fcntl(self, fd: int, op: int, arg: int = 0):
         file = self._file(fd)
         kernel = self.kernel
-        if kernel.smp is None:
-            kernel.counters.inc("sys.fcntl")
-            yield kernel.cpu.consume_parts(kernel.fused.fcntl_parts,
-                                           PRIO_USER)
-        else:
-            yield from self._enter("sys.fcntl")
-            yield from self._charge(self.costs.fcntl_op, "fcntl")
+        kernel.counters.inc("sys.fcntl")
+        yield kernel.cpu.consume_parts(kernel.fused.fcntl_parts, PRIO_USER)
         if op == F_GETFL:
             return file.f_flags
         if op == F_SETFL:
@@ -183,23 +173,19 @@ class SyscallInterface:
         Returns ``[(fd, revents), ...]`` for ready descriptors only.
         ``timeout`` in seconds; ``None`` blocks forever, ``0`` polls.
 
-        ``build_part``/``tail_parts``/``deadline`` engage the fused fast
-        path used by the server event backends: userspace pollfd build,
-        syscall entry, copyin, and the first scan become one fused grant
-        (boundary stamps reproduce the legacy timeout arithmetic), and
-        copyout plus the caller's revents scan fuse on the way out.
+        The server event backends fuse their own userspace work into
+        the call: ``build_part`` (the pollfd array build) leads the
+        grant of syscall entry, copyin and first scan, ``tail_parts``
+        (the revents scan) follow the copyout, and ``deadline`` -- an
+        absolute time -- becomes the relative timeout at the end of the
+        build, as a caller computing it itself would have.
         """
         from ..core.poll_syscall import sys_poll
 
-        kernel = self.kernel
-        if kernel.smp is None:
-            kernel.counters.inc("sys.poll")
-            result = yield from sys_poll(
-                self.task, interests, timeout, deadline_abs=deadline,
-                build_part=build_part, tail_parts=tail_parts, fuse=True)
-            return result
-        yield from self._enter("sys.poll")
-        result = yield from sys_poll(self.task, interests, timeout)
+        self.kernel.counters.inc("sys.poll")
+        result = yield from sys_poll(
+            self.task, interests, timeout, deadline_abs=deadline,
+            build_part=build_part, tail_parts=tail_parts)
         return result
 
     def select(self, readfds: Sequence[int], writefds: Sequence[int] = (),
@@ -214,15 +200,10 @@ class SyscallInterface:
         """
         from ..core.select_syscall import sys_select
 
-        kernel = self.kernel
-        if build_part is not None and kernel.smp is None:
-            kernel.counters.inc("sys.select")
-            result = yield from sys_select(
-                self.task, readfds, writefds, timeout, deadline_abs=deadline,
-                build_part=build_part, tail_parts=tail_parts)
-            return result
-        yield from self._enter("sys.select")
-        result = yield from sys_select(self.task, readfds, writefds, timeout)
+        self.kernel.counters.inc("sys.select")
+        result = yield from sys_select(
+            self.task, readfds, writefds, timeout, deadline_abs=deadline,
+            build_part=build_part, tail_parts=tail_parts)
         return result
 
     def open_devpoll(self, config=None):
@@ -284,15 +265,11 @@ class SyscallInterface:
         from ..core.epoll import EpollFile
 
         file = self._file(epfd)
-        kernel = self.kernel
-        if kernel.smp is None and isinstance(file, EpollFile):
-            kernel.counters.inc("sys.epoll_ctl")
-            result = yield from file.ctl(self.task, op, fd, events,
-                                         entry_part=kernel.fused.entry_part)
-            return result
-        yield from self._enter("sys.epoll_ctl")
         if not isinstance(file, EpollFile):
+            yield from self._enter("sys.epoll_ctl")
             raise SyscallError(EINVAL, f"epoll_ctl: fd {epfd} is not epoll")
+        # the epoll instance charges the entry fused with its own work
+        self.kernel.counters.inc("sys.epoll_ctl")
         result = yield from file.ctl(self.task, op, fd, events)
         return result
 
@@ -370,14 +347,8 @@ class SyscallInterface:
         kernel = self.kernel
         if kernel.net is None:
             raise SyscallError(ENOTSOCK, "no network stack attached")
-        if kernel.smp is None:
-            kernel.counters.inc("sys.socket")
-            yield kernel.cpu.consume_parts(kernel.fused.socket_parts,
-                                           PRIO_USER)
-        else:
-            yield from self._enter("sys.socket")
-            yield from self._charge(
-                self.costs.socket_create + self.costs.fd_alloc, "socket")
+        kernel.counters.inc("sys.socket")
+        yield kernel.cpu.consume_parts(kernel.fused.socket_parts, PRIO_USER)
         file = SocketFile(self.kernel)
         fd = self.task.fdtable.alloc(file)
         return fd
@@ -427,13 +398,8 @@ class SyscallInterface:
 
         sock = require_socket(self._file(fd))
         kernel = self.kernel
-        if kernel.smp is None:
-            kernel.counters.inc("sys.connect")
-            yield kernel.cpu.consume_parts(kernel.fused.connect_parts,
-                                           PRIO_USER)
-        else:
-            yield from self._enter("sys.connect")
-            yield from self._charge(self.costs.connect_op, "connect")
+        kernel.counters.inc("sys.connect")
+        yield kernel.cpu.consume_parts(kernel.fused.connect_parts, PRIO_USER)
         result = yield from sock.do_connect(self.task, addr, timeout)
         return result
 

@@ -7,8 +7,7 @@ benchmark or test can turn on to see inside the simulator:
 
 * :mod:`repro.obs.spans` -- nested begin/end spans and point events in a
   bounded ring buffer that counts (rather than hides) drops, with JSONL
-  export.  ``repro.sim.tracing`` re-exports this for backward
-  compatibility.
+  export.
 * :mod:`repro.obs.metrics` -- a registry of named counters, gauges, and
   fixed-bucket histograms.  The kernel's and network stack's tallies all
   live in one per-host registry.

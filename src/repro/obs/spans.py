@@ -1,7 +1,6 @@
 """Span tracing: nested begin/end spans and point events.
 
-The successor to the old ``repro.sim.tracing`` flat ring buffer.  A
-:class:`SpanTracer` records two kinds of entries into one bounded ring:
+A :class:`SpanTracer` records two kinds of entries into one bounded ring:
 
 * *point events* -- the classic ``trace(now, subsystem, message)``
   tuples, unchanged;
@@ -23,8 +22,7 @@ reports it.
 
 Tracing is off by default and costs a single attribute check per call
 site, so it stays wired through the kernel and servers without affecting
-benchmark numbers.  ``Tracer`` remains an alias so existing call sites
-and tests keep working.
+benchmark numbers.  ``Tracer`` is a short alias of :class:`SpanTracer`.
 """
 
 from __future__ import annotations

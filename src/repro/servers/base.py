@@ -182,7 +182,7 @@ class BaseServer:
         self._process: Optional[Process] = None
         costs = self.kernel.costs
         #: per-request parse/cache/build charges as one fused grant
-        #: (uniprocessor fast path in handle_readable)
+        #: (issued by handle_readable)
         self._http_parts = (
             ("http.parse", costs.http_parse_request, None),
             ("http.cache", costs.file_cache_lookup, None),
@@ -262,7 +262,6 @@ class BaseServer:
         """Read and parse; on a complete request, build the response and
         start writing it.  Returns 'open', 'closed', or 'responding'."""
         sys = self.sys
-        costs = self.kernel.costs
         conn.touch(self.kernel.sim.now)
         try:
             data = yield from sys.read(conn.fd, READ_CHUNK)
@@ -288,19 +287,12 @@ class BaseServer:
         if self.kernel.tracer.enabled:
             conn.span = self.kernel.span(self.name, "request", fd=conn.fd,
                                          path=request.path)
-        kernel = self.kernel
-        if kernel.smp is None and not kernel.tracer.enabled:
-            # parse/cache-lookup/build are adjacent pure charges: one
-            # fused grant (each part its own FIFO slice).  The response
-            # lookup itself is a time-independent static-site read, so
-            # it commutes with the charge boundaries.
-            yield kernel.cpu.consume_parts(self._http_parts, PRIO_USER)
-            response = self.site.respond(request.path)
-        else:
-            yield from sys.cpu_work(costs.http_parse_request, "http.parse")
-            yield from sys.cpu_work(costs.file_cache_lookup, "http.cache")
-            response = self.site.respond(request.path)
-            yield from sys.cpu_work(costs.http_build_response, "http.build")
+        # parse/cache-lookup/build are adjacent pure charges: one fused
+        # grant (each part its own FIFO slice).  The response lookup
+        # itself is a time-independent static-site read, so it commutes
+        # with the charge boundaries.
+        yield self.kernel.cpu.consume_parts(self._http_parts, PRIO_USER)
+        response = self.site.respond(request.path)
         conn.outbuf = response.encode()
         conn.state = WRITING
         if self.immediate_write:

@@ -127,14 +127,6 @@ class PhhttpdServer(BaseServer):
         self.pool = WorkerPool(kernel, stats=self.stats,
                                request_latency=self.request_latency)
 
-    @property
-    def allocator(self):
-        return self.backend.allocator
-
-    @property
-    def listen_signo(self) -> int:
-        return self.backend.listen_signo
-
     # ------------------------------------------------------------------
     def run(self):
         sys = self.sys

@@ -6,9 +6,7 @@ The loop is now written once against the
 :class:`~repro.events.base.EventBackend` protocol; the mechanism is a
 constructor argument (``backend="poll"`` by default).  The pinned
 variants (:class:`ThttpdSelectServer`, :class:`ThttpdDevpollServer`,
-:class:`ThttpdEpollServer`) live here too; the old per-mechanism
-modules (:mod:`repro.servers.thttpd_select` and friends) are
-deprecation shims re-exporting them.
+:class:`ThttpdEpollServer`) live here too.
 
 The poll() default still models thttpd 2.x's fdwatch weaknesses the
 paper calls out: the pollfd array is rebuilt from scratch every
@@ -47,33 +45,24 @@ class ThttpdServer(BaseServer):
     def poll_loop(self):
         """The fdwatch loop proper; phhttpd's poll sibling reuses it after
         an overflow handoff (section 6)."""
-        sys = self.sys
         kernel = self.kernel
-        costs = kernel.costs
         sim = kernel.sim
         backend = self.backend
         next_sweep = sim.now + self.config.timer_interval
-        # uniprocessor fast path: the per-event dispatch charge and the
-        # backend's fdwatch re-check are adjacent pure charges, so they
-        # go out as one fused grant (each part its own FIFO slice)
-        fuse_dispatch = kernel.smp is None and not kernel.tracer.enabled
-        dispatch_part = ("app.dispatch", costs.app_event_dispatch, None)
+        # the per-event dispatch charge and the backend's bookkeeping
+        # (e.g. fdwatch_check_fd(): poll/select re-search their whole
+        # rebuilt array per handled event) are adjacent pure charges, so
+        # they go out as one fused grant (each part its own FIFO slice)
+        dispatch_part = ("app.dispatch", kernel.costs.app_event_dispatch,
+                         None)
 
         while self.running:
             self.stats.loops += 1
             ready = yield from backend.wait(deadline=next_sweep)
 
             for fd, revents in ready:
-                if fuse_dispatch:
-                    yield kernel.cpu.consume_parts(
-                        (dispatch_part,) + backend.dispatch_parts(),
-                        PRIO_USER)
-                else:
-                    yield from sys.cpu_work(costs.app_event_dispatch,
-                                            "app.dispatch")
-                    # e.g. fdwatch_check_fd(): poll/select re-search
-                    # their whole rebuilt array per handled event
-                    yield from backend.charge_dispatch()
+                yield kernel.cpu.consume_parts(
+                    (dispatch_part,) + backend.dispatch_parts(), PRIO_USER)
                 if self.kernel.causal.enabled:
                     self.kernel.causal.dispatch(sim.now, fd)
                 if fd == self.listen_fd:
@@ -143,10 +132,6 @@ class ThttpdSelectServer(ThttpdServer):
                 kept.append(conn)
         return kept
 
-    def select_loop(self):
-        """Backwards-compatible name for the unified loop."""
-        yield from self.poll_loop()
-
 
 @dataclass
 class DevpollServerConfig(ServerConfig):
@@ -174,19 +159,11 @@ class ThttpdDevpollServer(ThttpdServer):
         super().__init__(kernel, site,
                          config if config is not None else DevpollServerConfig())
 
-    # -- compatibility views over the backend's state ------------------
+    # -- views over the backend's state ---------------------------------
 
     @property
     def dp_fd(self) -> int:
         return self.backend.dp_fd
-
-    @property
-    def _updates(self):
-        return self.backend._updates
-
-    @property
-    def _result_area(self):
-        return self.backend._result_area
 
     @property
     def devpoll_file(self):
@@ -215,7 +192,7 @@ class ThttpdEpollServer(ThttpdServer):
         super().__init__(kernel, site,
                          config if config is not None else EpollServerConfig())
 
-    # -- compatibility views over the backend's state ------------------
+    # -- views over the backend's state ---------------------------------
 
     @property
     def ep_fd(self) -> int:

@@ -14,7 +14,6 @@ from .process import (
 from .resources import CPU, Channel, PRIO_SOFTIRQ, PRIO_USER
 from .rng import RngStreams
 from .stats import Counter, ErrorCounter, RateSummary, SampleSet, WindowedRate
-from .tracing import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "AnyOf",
@@ -23,7 +22,6 @@ __all__ = [
     "Counter",
     "ErrorCounter",
     "Event",
-    "NULL_TRACER",
     "PRIO_SOFTIRQ",
     "PRIO_USER",
     "Process",
@@ -34,8 +32,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "TraceRecord",
-    "Tracer",
     "WindowedRate",
     "sleep",
     "spawn",

@@ -160,27 +160,41 @@ class CPU:
         caller can read boundary clocks -- poll()'s relative-timeout
         arithmetic -- without waking at the boundary.
 
-        Zero-second parts are skipped exactly as the unfused call sites
-        skipped zero charges: no grant, no category key, no time.
+        Zero-second parts are skipped exactly as a caller charging part
+        by part skips zero charges: no grant, no category key, no time.
+
+        A *lazy* part carries a callable ``seconds(cpu)`` instead of a
+        number -- a lock wait, whose length depends on who holds the
+        lock when this grant gets there.  It is evaluated, with the CPU
+        running the grant, at the completion instant of the part before
+        it (at issue when it leads): where a process charging the parts
+        one by one would have resumed and asked for the lock -- before
+        any softirq work queued meanwhile gets the CPU.  Its value then
+        counts like any other part's, zero included.
         """
+        if len(parts) == 1 and stamps is None:
+            category, seconds, breakdown = parts[0]
+            if seconds.__class__ is float and seconds > 0:
+                # one plain part is exactly a consume() grant; take its
+                # cheaper path (DP_POLL and epoll_wait scans, rescans)
+                return self.consume(seconds, priority, category, breakdown,
+                                    nowait)
         queues = self._queues
         if priority not in queues:
             raise SimulationError(f"unknown CPU priority {priority}")
         parts = list(parts)
         for _category, seconds, _breakdown in parts:
-            if seconds < 0:
+            if not callable(seconds) and seconds < 0:
                 raise SimulationError(f"negative CPU charge: {seconds}")
         sim = self.sim
         done = None if nowait else Event(sim, self._grant_name)
-        # skip leading zero parts now (the unfused path would have
-        # skipped them synchronously at issue time)
+        # skip leading zero parts now, evaluating lazy ones (a caller
+        # charging part by part would do both at issue time)
         idx = 0
-        nparts = len(parts)
-        while idx < nparts and parts[idx][1] == 0:
-            if stamps is not None:
-                stamps.append(sim.now)
-            idx += 1
-        if idx >= nparts:
+        seconds = parts[0][1] if parts else 0
+        if not seconds or callable(seconds):
+            idx = self._next_part(parts, 0, stamps)
+        if idx >= len(parts):
             if done is not None:
                 done.trigger(None)
             return done
@@ -199,6 +213,27 @@ class CPU:
         yield self.consume(duration, priority, category)
 
     # ------------------------------------------------------------------
+    def _next_part(self, parts: list, idx: int,
+                   stamps: Optional[list]) -> int:
+        """Index of the first non-zero part at or after ``idx``.
+
+        Runs at a part boundary (or at issue): lazy parts met on the way
+        are evaluated now and replaced by their value, and every skipped
+        zero-length part is stamped with the boundary instant.
+        """
+        nparts = len(parts)
+        while idx < nparts:
+            category, seconds, breakdown = parts[idx]
+            if callable(seconds):
+                seconds = seconds(self)
+                parts[idx] = (category, seconds, breakdown)
+            if seconds != 0:
+                break
+            if stamps is not None:
+                stamps.append(self.sim.now)
+            idx += 1
+        return idx
+
     def _run_part(self, done: Optional[Event], parts, idx: int,
                   priority: int, stamps: Optional[list]) -> None:
         """Start the (non-zero) part at ``idx`` of a fused grant.
@@ -235,23 +270,23 @@ class CPU:
     def _part_finish(self) -> None:
         """A fused grant's part completed; continue or finish the grant.
 
-        Zero-length follow-up parts are skipped here, at the boundary
-        instant, matching the unfused caller that would have skipped
-        them synchronously on resume -- before any softirq work queued
-        behind this grant gets the CPU.
+        Zero-length follow-up parts are skipped, and lazy ones
+        evaluated, here at the boundary instant, matching a caller
+        charging part by part, which would do both synchronously on
+        resume -- before any softirq work queued behind this grant gets
+        the CPU.
         """
-        now = self.sim.now
         parts = self._parts
         stamps = self._stamps
         if stamps is not None:
-            stamps.append(now)
+            stamps.append(self.sim.now)
         idx = self._idx + 1
-        nparts = len(parts)
-        while idx < nparts and parts[idx][1] == 0:
-            if stamps is not None:
-                stamps.append(now)
-            idx += 1
-        if idx >= nparts:
+        if idx < len(parts):
+            seconds = parts[idx][1]
+            # most boundaries lead straight into a plain non-zero part
+            if not seconds or callable(seconds):
+                idx = self._next_part(parts, idx, stamps)
+        if idx >= len(parts):
             self._finish()
             return
         done = self._done
@@ -332,12 +367,6 @@ class CPU:
     @property
     def queued(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    @property
-    def busy(self) -> bool:
-        """Whether a grant is executing right now (run-queue load input
-        for the least-loaded scheduler policy)."""
-        return self._busy
 
     def utilization(self, since: Optional[float] = None) -> float:
         """Fraction of wall-clock time this CPU has been busy."""

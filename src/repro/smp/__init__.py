@@ -14,11 +14,10 @@ touch this package and keep their event streams byte-identical.
 
 from .contention import RwContention, SpinContention
 from .multicpu import MultiCPU, SmpDomain
-from .scheduler import POLICIES, Scheduler
+from .scheduler import Scheduler
 
 __all__ = [
     "MultiCPU",
-    "POLICIES",
     "RwContention",
     "Scheduler",
     "SmpDomain",

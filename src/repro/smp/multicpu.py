@@ -13,8 +13,10 @@ each grant to one of the domain's per-CPU run queues:
   run -- and are accounted -- on its own CPU.
 
 The domain also owns the shared-structure contention models: the big
-kernel lock (``bkl``) that serializes every backend's readiness scan,
-and the single backmap rwlock the paper flags as the SMP bottleneck.
+kernel lock (``bkl``) that serializes every backend's readiness scan
+(entered through :meth:`SmpDomain.bkl_part`, a lock-wait part of the
+scan's fused grant), and the single backmap rwlock the paper flags as
+the SMP bottleneck.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .scheduler import Scheduler
 class SmpDomain:
     """Owns the per-CPU run queues, scheduler, and contention models."""
 
-    def __init__(self, kernel, num_cpus: int, cpu_speed: float = 1.0,
-                 policy: str = "sticky"):
+    def __init__(self, kernel, num_cpus: int, cpu_speed: float = 1.0):
         if num_cpus < 2:
             raise ValueError("SmpDomain needs at least 2 CPUs; "
                              "uniprocessor kernels use a plain CPU")
@@ -42,7 +43,7 @@ class SmpDomain:
                       speed=cpu_speed)
             cpu.index = i
             self.cpus.append(cpu)
-        self.scheduler = Scheduler(self.cpus, policy=policy)
+        self.scheduler = Scheduler(self.cpus)
         self.bkl = SpinContention("bkl")
         self.backmap_rwlock = RwContention("backmap")
         self.multi = MultiCPU(self)
@@ -59,23 +60,29 @@ class SmpDomain:
     # ------------------------------------------------------------------
     # shared-structure contention entry points
     # ------------------------------------------------------------------
-    def bkl_wait(self, hold_work: float) -> float:
-        """Serialize a kernel-side scan of ``hold_work`` seconds (of
-        baseline CPU work) under the big kernel lock.
+    def bkl_part(self, hold_work: float):
+        """A lazy fused part (see :meth:`CPU.consume_parts
+        <repro.sim.resources.CPU.consume_parts>`) that serializes a
+        kernel-side scan of ``hold_work`` seconds (of baseline CPU work)
+        under the big kernel lock.
 
-        Any spin-wait is charged on the acquiring CPU as
-        ``smp.bkl_wait`` ahead of the caller's own scan charge (the
-        per-CPU FIFO keeps them ordered).  Returns the wall-clock wait.
+        The part is evaluated by the member CPU running the grant, at
+        the boundary just before the scan: it takes the lock there and
+        spins for any wait as ``smp.bkl_wait``, ahead of the scan part.
+        The CPU comes from the grant, not from
+        :meth:`current_cpu_index` -- at a part boundary no process is
+        running, which would answer CPU 0.
         """
-        idx = self.current_cpu_index()
-        cpu = self.cpus[idx]
-        wait = self.bkl.acquire(self.kernel.sim.now, hold_work / cpu.speed,
-                                idx)
-        if wait > 0:
-            # wait is wall time a spinning CPU burns as-is; scale back up
-            # so consume()'s speed division cancels out
-            cpu.consume(wait * cpu.speed, PRIO_USER, "smp.bkl_wait")
-        return wait
+        bkl = self.bkl
+        sim = self.kernel.sim
+
+        def spin(cpu) -> float:
+            speed = cpu.speed
+            # the wait is wall time a spinning CPU burns as-is; scale it
+            # back up so the part's speed division cancels out
+            return bkl.acquire(sim.now, hold_work / speed, cpu.index) * speed
+
+        return ("smp.bkl_wait", spin, None)
 
     def backmap_read(self) -> float:
         """A wakeup hint takes the backmap rwlock for reading.
@@ -157,7 +164,10 @@ class MultiCPU:
         """Fused-charge mirror of :meth:`CPU.consume_parts`.
 
         All parts of one fused grant land on the same member CPU,
-        routed exactly as :meth:`consume` routes a single grant.
+        routed exactly as :meth:`consume` routes a single grant, and
+        lazy parts are evaluated with that CPU.  A process changes CPU
+        only when it is pinned, so charging its parts one by one would
+        have routed every one of them there too.
         """
         d = self.domain
         if priority == PRIO_SOFTIRQ:

@@ -1,12 +1,11 @@
 """Process-to-CPU placement for the SMP domain.
 
-The default policy is **sticky round-robin**: a process is assigned a
-CPU the first time it runs and stays there, mirroring the soft affinity
-of the era's schedulers (goodness() preferred the last CPU).  Explicit
-pins (the worker pool pins each prefork worker to ``i % num_cpus``)
-override stickiness.  The optional ``least-loaded`` policy re-routes
-every grant to the emptiest run queue, which trades cache affinity for
-balance and pays the migration cost term whenever the choice moves.
+Placement is **sticky round-robin**: a process is assigned a CPU the
+first time it runs and stays there, mirroring the soft affinity of the
+era's schedulers (goodness() preferred the last CPU).  Explicit pins
+(the worker pool pins each prefork worker to ``i % num_cpus``) override
+stickiness, and they are the only way a process changes CPU -- so every
+grant a process issues between two pins lands on the same CPU.
 
 Migrations -- any grant landing on a different CPU than the process's
 previous one -- are counted and charged by the caller
@@ -19,17 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-POLICIES = ("sticky", "least-loaded")
-
 
 class Scheduler:
     """Routes simulated processes onto a fixed set of CPUs."""
 
-    def __init__(self, cpus: List, policy: str = "sticky"):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown scheduler policy {policy!r}")
+    def __init__(self, cpus: List):
         self.cpus = cpus
-        self.policy = policy
         self._pinned: Dict[object, int] = {}
         self._last: Dict[object, int] = {}
         self._next_rr = 0
@@ -38,7 +32,7 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def pin(self, process, cpu_index: int) -> None:
-        """Hard-affine ``process`` to one CPU; overrides the policy."""
+        """Hard-affine ``process`` to one CPU; overrides stickiness."""
         if not 0 <= cpu_index < len(self.cpus):
             raise ValueError(
                 f"cpu index {cpu_index} out of range 0..{len(self.cpus) - 1}")
@@ -64,8 +58,6 @@ class Scheduler:
         pinned = self._pinned.get(process)
         if pinned is not None:
             target = pinned
-        elif self.policy == "least-loaded":
-            target = self._least_loaded()
         elif last is not None:
             target = last
         else:
@@ -84,16 +76,6 @@ class Scheduler:
         self.assignments += 1
         self._last[process] = target
         return target
-
-    def _least_loaded(self) -> int:
-        """Emptiest run queue; ties break to the lowest index so the
-        choice is deterministic."""
-        best, best_load = 0, None
-        for i, cpu in enumerate(self.cpus):
-            load = cpu.queued + (1 if cpu.busy else 0)
-            if best_load is None or load < best_load:
-                best, best_load = i, load
-        return best
 
     @property
     def pins(self) -> Dict[object, int]:

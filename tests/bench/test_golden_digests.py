@@ -24,11 +24,11 @@ regimes fails here, byte-exact.
   each must measure exactly what its untraced point does; the twins are
   compared record for record as well as pinned.
 
-The pins were taken before the unfused (SMP and traced) charge
-sequences were folded into the fused grants, so they are the reference
-those sequences used to be.  To re-pin after a change that is *meant*
-to move a record, print ``record_digest(point_record(run_point(point)))``
-for each point and say why in the change description.
+The SMP and traced digests were pinned while those runs still charged
+step by step, so they are the reference a fused grant must reproduce.
+To re-pin after a change that is *meant* to move a record, print
+``record_digest(point_record(run_point(point)))`` for each point and
+say why in the change description.
 """
 
 import hashlib

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.httperf import HttperfClient, HttperfConfig
 from repro.bench.testbed import Testbed, TestbedConfig
-from repro.servers.thttpd_devpoll import ThttpdDevpollServer
+from repro.servers.thttpd import ThttpdDevpollServer
 
 
 @pytest.fixture
@@ -167,7 +167,7 @@ def test_latency_summary_none_without_replies(testbed):
 
 def test_doc_paths_round_robin(testbed):
     from repro.http.content import StaticSite
-    from repro.servers.thttpd_devpoll import ThttpdDevpollServer
+    from repro.servers.thttpd import ThttpdDevpollServer
 
     site = StaticSite.size_distribution([1024, 2048, 4096])
     server = ThttpdDevpollServer(testbed.server_kernel, site)

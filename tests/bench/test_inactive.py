@@ -10,7 +10,7 @@ from repro.bench.inactive import (
 from repro.bench.testbed import Testbed, TestbedConfig
 from repro.http.parser import RequestParser
 from repro.servers.base import ServerConfig
-from repro.servers.thttpd_devpoll import DevpollServerConfig, ThttpdDevpollServer
+from repro.servers.thttpd import DevpollServerConfig, ThttpdDevpollServer
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from repro.kernel.costs import CostModel
 from repro.kernel.kernel import Kernel
 from repro.sim.engine import Simulator
-from repro.sim.tracing import Tracer
+from repro.obs.spans import Tracer
 
 
 def test_pids_are_unique_and_increasing():

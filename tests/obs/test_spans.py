@@ -97,11 +97,9 @@ def test_export_jsonl(tmp_path):
 
 
 def test_backward_compat_alias():
-    from repro.sim.tracing import NULL_TRACER as legacy_null
-    from repro.sim.tracing import Tracer
+    from repro.obs.spans import Tracer
 
     assert Tracer is SpanTracer
-    assert legacy_null is NULL_TRACER
     assert NULL_TRACER.enabled is False
 
 

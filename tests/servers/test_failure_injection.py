@@ -13,7 +13,7 @@ from repro.servers.base import ServerConfig
 from repro.servers.hybrid import HybridConfig, HybridServer
 from repro.servers.phhttpd import PhhttpdConfig, PhhttpdServer
 from repro.servers.thttpd import ThttpdServer
-from repro.servers.thttpd_devpoll import DevpollServerConfig, ThttpdDevpollServer
+from repro.servers.thttpd import DevpollServerConfig, ThttpdDevpollServer
 from repro.sim.process import spawn
 
 from .conftest import fetch_documents, run_until_quiet

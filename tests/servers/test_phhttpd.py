@@ -52,7 +52,7 @@ def test_linuxthreads_signal_avoided(testbed):
     server = make_server(testbed)
     results = fetch_documents(testbed, 5, spacing=0.01)
     run_until_quiet(testbed, horizon=5, condition=lambda: len(results) == 5)
-    assert SIGRTMIN not in server.allocator.allocated
+    assert SIGRTMIN not in server.backend.allocator.allocated
 
 
 def test_signal_queue_drains_during_service(testbed):

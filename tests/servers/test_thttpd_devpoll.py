@@ -5,7 +5,7 @@ import pytest
 from repro.core.devpoll import DevPollConfig
 from repro.http.content import DEFAULT_DOCUMENT_BYTES
 from repro.kernel.constants import POLLIN
-from repro.servers.thttpd_devpoll import DevpollServerConfig, ThttpdDevpollServer
+from repro.servers.thttpd import DevpollServerConfig, ThttpdDevpollServer
 
 from .conftest import fetch_documents, run_until_quiet
 

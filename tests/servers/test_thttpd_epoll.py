@@ -1,7 +1,7 @@
 """End-to-end tests for thttpd on the epoll backend."""
 
 from repro.http.content import DEFAULT_DOCUMENT_BYTES
-from repro.servers.thttpd_epoll import EpollServerConfig, ThttpdEpollServer
+from repro.servers.thttpd import EpollServerConfig, ThttpdEpollServer
 
 from .conftest import fetch_documents, run_until_quiet
 

@@ -3,7 +3,7 @@
 from repro.core.select_syscall import FD_SETSIZE
 from repro.http.content import DEFAULT_DOCUMENT_BYTES
 from repro.servers.base import ServerConfig
-from repro.servers.thttpd_select import ThttpdSelectServer
+from repro.servers.thttpd import ThttpdSelectServer
 
 from .conftest import fetch_documents, run_until_quiet
 

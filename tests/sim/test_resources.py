@@ -268,7 +268,11 @@ def test_consume_parts_all_zero_triggers_immediately():
     ev = cpu.consume_parts((("z", 0.0, None),))
     assert ev.triggered
     assert cpu.busy_time == 0.0
-    assert not cpu.busy
+    # no grant was started: the next one runs at once
+    done = []
+    cpu.consume(1.0).add_callback(lambda e: done.append(sim.now))
+    sim.run()
+    assert done == [1.0]
 
 
 def test_consume_parts_nowait_returns_none_but_accounts():
@@ -295,6 +299,76 @@ def test_consume_parts_rejects_negative_part():
     cpu = CPU(Simulator())
     with pytest.raises(SimulationError):
         cpu.consume_parts((("ok", 1.0, None), ("bad", -0.1, None)))
+
+
+# ---------------------------------------------------------------------------
+# lazy parts: lengths evaluated at the part boundary (lock waits)
+# ---------------------------------------------------------------------------
+
+def _lazy(sim, seen, seconds):
+    """A lazy part of ``seconds`` that records when it was evaluated."""
+    def evaluate(cpu):
+        seen.append(sim.now)
+        return seconds
+    return ("lock", evaluate, None)
+
+
+def test_lazy_part_is_evaluated_at_the_boundary_before_softirq_runs():
+    """Softirq queued during p1 runs before the lazy part, but the part
+    is evaluated at p1's completion instant -- where a process charging
+    the parts one by one resumes and evaluates it itself."""
+    sim_a, sim_b = Simulator(), Simulator()
+    cpu_a, cpu_b = CPU(sim_a), CPU(sim_b)
+    seen_a, seen_b = [], []
+    done_a, done_b = [], []
+
+    cpu_a.consume_parts(
+        (("p1", 1.0, None), _lazy(sim_a, seen_a, 0.5), ("p2", 1.0, None))
+    ).add_callback(lambda e: done_a.append(sim_a.now))
+    sim_a.schedule(0.5, cpu_a.consume, 0.25, PRIO_SOFTIRQ, "irq")
+    sim_a.run()
+
+    def unfused():
+        yield cpu_b.consume(1.0, PRIO_USER, "p1")
+        seen_b.append(sim_b.now)
+        yield cpu_b.consume(0.5, PRIO_USER, "lock")
+        yield cpu_b.consume(1.0, PRIO_USER, "p2")
+        done_b.append(sim_b.now)
+    spawn(sim_b, unfused())
+    sim_b.schedule(0.5, cpu_b.consume, 0.25, PRIO_SOFTIRQ, "irq")
+    sim_b.run()
+
+    assert seen_a == seen_b == [1.0]
+    # irq 1.0-1.25, lock 1.25-1.75, p2 1.75-2.75
+    assert done_a == done_b == [2.75]
+    assert cpu_a.busy_by_category == cpu_b.busy_by_category
+
+
+def test_leading_lazy_part_is_evaluated_at_issue():
+    sim = Simulator()
+    cpu = CPU(sim)
+    seen, done = [], []
+    cpu.consume(1.0, PRIO_USER, "busy")
+    cpu.consume_parts((_lazy(sim, seen, 0.5), ("work", 1.0, None))
+                      ).add_callback(lambda e: done.append(sim.now))
+    assert seen == [0.0]   # evaluated now, though the grant starts at 1.0
+    sim.run()
+    assert done == [2.5]
+    assert cpu.busy_by_category["lock"] == pytest.approx(0.5)
+
+
+def test_lazy_part_evaluating_to_zero_is_skipped_but_stamped():
+    sim = Simulator()
+    cpu = CPU(sim)
+    seen, stamps, done = [], [], []
+    cpu.consume_parts(
+        (("p1", 1.0, None), _lazy(sim, seen, 0.0), ("p2", 1.0, None)),
+        stamps=stamps).add_callback(lambda e: done.append(sim.now))
+    sim.run()
+    assert seen == [1.0]
+    assert stamps == [1.0, 1.0, 2.0]
+    assert done == [2.0]
+    assert "lock" not in cpu.busy_by_category
 
 
 # ---------------------------------------------------------------------------

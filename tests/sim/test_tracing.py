@@ -1,6 +1,6 @@
 """Tests for the trace ring buffer."""
 
-from repro.sim.tracing import NULL_TRACER, Tracer
+from repro.obs.spans import NULL_TRACER, Tracer
 
 
 def test_disabled_tracer_records_nothing():

@@ -117,32 +117,67 @@ def test_profiler_fans_out_and_attributes_per_cpu(smp_kernel, sim):
 # contention entry points
 # ---------------------------------------------------------------------------
 
+def _scan_under_bkl(kernel, hold):
+    """A fused grant: the BKL part, then a short scan charge."""
+    return kernel.cpu.consume_parts(
+        (kernel.smp.bkl_part(hold), ("work", 0.0001, None)))
+
+
 def test_bkl_wait_spins_the_second_cpu(smp_kernel, sim):
-    waits = []
+    finished = []
 
-    def body():
-        waits.append(smp_kernel.smp.bkl_wait(0.002))
-        yield smp_kernel.cpu.consume(0.0001, category="work")
+    def body(name):
+        yield _scan_under_bkl(smp_kernel, 0.002)
+        finished.append((name, sim.now))
 
-    a = spawn(sim, body(), "a")
-    b = spawn(sim, body(), "b")
+    a = spawn(sim, body("a"), "a")
+    b = spawn(sim, body("b"), "b")
     smp_kernel.pin(a, 0)
     smp_kernel.pin(b, 1)
     sim.run()
-    assert waits[0] == 0.0
-    assert waits[1] == pytest.approx(0.002)
+    # a takes the lock at once; b spins out a's 2 ms hold on CPU 1
+    assert finished == [("a", pytest.approx(0.0001)),
+                        ("b", pytest.approx(0.0021))]
     bkl = smp_kernel.smp.bkl
     assert bkl.acquisitions == 2
     assert bkl.contended == 1
+    assert "smp.bkl_wait" not in smp_kernel.cpus[0].busy_by_category
     assert smp_kernel.cpus[1].busy_by_category["smp.bkl_wait"] == (
         pytest.approx(0.002))
 
 
-def test_bkl_same_cpu_is_exempt(smp_kernel):
-    # no current process -> both acquisitions run on CPU 0
-    assert smp_kernel.smp.bkl_wait(0.002) == 0.0
-    assert smp_kernel.smp.bkl_wait(0.002) == 0.0
-    assert smp_kernel.smp.bkl.contended == 0
+def test_bkl_same_cpu_is_exempt(smp_kernel, sim):
+    # no current process -> both grants, and both acquisitions, run on
+    # CPU 0, which cannot contend with itself
+    _scan_under_bkl(smp_kernel, 0.002)
+    _scan_under_bkl(smp_kernel, 0.002)
+    sim.run()
+    bkl = smp_kernel.smp.bkl
+    assert bkl.acquisitions == 2
+    assert bkl.contended == 0
+    assert "smp.bkl_wait" not in smp_kernel.cpus[0].busy_by_category
+
+
+def test_lazy_part_sees_the_member_cpu_running_the_grant(sim):
+    """At a part boundary no process runs (current_cpu_index would say
+    CPU 0); the lazy part is handed the member CPU itself."""
+    kernel = Kernel(sim, "smp", num_cpus=4, cpu_speed=0.5)
+    seen = []
+
+    def lazy(cpu):
+        seen.append((cpu.index, cpu.speed, sim.current_process))
+        return 0.001
+
+    def body():
+        yield kernel.cpu.consume_parts(
+            (("work", 0.001, None), ("lock", lazy, None)))
+
+    proc = spawn(sim, body(), "w")
+    kernel.pin(proc, 2)
+    sim.run()
+    assert seen == [(2, 0.5, None)]
+    # the lazy part's value is baseline work, scaled by the CPU's speed
+    assert kernel.cpus[2].busy_by_category["lock"] == pytest.approx(0.002)
 
 
 def test_backmap_write_waits_for_the_reader_window(smp_kernel, sim):

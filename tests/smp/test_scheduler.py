@@ -1,26 +1,13 @@
-"""Process-to-CPU placement: sticky round-robin, pins, least-loaded."""
+"""Process-to-CPU placement: sticky round-robin and pins."""
 
 import pytest
 
 from repro.kernel.kernel import Kernel
-from repro.smp.scheduler import POLICIES, Scheduler
+from repro.smp.scheduler import Scheduler
 
 
-class FakeCpu:
-    def __init__(self, queued=0, busy=False):
-        self.queued = queued
-        self.busy = busy
-
-
-def make_sched(n=4, policy="sticky", cpus=None):
-    return Scheduler(cpus if cpus is not None else [FakeCpu() for _ in
-                                                    range(n)], policy=policy)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        make_sched(policy="work-stealing")
-    assert POLICIES == ("sticky", "least-loaded")
+def make_sched(n=4):
+    return Scheduler([object() for _ in range(n)])
 
 
 def test_first_touch_round_robins_across_cpus():
@@ -73,21 +60,6 @@ def test_cpu_index_for_does_not_track_migrations():
     idx = sched.cpu_index_for(proc)
     assert idx == sched.cpu_index_for(proc)  # stable
     assert sched.migrations == 0
-
-
-def test_least_loaded_routes_to_emptiest_queue():
-    cpus = [FakeCpu(queued=2), FakeCpu(queued=0, busy=True),
-            FakeCpu(queued=0), FakeCpu(queued=1)]
-    sched = make_sched(policy="least-loaded", cpus=cpus)
-    target, _ = sched.route(object())
-    assert target == 2  # queued 0, idle
-
-
-def test_least_loaded_ties_break_to_lowest_index():
-    cpus = [FakeCpu(), FakeCpu(), FakeCpu()]
-    sched = make_sched(policy="least-loaded", cpus=cpus)
-    target, _ = sched.route(object())
-    assert target == 0
 
 
 def test_kernel_pin_reaches_the_scheduler(sim):

@@ -18,8 +18,13 @@ regimes fails here, byte-exact.
   the scheduler rather than pinned by a worker pool.
 * ``poll``/``select`` -- uniprocessor thttpd on poll() and select()
   with idle connections: the fused array-build/scan/copyout grants.
+* ``overload_devpoll``/``overload_epoll`` -- uniprocessor thttpd on
+  ``/dev/poll`` and epoll, past the knee with idle connections: the
+  client times out while the O(ready) harvests run flat out.
 * ``rtsig_overflow`` -- phhttpd with a 32-deep RT-signal queue: the
   queue overflows, SIGIO fires and the poll sibling takes over.
+  ``hybrid_rtsig_overflow`` is the same shape on the hybrid server,
+  which falls back to its ``/dev/poll`` interest set instead.
 * ``*_traced`` -- traced twins.  Tracing observes and never charges, so
   each must measure exactly what its untraced point does; the twins are
   compared record for record as well as pinned.
@@ -54,6 +59,7 @@ RTSIG_OVERFLOW = BenchmarkPoint(
     server_opts={"rtsig_max": 32})
 UNIPROCESSOR = BenchmarkPoint(
     server="thttpd", rate=1000.0, inactive=64, duration=0.3)
+UNIPROCESSOR_OVERLOAD = replace(UNIPROCESSOR, rate=4000.0)
 
 GOLDEN = {
     "smp_overload": (
@@ -87,12 +93,24 @@ GOLDEN = {
     "select_traced": (
         replace(UNIPROCESSOR, server="thttpd-select", trace=True),
         "c9b968f14ad99cd8b61f7097269c4e20b76f696d7792cffebec041c2f4d17c4e"),
+    "overload_devpoll": (
+        replace(UNIPROCESSOR_OVERLOAD, server="thttpd-devpoll"),
+        "7d9c524a7ad3a4265a6a5f2c41541a8c00187454d42f17eac0515b3fe7e34d31"),
+    "overload_epoll": (
+        replace(UNIPROCESSOR_OVERLOAD, server="thttpd-epoll"),
+        "34077308596140b203b3ad0c3a44dab98b58501c9a2e36425736cea126fa2b44"),
     "rtsig_overflow": (
         RTSIG_OVERFLOW,
         "1ebb18ea78323c0c631ca0307e0c2c7d7c617c3f044c5b156489776f529104e7"),
     "rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, trace=True),
         "c674792f164d017679ca6561337cb0fb6a0330862b102e02a76523fa21a924a0"),
+    "hybrid_rtsig_overflow": (
+        replace(RTSIG_OVERFLOW, server="hybrid"),
+        "5fd5326b38dc280691821e94d03385047eef4fbce957284ab2c590b4136d4f5f"),
+    "hybrid_rtsig_overflow_traced": (
+        replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
+        "32555699ef14f7a63d96a14d1d1acda9b374acfba21a5c658b660cea77df8381"),
 }
 
 #: traced point -> its untraced twin
@@ -122,16 +140,19 @@ def test_points_reach_their_regimes(records):
     """Guard the pins' meaning: each point still overloads the way it
     was chosen to."""
     for name in ("smp_overload", "smp_overload_poll",
-                 "smp_overload_devpoll", "smp_overload_epoll"):
+                 "smp_overload_devpoll", "smp_overload_epoll",
+                 "overload_devpoll", "overload_epoll"):
         assert records[name]["errors"]["timeouts"] > 0, name
     assert records["smp2_unpinned"]["cpus"] == 2
-    rtsig = records["rtsig_overflow_traced"]["pathologies"]
-    assert rtsig["signal_queue"]["overflows"] > 0
+    for name in ("rtsig_overflow_traced", "hybrid_rtsig_overflow_traced"):
+        rtsig = records[name]["pathologies"]
+        assert rtsig["signal_queue"]["overflows"] > 0, name
 
 
 def test_traced_twin_measures_what_the_untraced_point_does(records):
-    assert sorted(TWINS) == ["poll_traced", "rtsig_overflow_traced",
-                             "select_traced", "smp_overload_traced"]
+    assert sorted(TWINS) == ["hybrid_rtsig_overflow_traced", "poll_traced",
+                             "rtsig_overflow_traced", "select_traced",
+                             "smp_overload_traced"]
     for traced_name, plain_name in TWINS.items():
         traced = dict(records[traced_name])
         traced.pop("pathologies")

@@ -47,12 +47,13 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     cpu = kernel.cpu
     sim = kernel.sim
     n = len(interests)
+    lookup = task.fdtable.lookup
 
     def scan():
         """Invoke the driver poll callback on every descriptor."""
         ready: List[Tuple[int, int]] = []
         for fd, events in interests:
-            file = task.fdtable.lookup(fd)
+            file = lookup(fd)
             if file is None or file.closed:
                 ready.append((fd, POLLNVAL))
                 continue
@@ -71,7 +72,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
                 wake.trigger(None)
 
         for fd, _events in interests:
-            file = task.fdtable.lookup(fd)
+            file = lookup(fd)
             if file is not None and not file.closed:
                 entries.append(file.wait_queue.add(on_wake, autoremove=False))
         try:

@@ -10,6 +10,10 @@ Cost structure (the reason poll() replaced it): three bitmaps of
 actually watched*, then every watched fd still gets a driver poll
 callback -- so select is never cheaper than poll and its interest set is
 hard-capped at :data:`FD_SETSIZE`.
+
+The host work is linear too: the read and write sets are Python sets,
+so each watched fd costs one membership test per set and one driver
+poll callback.
 """
 
 from __future__ import annotations
@@ -56,19 +60,20 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
     fused = kernel.fused
     cpu = kernel.cpu
     sim = kernel.sim
-    rset = sorted(set(readfds))
-    wset = sorted(set(writefds))
-    watched = sorted(set(rset) | set(wset))
-    for fd in watched:
-        if not 0 <= fd < FD_SETSIZE:
-            raise SyscallError(EINVAL, f"fd {fd} outside FD_SETSIZE")
+    rset = set(readfds)
+    wset = set(writefds)
+    watched = sorted(rset | wset)
+    if watched and not (0 <= watched[0] and watched[-1] < FD_SETSIZE):
+        bad = watched[0] if watched[0] < 0 else watched[-1]
+        raise SyscallError(EINVAL, f"fd {bad} outside FD_SETSIZE")
     maxfd = (watched[-1] + 1) if watched else 0
     words = (maxfd + _FDS_PER_WORD - 1) // _FDS_PER_WORD
+    lookup = task.fdtable.lookup
 
     def scan() -> Tuple[List[int], List[int]]:
         readable, writable = [], []
         for fd in watched:
-            file = task.fdtable.lookup(fd)
+            file = lookup(fd)
             if file is None or file.closed:
                 raise SyscallError(EBADF, f"select: fd {fd} not open")
             mask = file.driver_poll()
@@ -87,7 +92,7 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
                 wake.trigger(None)
 
         for fd in watched:
-            file = task.fdtable.lookup(fd)
+            file = lookup(fd)
             if file is not None and not file.closed:
                 entries.append(file.wait_queue.add(on_wake, autoremove=False))
         try:

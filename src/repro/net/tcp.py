@@ -108,25 +108,16 @@ class TcpEndpoint:
     def send_space(self) -> int:
         return max(0, self.send_buf - self.send_pending)
 
-    @property
-    def readable(self) -> bool:
-        return self.recv_bytes > 0 or self.fin_received or self.reset
-
-    @property
-    def writable(self) -> bool:
-        return (self.established and not self.closing and not self.reset
-                and not self.fin_sent and self.send_space > 0)
-
     def poll_mask(self) -> int:
-        mask = 0
-        if self.readable:
-            mask |= POLLIN
-        if self.writable:
-            mask |= POLLOUT
         if self.reset:
-            mask |= POLLERR | POLLHUP
-        elif self.fin_received and self.fin_sent:
-            mask |= POLLHUP
+            return POLLIN | POLLERR | POLLHUP
+        mask = POLLIN if self.recv_bytes > 0 or self.fin_received else 0
+        if self.fin_sent:
+            if self.fin_received:
+                mask |= POLLHUP
+        elif (self.established and not self.closing
+              and self.send_pending < self.send_buf):
+            mask |= POLLOUT
         return mask
 
     # ------------------------------------------------------------------

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core.select_syscall import FD_SETSIZE
-from repro.kernel.constants import EBADF, EINVAL, POLLIN, POLLOUT, SyscallError
+from repro.kernel.constants import (
+    EBADF,
+    EINVAL,
+    POLLERR,
+    POLLHUP,
+    POLLIN,
+    POLLOUT,
+    SyscallError,
+)
 from repro.sim.process import spawn
 
 from .conftest import FakeDriverFile, drive
@@ -118,3 +126,62 @@ def test_select_never_cheaper_than_poll(kernel, task, sys_iface):
     drive(kernel.sim, sys_iface.select(fds, [], 0))
     select_cost = kernel.cpu.busy_time - busy1
     assert select_cost >= poll_cost * 0.8  # same order; never a bargain
+
+
+#: readiness of the files in the table-driven case, by fd
+MASKS = (0, POLLIN, POLLOUT, POLLHUP, POLLERR, POLLIN | POLLOUT)
+
+
+@pytest.mark.parametrize("readfds, writefds", [
+    ([5, 3, 1, 3, 0], [2, 5, 4, 2]),
+    ([4, 4, 3], [4, 0, 1]),
+    ([2, 1, 0], []),
+    ([], [5, 2, 4, 3]),
+])
+def test_select_sets_against_driver_masks(kernel, task, sys_iface,
+                                          readfds, writefds):
+    """Unsorted, duplicated fds, some in both sets: hangups and errors
+    count as readable, errors as writable, results in ascending order."""
+    files = [FakeDriverFile(kernel) for _ in MASKS]
+    fds = [task.fdtable.alloc(f) for f in files]
+    assert fds == list(range(len(MASKS)))
+    for f, mask in zip(files, MASKS):
+        f.set_ready(mask)
+
+    readable, writable = drive(kernel.sim,
+                               sys_iface.select(readfds, writefds, 0))
+
+    want_r = [fd for fd in sorted(set(readfds))
+              if files[fd].poll_mask() & (POLLIN | POLLHUP | POLLERR)]
+    want_w = [fd for fd in sorted(set(writefds))
+              if files[fd].poll_mask() & (POLLOUT | POLLERR)]
+    assert (readable, writable) == (want_r, want_w)
+    for fd in (3, 4):  # POLLHUP, POLLERR
+        assert (fd in readable) == (fd in readfds)
+    assert (4 in writable) == (4 in writefds)
+    assert 3 not in writable
+
+
+class CountingFd(int):
+    """An fd that counts the equality tests made against it."""
+
+    eq_calls = 0
+
+    def __eq__(self, other):
+        CountingFd.eq_calls += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def test_select_host_work_is_linear_in_watched_fds(kernel, task, sys_iface):
+    """One select() over n fds makes O(n) equality tests on the host,
+    not one per (fd, set member) pair."""
+    n = 1000
+    files = [FakeDriverFile(kernel) for _ in range(n)]
+    fds = [CountingFd(task.fdtable.alloc(f)) for f in files]
+    files[-1].set_ready(POLLIN | POLLOUT)
+    CountingFd.eq_calls = 0
+    readable, writable = drive(kernel.sim, sys_iface.select(fds, fds, 0))
+    assert readable == writable == [n - 1]
+    assert CountingFd.eq_calls <= 2 * n

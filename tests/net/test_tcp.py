@@ -1,5 +1,7 @@
 """TCP model tests: handshake, flow control, teardown, the paper's limits."""
 
+import itertools
+
 import pytest
 
 from repro.kernel.constants import (
@@ -7,10 +9,18 @@ from repro.kernel.constants import (
     ECONNRESET,
     EPIPE,
     ETIMEDOUT,
+    POLLERR,
+    POLLHUP,
     POLLIN,
+    POLLOUT,
     SyscallError,
 )
-from repro.net.tcp import SYN_RTO_SCHEDULE, TIME_WAIT_SECONDS, segments_for
+from repro.net.tcp import (
+    SYN_RTO_SCHEDULE,
+    TIME_WAIT_SECONDS,
+    TcpEndpoint,
+    segments_for,
+)
 from repro.sim.process import spawn
 
 from ..conftest import TwoHosts
@@ -370,3 +380,40 @@ def test_listener_close_resets_queued_children(sim, hosts):
     spawn(sim, client(), "cli")
     sim.run(until=10)
     assert result.get("errno") == ECONNRESET
+
+
+def _property_mask(ep):
+    """Reference mask, term by term: readable, writable (established,
+    open for sending and with send space), then error and hangup."""
+    readable = ep.recv_bytes > 0 or ep.fin_received or ep.reset
+    send_space = max(0, ep.send_buf - ep.send_pending)
+    writable = (ep.established and not ep.closing and not ep.reset
+                and not ep.fin_sent and send_space > 0)
+    mask = 0
+    if readable:
+        mask |= POLLIN
+    if writable:
+        mask |= POLLOUT
+    if ep.reset:
+        mask |= POLLERR | POLLHUP
+    elif ep.fin_received and ep.fin_sent:
+        mask |= POLLHUP
+    return mask
+
+
+def test_poll_mask_matches_property_formula_in_every_state(hosts):
+    ep = TcpEndpoint(hosts.server_stack, 80, "client", owns_port=False)
+    buf = ep.send_buf
+    flags = ("reset", "fin_received", "fin_sent", "established", "closing")
+    states = itertools.product(
+        *[(False, True)] * len(flags), (0, 100), (0, 1, buf, buf + 1))
+    checked = 0
+    for *values, recv_bytes, send_pending in states:
+        for name, value in zip(flags, values):
+            setattr(ep, name, value)
+        ep.recv_bytes = recv_bytes
+        ep.send_pending = send_pending
+        assert ep.poll_mask() == _property_mask(ep), (
+            dict(zip(flags, values)), recv_bytes, send_pending)
+        checked += 1
+    assert checked == 256

@@ -22,9 +22,9 @@ Quick start::
     result = run_point(BenchmarkPoint(server="thttpd-devpoll",
                                       rate=800, inactive=251, duration=5))
     print(result.reply_rate.avg, result.error_percent)
-"""
 
-from . import bench, core, http, kernel, net, servers, sim
+Importing the package loads none of its subpackages.
+"""
 
 __version__ = "1.0.0"
 

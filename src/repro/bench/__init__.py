@@ -1,168 +1,71 @@
-"""Benchmark harness: testbed, httperf client, sweeps, paper figures."""
+"""Benchmark harness: testbed, httperf client, sweeps, paper figures.
 
-from .calibrate import (
-    CALIBRATION_VERSION,
-    default_calibration_path,
-    dump_calibration,
-    load_calibration,
-    run_calibration,
-)
-from .calibration import (
-    CapacityEstimate,
-    cpu_breakdown,
-    measure_capacity,
-    per_request_cost_us,
-)
-from .capacity import (
-    CAPACITY_ARTIFACT_VERSION,
-    CapacitySearch,
-    CellSpec,
-    default_artifact_path,
-    dump_capacity_artifact,
-    load_capacity_artifact,
-    matrix_cells,
-    matrix_fingerprint,
-    parse_smp,
-    run_capacity_matrix,
-)
-from .figures import ALL_FIGURES, FigureResult
-from .harness import (
-    BACKEND_TO_KIND,
-    SERVER_KINDS,
-    BenchmarkPoint,
-    PointResult,
-    make_server,
-    run_point,
-)
-from .live import (
-    LIVE_BACKENDS,
-    LivePointResult,
-    default_live_backend,
-    run_live_point,
-)
-from .httperf import HttperfClient, HttperfConfig, HttperfResult
-from .inactive import InactiveConnectionPool, InactivePoolConfig
-from .parallel import (
-    PointOutcome,
-    PointPayload,
-    PortablePointResult,
-    failed_point_result,
-    run_points,
-)
-from .records import (
-    RECORD_VERSION,
-    WALL_CLOCK_FIELDS,
-    dump_figure_record,
-    figure_record,
-    load_figure_record,
-    point_record,
-    sweep_record,
-)
-from .selfperf import (
-    SelfPerfResult,
-    run_engine_churn,
-    run_point_workload,
-    run_selfperf,
-)
-from .regression import ComparisonReport, MetricDelta, Tolerances, compare_artifacts
-from .reporting import (ascii_histogram, ascii_plot, format_table,
-                        reply_rate_table)
-from .suites import (
-    ARTIFACT_VERSION,
-    SUITES,
-    BenchSuite,
-    dump_artifact,
-    load_artifact,
-    point_label,
-    run_suite,
-    suite_fingerprint,
-)
-from .sweeps import (
-    PAPER_LOADS,
-    PAPER_RATES,
-    QUICK_RATES,
-    SweepResult,
-    run_rate_sweep,
-)
-from .testbed import CLIENT_HOST, SERVER_HOST, SERVER_PORT, Testbed, TestbedConfig
+Each exported name is imported from its submodule on first access
+(PEP 562), so a caller loads only the tools it names: a simulated point
+never compiles the capacity, calibration, figure or suite modules.
+"""
 
-__all__ = [
-    "ALL_FIGURES",
-    "ARTIFACT_VERSION",
-    "BACKEND_TO_KIND",
-    "CALIBRATION_VERSION",
-    "LIVE_BACKENDS",
-    "LivePointResult",
-    "default_calibration_path",
-    "default_live_backend",
-    "dump_calibration",
-    "load_calibration",
-    "run_calibration",
-    "run_live_point",
-    "BenchSuite",
-    "BenchmarkPoint",
-    "ComparisonReport",
-    "MetricDelta",
-    "RECORD_VERSION",
-    "SUITES",
-    "Tolerances",
-    "compare_artifacts",
-    "dump_artifact",
-    "load_artifact",
-    "point_label",
-    "run_suite",
-    "suite_fingerprint",
-    "CAPACITY_ARTIFACT_VERSION",
-    "CLIENT_HOST",
-    "CapacityEstimate",
-    "CapacitySearch",
-    "CellSpec",
-    "cpu_breakdown",
-    "default_artifact_path",
-    "dump_capacity_artifact",
-    "load_capacity_artifact",
-    "matrix_cells",
-    "matrix_fingerprint",
-    "measure_capacity",
-    "parse_smp",
-    "per_request_cost_us",
-    "run_capacity_matrix",
-    "FigureResult",
-    "HttperfClient",
-    "HttperfConfig",
-    "HttperfResult",
-    "InactiveConnectionPool",
-    "InactivePoolConfig",
-    "PAPER_LOADS",
-    "PAPER_RATES",
-    "PointOutcome",
-    "PointPayload",
-    "PointResult",
-    "PortablePointResult",
-    "QUICK_RATES",
-    "SelfPerfResult",
-    "WALL_CLOCK_FIELDS",
-    "failed_point_result",
-    "run_engine_churn",
-    "run_point_workload",
-    "run_points",
-    "run_selfperf",
-    "SERVER_HOST",
-    "SERVER_KINDS",
-    "SERVER_PORT",
-    "SweepResult",
-    "Testbed",
-    "TestbedConfig",
-    "ascii_histogram",
-    "dump_figure_record",
-    "figure_record",
-    "load_figure_record",
-    "point_record",
-    "sweep_record",
-    "ascii_plot",
-    "format_table",
-    "make_server",
-    "reply_rate_table",
-    "run_point",
-    "run_rate_sweep",
-]
+from importlib import import_module
+
+#: exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "CALIBRATION_VERSION", "default_calibration_path", "dump_calibration",
+        "load_calibration", "run_calibration"), "calibrate"),
+    **dict.fromkeys((
+        "CapacityEstimate", "cpu_breakdown", "measure_capacity",
+        "per_request_cost_us"), "calibration"),
+    **dict.fromkeys((
+        "CAPACITY_ARTIFACT_VERSION", "CapacitySearch", "CellSpec",
+        "default_artifact_path", "dump_capacity_artifact",
+        "load_capacity_artifact", "matrix_cells", "matrix_fingerprint",
+        "parse_smp", "run_capacity_matrix"), "capacity"),
+    **dict.fromkeys(("ALL_FIGURES", "FigureResult"), "figures"),
+    **dict.fromkeys((
+        "BACKEND_TO_KIND", "SERVER_KINDS", "BenchmarkPoint", "PointResult",
+        "make_server", "run_point"), "harness"),
+    **dict.fromkeys((
+        "LIVE_BACKENDS", "LivePointResult", "default_live_backend",
+        "run_live_point"), "live"),
+    **dict.fromkeys(("HttperfClient", "HttperfConfig", "HttperfResult"),
+                    "httperf"),
+    **dict.fromkeys(("InactiveConnectionPool", "InactivePoolConfig"),
+                    "inactive"),
+    **dict.fromkeys((
+        "PointOutcome", "PointPayload", "PortablePointResult",
+        "failed_point_result", "run_points"), "parallel"),
+    **dict.fromkeys((
+        "RECORD_VERSION", "WALL_CLOCK_FIELDS", "dump_figure_record",
+        "figure_record", "load_figure_record", "point_record",
+        "sweep_record"), "records"),
+    **dict.fromkeys((
+        "SelfPerfResult", "run_engine_churn", "run_point_workload",
+        "run_selfperf"), "selfperf"),
+    **dict.fromkeys((
+        "ComparisonReport", "MetricDelta", "Tolerances", "compare_artifacts"),
+        "regression"),
+    **dict.fromkeys((
+        "ascii_histogram", "ascii_plot", "format_table", "reply_rate_table"),
+        "reporting"),
+    **dict.fromkeys((
+        "ARTIFACT_VERSION", "SUITES", "BenchSuite", "dump_artifact",
+        "load_artifact", "point_label", "run_suite", "suite_fingerprint"),
+        "suites"),
+    **dict.fromkeys((
+        "PAPER_LOADS", "PAPER_RATES", "QUICK_RATES", "SweepResult",
+        "run_rate_sweep"), "sweeps"),
+    **dict.fromkeys((
+        "CLIENT_HOST", "SERVER_HOST", "SERVER_PORT", "Testbed",
+        "TestbedConfig"), "testbed"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import *name* from its submodule on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..sim.engine import SimulationError
-from .constants import EINVAL, O_ASYNC, SyscallError
+from .constants import EINVAL, O_ASYNC, POLLIN, POLLOUT, SyscallError
 from .waitqueue import WaitQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,8 +162,6 @@ class NullFile(File):
     file_type = "null"
 
     def poll_mask(self) -> int:
-        from .constants import POLLIN, POLLOUT
-
         return POLLIN | POLLOUT
 
     def do_read(self, task: "Task", nbytes: int):

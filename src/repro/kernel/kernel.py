@@ -16,6 +16,7 @@ from ..obs.profiler import CpuProfiler
 from ..obs.spans import NULL_TRACER, Span, Tracer
 from ..sim.engine import Simulator
 from ..sim.resources import CPU, PRIO_SOFTIRQ
+from .constants import RTSIG_MAX_DEFAULT
 from .costs import DEFAULT_COSTS, CostModel
 from .fused import FusedCostTable
 from .signals import SignalSubsystem
@@ -92,8 +93,6 @@ class Kernel:
 
     def new_task(self, name: str, fd_limit: int = 1024,
                  rtsig_max: Optional[int] = None) -> Task:
-        from .constants import RTSIG_MAX_DEFAULT
-
         return Task(
             self, name, fd_limit=fd_limit,
             rtsig_max=RTSIG_MAX_DEFAULT if rtsig_max is None else rtsig_max,

@@ -15,7 +15,8 @@ is accounted (``task.kernel.counters`` tallies per-syscall counts).
 
 ``poll``/``/dev/poll`` and the network syscalls are implemented in
 :mod:`repro.core` and :mod:`repro.net`; this module dispatches to them
-with late imports to keep the package layering acyclic.
+through names bound when the first interface is built, since both
+packages import this one.
 """
 
 from __future__ import annotations
@@ -43,11 +44,30 @@ from .file import File
 from .signals import Siginfo
 from .task import Task
 
+# repro.core and repro.net import this module's package, so their names
+# cannot be imported above: the first SyscallInterface binds them, and no
+# syscall runs an import statement
+DevPollFile = EpollFile = SocketFile = UnixSocketFile = None
+require_socket = sys_poll = sys_select = None
+
+
+def _bind_late_names() -> None:
+    global DevPollFile, EpollFile, SocketFile, UnixSocketFile
+    global require_socket, sys_poll, sys_select
+    from ..core.devpoll import DevPollFile
+    from ..core.epoll import EpollFile
+    from ..core.poll_syscall import sys_poll
+    from ..core.select_syscall import sys_select
+    from ..net.socket import SocketFile, require_socket
+    from ..net.unix import UnixSocketFile
+
 
 class SyscallInterface:
     """Bound to one task; exposes the syscalls the paper's software uses."""
 
     def __init__(self, task: Task):
+        if sys_poll is None:
+            _bind_late_names()
         self.task = task
         self.kernel = task.kernel
         self.costs = task.kernel.costs
@@ -180,8 +200,6 @@ class SyscallInterface:
         absolute time -- becomes the relative timeout at the end of the
         build, as a caller computing it itself would have.
         """
-        from ..core.poll_syscall import sys_poll
-
         self.kernel.counters.inc("sys.poll")
         result = yield from sys_poll(
             self.task, interests, timeout, deadline_abs=deadline,
@@ -198,8 +216,6 @@ class SyscallInterface:
         forced the authors to modify httperf (section 5).  The fused
         keywords mirror :meth:`poll`.
         """
-        from ..core.select_syscall import sys_select
-
         self.kernel.counters.inc("sys.select")
         result = yield from sys_select(
             self.task, readfds, writefds, timeout, deadline_abs=deadline,
@@ -212,8 +228,6 @@ class SyscallInterface:
         ``config`` is an optional :class:`~repro.core.devpoll.DevPollConfig`
         (the ablation benchmarks use it to disable hints etc.).
         """
-        from ..core.devpoll import DevPollFile
-
         yield from self._enter("sys.open")
         yield from self._charge(self.costs.fd_alloc, "open")
         file = DevPollFile(self.kernel, config=config)
@@ -225,8 +239,6 @@ class SyscallInterface:
 
         Returns the shared result-area object.
         """
-        from ..core.devpoll import DevPollFile
-
         file = self._file(fd)
         yield from self._enter("sys.mmap")
         if not isinstance(file, DevPollFile):
@@ -234,8 +246,6 @@ class SyscallInterface:
         return file.mmap(self.task)
 
     def munmap_devpoll(self, fd: int):
-        from ..core.devpoll import DevPollFile
-
         file = self._file(fd)
         yield from self._enter("sys.munmap")
         if not isinstance(file, DevPollFile):
@@ -252,8 +262,6 @@ class SyscallInterface:
         The epoll interface postdates the paper by months; see
         :mod:`repro.core.epoll` for what it borrows from /dev/poll.
         """
-        from ..core.epoll import EpollFile
-
         yield from self._enter("sys.epoll_create")
         yield from self._charge(self.costs.fd_alloc, "open")
         file = EpollFile(self.kernel)
@@ -262,8 +270,6 @@ class SyscallInterface:
 
     def epoll_ctl(self, epfd: int, op: int, fd: int, events: int = 0):
         """Add/modify/delete one interest of an epoll instance."""
-        from ..core.epoll import EpollFile
-
         file = self._file(epfd)
         if not isinstance(file, EpollFile):
             yield from self._enter("sys.epoll_ctl")
@@ -276,8 +282,6 @@ class SyscallInterface:
     def epoll_wait(self, epfd: int, max_events: int,
                    timeout: Optional[float] = None):
         """Wait for readiness; returns ``[(fd, revents), ...]``."""
-        from ..core.epoll import EpollFile
-
         file = self._file(epfd)
         yield from self._enter("sys.epoll_wait")
         if not isinstance(file, EpollFile):
@@ -342,8 +346,6 @@ class SyscallInterface:
     # sockets (implemented in repro.net.socket)
     # ------------------------------------------------------------------
     def socket(self):
-        from ..net.socket import SocketFile
-
         kernel = self.kernel
         if kernel.net is None:
             raise SyscallError(ENOTSOCK, "no network stack attached")
@@ -354,16 +356,12 @@ class SyscallInterface:
         return fd
 
     def bind(self, fd: int, port: int):
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(fd))
         yield from self._enter("sys.bind")
         sock.bind(port)
         return 0
 
     def listen(self, fd: int, backlog: int):
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(fd))
         yield from self._enter("sys.listen")
         sock.listen(backlog)
@@ -372,8 +370,6 @@ class SyscallInterface:
     def setsockopt(self, fd: int, level: int, optname: int, value: int = 1):
         """Set a socket option; SOL_SOCKET/SO_REUSEPORT is the one that
         exists here (prefork workers sharding one listening port)."""
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(fd))
         yield from self._enter("sys.setsockopt")
         yield from self._charge(self.costs.setsockopt_op, "setsockopt")
@@ -382,8 +378,6 @@ class SyscallInterface:
 
     def accept(self, fd: int):
         """Returns ``(new_fd, remote_addr)``; blocks unless O_NONBLOCK."""
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(fd))
         yield from self._enter("sys.accept")
         child = yield from sock.do_accept(self.task)
@@ -394,8 +388,6 @@ class SyscallInterface:
 
     def connect(self, fd: int, addr, timeout: Optional[float] = None):
         """Blocking connect (with optional caller timeout)."""
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(fd))
         kernel = self.kernel
         kernel.counters.inc("sys.connect")
@@ -407,8 +399,6 @@ class SyscallInterface:
         """Simplified ``sendfile()`` from the page cache (future work,
         section 6): the same bytes leave the socket, but without the
         user-space copy, so the per-byte CPU cost is far lower."""
-        from ..net.socket import require_socket
-
         sock = require_socket(self._file(out_fd))
         yield from self._enter("sys.sendfile")
         result = yield from sock.do_sendfile(self.task, data)
@@ -418,8 +408,6 @@ class SyscallInterface:
     # UNIX-domain socketpair with fd passing (phhttpd's overflow handoff)
     # ------------------------------------------------------------------
     def socketpair(self):
-        from ..net.unix import UnixSocketFile
-
         yield from self._enter("sys.socketpair")
         yield from self._charge(
             2 * (self.costs.socket_create + self.costs.fd_alloc), "socket")
@@ -430,8 +418,6 @@ class SyscallInterface:
 
     def send_fds(self, fd: int, payload: bytes, fds: Sequence[int]):
         """sendmsg() with SCM_RIGHTS: pass open descriptors to the peer."""
-        from ..net.unix import UnixSocketFile
-
         file = self._file(fd)
         if not isinstance(file, UnixSocketFile):
             raise SyscallError(ENOTSOCK, "send_fds requires a unix socket")
@@ -447,8 +433,6 @@ class SyscallInterface:
 
         Received files are installed into this task's fd table.
         """
-        from ..net.unix import UnixSocketFile
-
         file = self._file(fd)
         if not isinstance(file, UnixSocketFile):
             raise SyscallError(ENOTSOCK, "recv_fds requires a unix socket")

@@ -35,53 +35,43 @@ benchmark or test can turn on to see inside the simulator:
   (``repro trace``).
 
 Everything is off by default and costs one attribute check per call site
-when disabled, so benchmark numbers are unaffected.
+when disabled, so benchmark numbers are unaffected.  Each exported name
+is imported from its submodule on first access (PEP 562), so the kernel's
+counters and tracer hooks do not pull in the report and flame renderers
+or the timeline sampler.
 """
 
-from .causal import (
-    NULL_LEDGER,
-    CausalLedger,
-    WakeupHistogram,
-    chrome_trace_events,
-    collect_pathologies,
-    export_chrome_trace,
-)
-from .flame import ascii_flame, collapse_profile, collapse_spans, folded_stacks, write_folded
-from .latency import LatencyHistogram
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Tally
-from .profiler import CpuProfiler, ProfileReport, split_category
-from .report import render_report, write_report
-from .spans import NULL_TRACER, Span, SpanTracer, TraceRecord, Tracer
-from .timeline import TimelineSampler, utilization_series
+from importlib import import_module
 
-__all__ = [
-    "CausalLedger",
-    "Counter",
-    "CpuProfiler",
-    "Gauge",
-    "Histogram",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "NULL_LEDGER",
-    "NULL_TRACER",
-    "ProfileReport",
-    "Span",
-    "SpanTracer",
-    "Tally",
-    "TimelineSampler",
-    "TraceRecord",
-    "Tracer",
-    "WakeupHistogram",
-    "ascii_flame",
-    "chrome_trace_events",
-    "collapse_profile",
-    "collapse_spans",
-    "collect_pathologies",
-    "export_chrome_trace",
-    "folded_stacks",
-    "render_report",
-    "split_category",
-    "utilization_series",
-    "write_folded",
-    "write_report",
-]
+#: exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "NULL_LEDGER", "CausalLedger", "WakeupHistogram",
+        "chrome_trace_events", "collect_pathologies", "export_chrome_trace"),
+        "causal"),
+    **dict.fromkeys((
+        "ascii_flame", "collapse_profile", "collapse_spans", "folded_stacks",
+        "write_folded"), "flame"),
+    "LatencyHistogram": "latency",
+    **dict.fromkeys((
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "Tally"),
+        "metrics"),
+    **dict.fromkeys(("CpuProfiler", "ProfileReport", "split_category"),
+                    "profiler"),
+    **dict.fromkeys(("render_report", "write_report"), "report"),
+    **dict.fromkeys((
+        "NULL_TRACER", "Span", "SpanTracer", "TraceRecord", "Tracer"),
+        "spans"),
+    **dict.fromkeys(("TimelineSampler", "utilization_series"), "timeline"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import *name* from its submodule on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -91,7 +91,7 @@ class Runtime:
         raise NotImplementedError
 
 
-#: mode -> Runtime subclass; populated by the implementation modules
+#: mode -> Runtime subclass, for each implementation module imported so far
 RUNTIMES: Dict[str, Type[Runtime]] = {}
 
 

@@ -16,7 +16,11 @@ from ..http.content import StaticSite
 from ..http.parser import RequestParseError, RequestParser
 from ..kernel.constants import (
     EAGAIN,
+    F_SETFL,
     O_NONBLOCK,
+    POLLREMOVE,
+    SO_REUSEPORT,
+    SOL_SOCKET,
     SyscallError,
 )
 from ..runtime.base import ensure_runtime
@@ -57,16 +61,12 @@ class InterestUpdateBatch:
         self._pending.append(self._pollfd_cls(fd, events))
 
     def remove(self, fd: int) -> None:
-        from ..kernel.constants import POLLREMOVE
-
         self._pending = [p for p in self._pending if p.fd != fd]
         if fd in self._in_kernel:
             self._pending.append(self._pollfd_cls(fd, POLLREMOVE))
 
     def flush(self) -> list:
         """Take the staged updates (possibly empty) and account them."""
-        from ..kernel.constants import POLLREMOVE
-
         updates, self._pending = self._pending, []
         for p in updates:
             if p.events & POLLREMOVE:
@@ -218,13 +218,9 @@ class BaseServer:
     # ------------------------------------------------------------------
     def open_listener(self):
         """socket/bind/listen/O_NONBLOCK; returns the listening fd."""
-        from ..kernel.constants import F_SETFL
-
         sys = self.sys
         fd = yield from sys.socket()
         if self.config.reuse_port:
-            from ..kernel.constants import SO_REUSEPORT, SOL_SOCKET
-
             yield from sys.setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, 1)
         yield from sys.bind(fd, self.config.port)
         yield from sys.listen(fd, self.config.backlog)
@@ -236,8 +232,6 @@ class BaseServer:
 
     def accept_new(self):
         """Drain the accept queue; returns list of new Connections."""
-        from ..kernel.constants import F_SETFL
-
         sys = self.sys
         new = []
         while True:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.devpoll import DevPollConfig
+from ..core.select_syscall import FD_SETSIZE
 from ..kernel.constants import POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT
 from ..sim.resources import PRIO_USER
 from .base import READING, WRITING, BaseServer, ServerConfig
@@ -119,8 +120,6 @@ class ThttpdSelectServer(ThttpdServer):
     def accept_new(self):
         """Like the base accept loop, but connections whose descriptor
         would not fit in an fd_set are closed on the spot."""
-        from ..core.select_syscall import FD_SETSIZE
-
         capacity = self.backend.fd_capacity or FD_SETSIZE
         new_conns = yield from super().accept_new()
         kept = []

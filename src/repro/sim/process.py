@@ -137,10 +137,15 @@ class Process:
                     else:
                         yielded = gen.send(send_value)
                 except StopIteration as stop:
+                    # the cached callbacks point back at this process:
+                    # drop them so reference counting, not the cyclic
+                    # collector, frees a finished process
+                    self._resume_cb = self._on_event_cb = None
                     self.done.trigger(stop.value)
                     return
                 except BaseException as err:  # noqa: BLE001 - deliberate crash propagation
                     self.crashed = err
+                    self._resume_cb = self._on_event_cb = None
                     raise ProcessCrashed(
                         f"process {self.name!r} crashed at t={sim.now:.6f}: {err!r}"
                     ) from err

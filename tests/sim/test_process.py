@@ -1,10 +1,13 @@
 """Unit tests for generator-based processes."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.process import (
     AnyOf,
+    Process,
     ProcessCrashed,
     sleep,
     spawn,
@@ -396,3 +399,34 @@ def test_two_processes_interleave():
         ("ping", 2.0), ("pong", 3.0), ("ping", 4.0),
         ("pong", 5.0), ("ping", 6.0), ("pong", 7.0),
     ]
+
+
+def test_finished_processes_are_freed_without_the_cycle_collector():
+    """A finished process keeps no reference to itself, so it, its
+    generator and its ``done`` event go as soon as the calendar drops
+    them; a collection finds none of them unreachable."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sim = Simulator()
+        go = sim.event()
+
+        def body(i):
+            yield 0.001 * (i % 7)
+            value = yield go
+            return value
+
+        for i in range(300):
+            spawn(sim, body(i))
+        sim.schedule(0.01, go.trigger, "go")
+        sim.run()
+        gc.collect()
+        leaked = sum(isinstance(obj, Process) for obj in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == 0

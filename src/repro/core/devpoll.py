@@ -44,6 +44,7 @@ from ..kernel.constants import (
     ENOSPC,
     POLL_ALWAYS,
     POLLNVAL,
+    POLLOUT,
     POLLREMOVE,
     SyscallError,
 )
@@ -204,10 +205,14 @@ class DevPollFile(File):
     # scanning
     # ------------------------------------------------------------------
     def _evaluate(self, entry: Interest) -> int:
-        if entry.file is None or entry.file.closed:
+        file = entry.file
+        if file is None or file.closed:
             entry.cached_revents = POLLNVAL
+        elif file.quiet and not entry.events & POLLOUT:
+            file.poll_callback_count += 1
+            entry.cached_revents = 0
         else:
-            entry.cached_revents = entry.file.driver_poll() & (
+            entry.cached_revents = file.driver_poll() & (
                 entry.events | POLL_ALWAYS)
         return entry.cached_revents
 
@@ -220,7 +225,10 @@ class DevPollFile(File):
         lumps into one "devpoll.scan" CPU grant but an attached profiler
         sees itemized.  With hints on, only cached-ready, hinted, and
         non-hinting-driver entries invoke the driver callback; otherwise
-        every interest does.
+        every interest does.  Either way the simulated cost counts every
+        callback, but the host work is O(changed): a ``quiet`` socket
+        (see :mod:`repro.kernel.file`) asked nothing of ``POLLOUT`` is
+        counted and charged without its callback being made.
         """
         costs = self.kernel.costs
         callback_charge = 0.0

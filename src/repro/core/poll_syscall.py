@@ -14,15 +14,19 @@ Per invocation the kernel must (section 3.1):
 All four terms scale with the interest-set size; /dev/poll attacks 1, 2,
 and 4, and its hints attack 2 again.  The function returns only ready
 descriptors as ``[(fd, revents), ...]``.
+
+The simulated cost stays O(n), but the host work of a scan is
+O(changed): a ``quiet`` socket (see :mod:`repro.kernel.file`) asked
+nothing of ``POLLOUT`` has nothing to report, so its callback is
+counted and charged but not made.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..kernel.constants import POLL_ALWAYS, POLLNVAL
+from ..kernel.constants import POLL_ALWAYS, POLLNVAL, POLLOUT
 from ..kernel.task import Task
-from ..kernel.waitqueue import WaitEntry
 from ..sim.process import wait_with_timeout
 from ..sim.resources import PRIO_USER
 
@@ -56,30 +60,13 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
             file = lookup(fd)
             if file is None or file.closed:
                 ready.append((fd, POLLNVAL))
-                continue
-            mask = file.driver_poll() & (events | POLL_ALWAYS)
-            if mask:
-                ready.append((fd, mask))
+            elif file.quiet and not events & POLLOUT:
+                file.poll_callback_count += 1
+            else:
+                mask = file.driver_poll() & (events | POLL_ALWAYS)
+                if mask:
+                    ready.append((fd, mask))
         return ready
-
-    def wait_for_ready(remaining: Optional[float]):
-        # 3. nothing ready: hang a wait-queue entry on every file
-        wake = sim.event("poll.wake")
-        entries: List[WaitEntry] = []
-
-        def on_wake(*_args) -> None:
-            if not wake.triggered:
-                wake.trigger(None)
-
-        for fd, _events in interests:
-            file = lookup(fd)
-            if file is not None and not file.closed:
-                entries.append(file.wait_queue.add(on_wake, autoremove=False))
-        try:
-            yield from wait_with_timeout(sim, wake, remaining)
-        finally:
-            for entry in entries:
-                entry.queue.remove(entry)
 
     # 1. copy in the whole interest set; 2. one driver callback per
     # descriptor -- under the big kernel lock, so on SMP the whole O(n)
@@ -118,8 +105,33 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
                 if tail_parts:
                     yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
                 return []
+        # 3. nothing ready: hang a wait-queue entry on every file
         if waitqueue_cost > 0:
             yield cpu.consume(waitqueue_cost, PRIO_USER, "poll.waitqueue")
-        yield from wait_for_ready(remaining)
+        yield from sleep_on_files(
+            sim, "poll.wake", (lookup(fd) for fd, _events in interests),
+            remaining)
         # loop around: rescan (and notice deadline expiry)
         yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)
+
+
+def sleep_on_files(sim, name: str, files, remaining: Optional[float]):
+    """The poll table of poll() and select(): sleep until one of
+    ``files`` is notified or ``remaining`` seconds pass.
+
+    Hangs one wait-queue entry on every open file, in order (a file
+    listed twice gets two), and removes them all on the way out.
+    """
+    wake = sim.event(name)
+
+    def on_wake(*_args) -> None:
+        if not wake.triggered:
+            wake.trigger(None)
+
+    entries = [file.wait_queue.add(on_wake, autoremove=False)
+               for file in files if file is not None and not file.closed]
+    try:
+        yield from wait_with_timeout(sim, wake, remaining)
+    finally:
+        for entry in entries:
+            entry.queue.remove(entry)

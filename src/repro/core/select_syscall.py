@@ -11,9 +11,11 @@ actually watched*, then every watched fd still gets a driver poll
 callback -- so select is never cheaper than poll and its interest set is
 hard-capped at :data:`FD_SETSIZE`.
 
-The host work is linear too: the read and write sets are Python sets,
-so each watched fd costs one membership test per set and one driver
-poll callback.
+The simulated cost stays O(watched), but the host work of a scan is
+O(changed): the read and write sets are Python sets, so each watched fd
+costs one membership test per set, and a ``quiet`` socket (see
+:mod:`repro.kernel.file`) outside the write set is counted and charged
+without its driver poll callback being made.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from ..kernel.constants import (
     SyscallError,
 )
 from ..kernel.task import Task
-from ..sim.process import wait_with_timeout
 from ..sim.resources import PRIO_USER
+from .poll_syscall import sleep_on_files
 
 #: the fixed fd_set size that capped 2000-era select() servers
 FD_SETSIZE = 1024
@@ -76,30 +78,15 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
             file = lookup(fd)
             if file is None or file.closed:
                 raise SyscallError(EBADF, f"select: fd {fd} not open")
+            if file.quiet and fd not in wset:
+                file.poll_callback_count += 1
+                continue
             mask = file.driver_poll()
             if fd in rset and mask & (POLLIN | POLLERR | POLLHUP):
                 readable.append(fd)
             if fd in wset and mask & (POLLOUT | POLLERR):
                 writable.append(fd)
         return readable, writable
-
-    def wait_for_ready(remaining: Optional[float]):
-        wake = sim.event("select.wake")
-        entries = []
-
-        def on_wake(*_args) -> None:
-            if not wake.triggered:
-                wake.trigger(None)
-
-        for fd in watched:
-            file = lookup(fd)
-            if file is not None and not file.closed:
-                entries.append(file.wait_queue.add(on_wake, autoremove=False))
-        try:
-            yield from wait_with_timeout(sim, wake, remaining)
-        finally:
-            for entry in entries:
-                entry.queue.remove(entry)
 
     # three bitmaps (read/write/except) copied in, three copied out --
     # proportional to maxfd, not to the number of watched fds
@@ -136,5 +123,6 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
                 return [], []
         if waitqueue_cost > 0:
             yield cpu.consume(waitqueue_cost, PRIO_USER, "select.waitqueue")
-        yield from wait_for_ready(remaining)
+        yield from sleep_on_files(sim, "select.wake", map(lookup, watched),
+                                  remaining)
         yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)

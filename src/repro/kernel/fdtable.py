@@ -11,7 +11,7 @@ which the authors had to lift, is modelled by the client harness.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .constants import EBADF, EMFILE, SyscallError
 from .file import File
@@ -23,6 +23,9 @@ class FDTable:
             raise ValueError("fd limit must be positive")
         self.limit = limit
         self._files: Dict[int, File] = {}
+        #: like :meth:`get` but returns None instead of raising; the
+        #: dict's own bound ``get``, so a lookup makes no Python call
+        self.lookup = self._files.get
         #: min-heap of closed descriptors below the high mark (may contain
         #: stale entries re-occupied via install_at; pops check occupancy)
         self._freed: List[int] = []
@@ -66,10 +69,6 @@ class FDTable:
         if file is None:
             raise SyscallError(EBADF, f"fd {fd} not open")
         return file
-
-    def lookup(self, fd: int) -> Optional[File]:
-        """Like :meth:`get` but returns None instead of raising."""
-        return self._files.get(fd)
 
     def close(self, fd: int) -> File:
         """Remove the descriptor; returns the file (reference dropped)."""

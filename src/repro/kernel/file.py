@@ -10,7 +10,14 @@ paper hangs off:
 * a list of *status listeners* -- the hook /dev/poll backmaps use to
   receive device-driver hints (section 3.2).  The ``supports_hints``
   class flag models the paper's opt-in scheme in which only essential
-  (network) drivers are modified.
+  (network) drivers are modified;
+* a host-side ``quiet`` bit.  A driver that reports every rise of a
+  readiness bit other than ``POLLOUT`` through :meth:`File.notify` (the
+  contract hints rely on; only sockets declare it) sets it when its
+  poll callback reads no such bit, and ``notify()`` clears it.  The
+  O(n) scans then skip the host call for a quiet file whose caller
+  asks nothing of ``POLLOUT``, while still counting and charging the
+  simulated callback.
 
 Subclasses (sockets, the /dev/poll device, pipes) implement the file
 operations as generator methods so they can charge CPU and block.
@@ -60,6 +67,8 @@ class File:
         #: number of driver poll callbacks executed against this file;
         #: the hints ablation asserts this drops when hinting is on.
         self.poll_callback_count = 0
+        #: no readiness but POLLOUT since the last callback (see above)
+        self.quiet = False
 
     # ------------------------------------------------------------------
     # readiness
@@ -101,6 +110,7 @@ class File:
         Wakes poll sleepers, marks /dev/poll hints via status listeners,
         and queues an RT signal if fasync is armed.
         """
+        self.quiet = False
         if self.kernel.causal.enabled:
             self.kernel.causal.ready(self.kernel.sim.now, self, band)
         self.wait_queue.wake_all(self, band)

@@ -25,6 +25,7 @@ from ..kernel.constants import (
     EISCONN,
     O_NONBLOCK,
     POLLIN,
+    POLLOUT,
     SO_REUSEPORT,
     SOL_SOCKET,
     SyscallError,
@@ -87,6 +88,15 @@ class SocketFile(File):
         if self.endpoint is not None:
             return self.endpoint.poll_mask()
         return 0
+
+    def driver_poll(self) -> int:
+        """The callback, marking the socket quiet when it reads nothing
+        but POLLOUT: the stack notifies every other bit's rise (a
+        queued connection, data, FIN, RST), but not POLLOUT's."""
+        self.poll_callback_count += 1
+        mask = self.poll_mask()
+        self.quiet = not mask & ~POLLOUT
+        return mask
 
     # ------------------------------------------------------------------
     # setup

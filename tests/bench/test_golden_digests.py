@@ -18,9 +18,16 @@ regimes fails here, byte-exact.
   the scheduler rather than pinned by a worker pool.
 * ``poll``/``select`` -- uniprocessor thttpd on poll() and select()
   with idle connections: the fused array-build/scan/copyout grants.
-* ``overload_devpoll``/``overload_epoll`` -- uniprocessor thttpd on
-  ``/dev/poll`` and epoll, past the knee with idle connections: the
-  client times out while the O(ready) harvests run flat out.
+* ``overload_{poll,select,devpoll,epoll}`` -- uniprocessor thttpd on
+  each backend, past the knee with idle connections: the client times
+  out while the O(watched) scans or the O(ready) harvests run flat out.
+* ``bigdoc_poll``/``bigdoc_select`` -- 64 KB documents: each reply
+  outgrows the 16 KB send buffer, so the server writes it in several
+  ``write()`` calls and waits on ``POLLOUT`` between them.
+* ``sweep_select`` -- with a 1 s idle timeout, thttpd's sweep closes
+  the idle connections; they reconnect and reuse the freed descriptors.
+* ``devpoll_nohints`` -- ``/dev/poll`` with the driver hints off, so
+  every ``DP_POLL`` calls every interest's driver poll callback.
 * ``rtsig_overflow`` -- phhttpd with a 32-deep RT-signal queue: the
   queue overflows, SIGIO fires and the poll sibling takes over.
   ``hybrid_rtsig_overflow`` is the same shape on the hybrid server,
@@ -44,6 +51,7 @@ import pytest
 
 from repro.bench.harness import BenchmarkPoint, run_point
 from repro.bench.records import WALL_CLOCK_FIELDS, point_record
+from repro.core.devpoll import DevPollConfig
 from repro.net.link import ETHERNET_GIGABIT
 
 #: record keys that measure the host or the engine's bookkeeping
@@ -60,6 +68,7 @@ RTSIG_OVERFLOW = BenchmarkPoint(
 UNIPROCESSOR = BenchmarkPoint(
     server="thttpd", rate=1000.0, inactive=64, duration=0.3)
 UNIPROCESSOR_OVERLOAD = replace(UNIPROCESSOR, rate=4000.0)
+BIGDOC = replace(UNIPROCESSOR, rate=300.0, document_bytes=65536)
 
 GOLDEN = {
     "smp_overload": (
@@ -71,6 +80,9 @@ GOLDEN = {
     "smp_overload_poll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd"),
         "75c69342704e82189e1e4dc3425679036ddd118c5a18499cd9fddeb9f92043ae"),
+    "smp_overload_poll_traced": (
+        replace(SMP_OVERLOAD_SHORT, server="thttpd", trace=True),
+        "9996f43690178428cc719884d9a19ae2149d870c6037c7cc44f04d7ff0598b1c"),
     "smp_overload_devpoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll"),
         "34712ef6b42ae0f217b2d695c50aee3ccd2b4d00070a1619824f667c27b5d9e1"),
@@ -93,6 +105,26 @@ GOLDEN = {
     "select_traced": (
         replace(UNIPROCESSOR, server="thttpd-select", trace=True),
         "c9b968f14ad99cd8b61f7097269c4e20b76f696d7792cffebec041c2f4d17c4e"),
+    "overload_poll": (
+        UNIPROCESSOR_OVERLOAD,
+        "a2244389144ba9385d2d79a21ad9f33417fdc8ba4a6dff9c1a575d6220783778"),
+    "overload_select": (
+        replace(UNIPROCESSOR_OVERLOAD, server="thttpd-select"),
+        "532bdb7dca65469bbc217856e22fe8b43dd6dae82a4389c3dd8b9ecebd510f81"),
+    "bigdoc_poll": (
+        BIGDOC,
+        "7f838b137db6f65f303a5389b6a001f59979ac8406be4391cf220f3ca899f1ae"),
+    "bigdoc_select": (
+        replace(BIGDOC, server="thttpd-select"),
+        "6b9f319b2a9d2ac4a46c6d2aae76a15ba7ee061963f2b08c781bf227577f6cf2"),
+    "sweep_select": (
+        replace(UNIPROCESSOR, server="thttpd-select", rate=300.0,
+                duration=3.0, server_opts={"idle_timeout": 1.0}),
+        "34f8eb3c02f1c742bdc76b9525c69d5af3e160149468eb34e8bde56a78ba7f27"),
+    "devpoll_nohints": (
+        replace(UNIPROCESSOR, server="thttpd-devpoll",
+                server_opts={"devpoll": DevPollConfig(use_hints=False)}),
+        "ab430a392f1320ffbaad0bfa09474ae5d71dfed1b1b33b4f77babe4d0d76e23b"),
     "overload_devpoll": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-devpoll"),
         "7d9c524a7ad3a4265a6a5f2c41541a8c00187454d42f17eac0515b3fe7e34d31"),
@@ -125,9 +157,19 @@ def record_digest(record):
 
 
 @pytest.fixture(scope="module")
-def records():
-    return {name: point_record(run_point(point))
-            for name, (point, _digest) in GOLDEN.items()}
+def runs():
+    """name -> (record, ``write()`` calls made on the server host)."""
+    out = {}
+    for name, (point, _digest) in GOLDEN.items():
+        result = run_point(point)
+        writes = result.testbed.server_kernel.metrics.snapshot()["sys.write"]
+        out[name] = (point_record(result), writes)
+    return out
+
+
+@pytest.fixture(scope="module")
+def records(runs):
+    return {name: record for name, (record, _writes) in runs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -136,13 +178,18 @@ def test_record_matches_golden_digest(records, name):
         f"{name}: a simulated measurement moved")
 
 
-def test_points_reach_their_regimes(records):
+def test_points_reach_their_regimes(runs, records):
     """Guard the pins' meaning: each point still overloads the way it
     was chosen to."""
     for name in ("smp_overload", "smp_overload_poll",
                  "smp_overload_devpoll", "smp_overload_epoll",
+                 "overload_poll", "overload_select",
                  "overload_devpoll", "overload_epoll"):
         assert records[name]["errors"]["timeouts"] > 0, name
+    for name in ("bigdoc_poll", "bigdoc_select"):
+        record, writes = runs[name]
+        assert writes > 2 * record["replies_ok"] > 0, name
+    assert records["sweep_select"]["inactive_reconnects"] > 0
     assert records["smp2_unpinned"]["cpus"] == 2
     for name in ("rtsig_overflow_traced", "hybrid_rtsig_overflow_traced"):
         rtsig = records[name]["pathologies"]
@@ -152,6 +199,7 @@ def test_points_reach_their_regimes(records):
 def test_traced_twin_measures_what_the_untraced_point_does(records):
     assert sorted(TWINS) == ["hybrid_rtsig_overflow_traced", "poll_traced",
                              "rtsig_overflow_traced", "select_traced",
+                             "smp_overload_poll_traced",
                              "smp_overload_traced"]
     for traced_name, plain_name in TWINS.items():
         traced = dict(records[traced_name])

@@ -21,17 +21,23 @@ regimes fails here, byte-exact.
 * ``overload_{poll,select,devpoll,epoll}`` -- uniprocessor thttpd on
   each backend, past the knee with idle connections: the client times
   out while the O(watched) scans or the O(ready) harvests run flat out.
-* ``bigdoc_poll``/``bigdoc_select`` -- 64 KB documents: each reply
-  outgrows the 16 KB send buffer, so the server writes it in several
-  ``write()`` calls and waits on ``POLLOUT`` between them.
+  ``overload_{phhttpd,hybrid}`` are the same shape on the RT-signal
+  servers, past the knee without a queue overflow.
+* ``light_{select,epoll,hybrid}`` -- the smoke suite's light shape
+  (150 req/s, 50 idle) on the servers the smoke baseline leaves out.
+* ``bigdoc_{poll,select,phhttpd,hybrid}`` -- 64 KB documents: each
+  reply outgrows the 16 KB send buffer, so the server writes it in
+  several ``write()`` calls and waits on ``POLLOUT`` between them.
 * ``sweep_select`` -- with a 1 s idle timeout, thttpd's sweep closes
   the idle connections; they reconnect and reuse the freed descriptors.
 * ``devpoll_nohints`` -- ``/dev/poll`` with the driver hints off, so
   every ``DP_POLL`` calls every interest's driver poll callback.
 * ``rtsig_overflow`` -- phhttpd with a 32-deep RT-signal queue: the
   queue overflows, SIGIO fires and the poll sibling takes over.
+  ``rtsig_overflow_batch`` dequeues ``sigtimedwait4`` batches of 8.
   ``hybrid_rtsig_overflow`` is the same shape on the hybrid server,
-  which falls back to its ``/dev/poll`` interest set instead.
+  which falls back to its ``/dev/poll`` interest set instead;
+  ``hybrid_parked`` never calms down enough to switch back.
 * ``*_traced`` -- traced twins.  Tracing observes and never charges, so
   each must measure exactly what its untraced point does; the twins are
   compared record for record as well as pinned.
@@ -69,6 +75,8 @@ UNIPROCESSOR = BenchmarkPoint(
     server="thttpd", rate=1000.0, inactive=64, duration=0.3)
 UNIPROCESSOR_OVERLOAD = replace(UNIPROCESSOR, rate=4000.0)
 BIGDOC = replace(UNIPROCESSOR, rate=300.0, document_bytes=65536)
+LIGHT = BenchmarkPoint(server="thttpd", rate=150.0, inactive=50,
+                       duration=1.5)
 
 GOLDEN = {
     "smp_overload": (
@@ -86,9 +94,15 @@ GOLDEN = {
     "smp_overload_devpoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll"),
         "34712ef6b42ae0f217b2d695c50aee3ccd2b4d00070a1619824f667c27b5d9e1"),
+    "smp_overload_devpoll_traced": (
+        replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll", trace=True),
+        "e49f410c0d2d7445420b49dd3f502a3962f78567c278718b9bea11c24d00bad8"),
     "smp_overload_epoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll"),
         "97bce3620d31bb85b52a6a70b035bf4d62f8c74513c1bf3e4ad01a836fa049bc"),
+    "smp_overload_epoll_traced": (
+        replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll", trace=True),
+        "80ff56cc12cf58c7e2dc31937b2bb5e4fbc04b43b778840b272793fa58da23cb"),
     "smp2_unpinned": (
         BenchmarkPoint(server="thttpd", rate=1500.0, inactive=64,
                        duration=0.3, timeout=1.0, cpus=2),
@@ -128,21 +142,56 @@ GOLDEN = {
     "overload_devpoll": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-devpoll"),
         "7d9c524a7ad3a4265a6a5f2c41541a8c00187454d42f17eac0515b3fe7e34d31"),
+    "overload_devpoll_traced": (
+        replace(UNIPROCESSOR_OVERLOAD, server="thttpd-devpoll", trace=True),
+        "4ee78da59261f9dfd404a460933648b8b791f609146942739a0381fb7e5bb480"),
     "overload_epoll": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-epoll"),
         "34077308596140b203b3ad0c3a44dab98b58501c9a2e36425736cea126fa2b44"),
+    "overload_epoll_traced": (
+        replace(UNIPROCESSOR_OVERLOAD, server="thttpd-epoll", trace=True),
+        "6e35e2c4e0f7d4fff16ed212b1d031280e25b59fa4a8530fd51c14765c5dc5a8"),
+    "overload_phhttpd": (
+        replace(UNIPROCESSOR_OVERLOAD, server="phhttpd"),
+        "99c49156761f29553ab282c87e70ed3ab24a32ce5190967fcbfd90bfde919658"),
+    "overload_hybrid": (
+        replace(UNIPROCESSOR_OVERLOAD, server="hybrid"),
+        "9e163d3e18f9cea88bd6712b97ea9da4fc0cdd49d9046874ebe528402a2a573a"),
+    "light_select": (
+        replace(LIGHT, server="thttpd-select"),
+        "0706e64ce6e3ec64fc8132ce4cbacebac4c807fb4e0a72d909d35bb5af7d1e83"),
+    "light_epoll": (
+        replace(LIGHT, server="thttpd-epoll"),
+        "76c81a2d3c2889e1233db2fab7e55e0ef5950eb18eef0a78137520b501bde400"),
+    "light_hybrid": (
+        replace(LIGHT, server="hybrid"),
+        "8190abfa35d17805cc32abc3c67db333b1ded79aae8d459e19ca1dcbf0348fdd"),
+    "bigdoc_phhttpd": (
+        replace(BIGDOC, server="phhttpd"),
+        "e50efa3b4b1199074fa0022138fa4958561238c1a8ebc4d9df5459718cf3b716"),
+    "bigdoc_hybrid": (
+        replace(BIGDOC, server="hybrid"),
+        "c425ee778ab0eb69e6070e44c3b8dd4ce80bba3263475ba927eb8ea38fc2a565"),
     "rtsig_overflow": (
         RTSIG_OVERFLOW,
         "1ebb18ea78323c0c631ca0307e0c2c7d7c617c3f044c5b156489776f529104e7"),
     "rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, trace=True),
         "c674792f164d017679ca6561337cb0fb6a0330862b102e02a76523fa21a924a0"),
+    "rtsig_overflow_batch": (
+        replace(RTSIG_OVERFLOW,
+                server_opts={"rtsig_max": 32, "signal_batch": 8}),
+        "47945aef6c18df5bc51073279905f9c203dc8909f9d6b56bbbfd3fda52c8cabb"),
     "hybrid_rtsig_overflow": (
         replace(RTSIG_OVERFLOW, server="hybrid"),
         "5fd5326b38dc280691821e94d03385047eef4fbce957284ab2c590b4136d4f5f"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
         "32555699ef14f7a63d96a14d1d1acda9b374acfba21a5c658b660cea77df8381"),
+    "hybrid_parked": (
+        replace(RTSIG_OVERFLOW, server="hybrid",
+                server_opts={"rtsig_max": 32, "calm_loops": 10**9}),
+        "1e4c5ce5eee9122ace514f31785a5fa96e4ec7382f8ae6d982c616d4d95ec4a9"),
 }
 
 #: traced point -> its untraced twin
@@ -158,18 +207,21 @@ def record_digest(record):
 
 @pytest.fixture(scope="module")
 def runs():
-    """name -> (record, ``write()`` calls made on the server host)."""
+    """name -> (record, ``write()`` calls made on the server host, RT
+    signal-queue overflows of a single-process server's task)."""
     out = {}
     for name, (point, _digest) in GOLDEN.items():
         result = run_point(point)
         writes = result.testbed.server_kernel.metrics.snapshot()["sys.write"]
-        out[name] = (point_record(result), writes)
+        task = getattr(result.server, "task", None)
+        overflows = task.signal_queue.stats.overflows if task else None
+        out[name] = (point_record(result), writes, overflows)
     return out
 
 
 @pytest.fixture(scope="module")
 def records(runs):
-    return {name: record for name, (record, _writes) in runs.items()}
+    return {name: record for name, (record, _writes, _ovf) in runs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -184,21 +236,31 @@ def test_points_reach_their_regimes(runs, records):
     for name in ("smp_overload", "smp_overload_poll",
                  "smp_overload_devpoll", "smp_overload_epoll",
                  "overload_poll", "overload_select",
-                 "overload_devpoll", "overload_epoll"):
+                 "overload_devpoll", "overload_epoll",
+                 "overload_phhttpd", "overload_hybrid"):
         assert records[name]["errors"]["timeouts"] > 0, name
-    for name in ("bigdoc_poll", "bigdoc_select"):
-        record, writes = runs[name]
+    for name in ("overload_phhttpd", "overload_hybrid"):
+        assert runs[name][2] == 0, name
+    for name in ("bigdoc_poll", "bigdoc_select", "bigdoc_phhttpd",
+                 "bigdoc_hybrid"):
+        record, writes, _overflows = runs[name]
         assert writes > 2 * record["replies_ok"] > 0, name
     assert records["sweep_select"]["inactive_reconnects"] > 0
     assert records["smp2_unpinned"]["cpus"] == 2
     for name in ("rtsig_overflow_traced", "hybrid_rtsig_overflow_traced"):
         rtsig = records[name]["pathologies"]
         assert rtsig["signal_queue"]["overflows"] > 0, name
+    assert runs["rtsig_overflow_batch"][2] > 0
+    assert records["hybrid_parked"]["mode"] == "polling"
 
 
 def test_traced_twin_measures_what_the_untraced_point_does(records):
-    assert sorted(TWINS) == ["hybrid_rtsig_overflow_traced", "poll_traced",
+    assert sorted(TWINS) == ["hybrid_rtsig_overflow_traced",
+                             "overload_devpoll_traced",
+                             "overload_epoll_traced", "poll_traced",
                              "rtsig_overflow_traced", "select_traced",
+                             "smp_overload_devpoll_traced",
+                             "smp_overload_epoll_traced",
                              "smp_overload_poll_traced",
                              "smp_overload_traced"]
     for traced_name, plain_name in TWINS.items():

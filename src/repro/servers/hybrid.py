@@ -72,6 +72,9 @@ class HybridServer(BaseServer):
         self.dp_fd = -1
         self._updates = InterestUpdateBatch()
         self._result_area = None
+        #: one idle-sweep deadline for the server's whole life, so mode
+        #: switches never postpone a sweep
+        self._next_sweep = 0.0
 
     # ------------------------------------------------------------------
     # interest-set bookkeeping shared by both modes
@@ -106,6 +109,7 @@ class HybridServer(BaseServer):
             self._result_area = yield from sys.mmap_devpoll(self.dp_fd)
         self._updates.add(self.listen_fd, POLLIN)
         self._switch("signals")
+        self._next_sweep = self.kernel.sim.now + cfg.timer_interval
 
         while self.running:
             if self.mode == "signals":
@@ -122,12 +126,11 @@ class HybridServer(BaseServer):
         costs = self.kernel.costs
         sim = self.kernel.sim
         sigset = self.allocator.sigset() | {SIGIO}
-        next_sweep = sim.now + cfg.timer_interval
 
         while self.running and self.mode == "signals":
             # keep the kernel interest set current (cheap incremental write)
             yield from self._flush_updates()
-            timeout = max(0.0, next_sweep - sim.now)
+            timeout = max(0.0, self._next_sweep - sim.now)
             infos = yield from sys.sigtimedwait4(
                 sigset, cfg.signal_batch, timeout)
             for info in infos:
@@ -141,7 +144,7 @@ class HybridServer(BaseServer):
                     yield from sys.flush_rt_signals()
                     self.task.signal_queue.clear_classic(SIGIO)
                     self._switch("polling")
-                    return
+                    break
                 if info.si_fd == self.listen_fd:
                     yield from self._handle_listener()
                     continue
@@ -150,9 +153,9 @@ class HybridServer(BaseServer):
                     self.stats.stale_events += 1
                     continue
                 yield from self._dispatch(conn, info.si_band)
-            if sim.now >= next_sweep:
+            if sim.now >= self._next_sweep:
                 yield from self.sweep_idle()
-                next_sweep = sim.now + cfg.timer_interval
+                self._next_sweep = sim.now + cfg.timer_interval
 
     # ------------------------------------------------------------------
     # polling mode
@@ -163,11 +166,10 @@ class HybridServer(BaseServer):
         costs = self.kernel.costs
         sim = self.kernel.sim
         calm = 0
-        next_sweep = sim.now + cfg.timer_interval
 
         while self.running and self.mode == "polling":
             yield from self._flush_updates()
-            timeout = max(0.0, next_sweep - sim.now)
+            timeout = max(0.0, self._next_sweep - sim.now)
             dvp = DvPoll(dp_fds=None if cfg.use_mmap else [],
                          dp_nfds=cfg.result_capacity, dp_timeout=timeout)
             ready = yield from sys.ioctl(self.dp_fd, DP_POLL, dvp)
@@ -189,9 +191,9 @@ class HybridServer(BaseServer):
                     yield from self.close_conn(conn)
                     continue
                 yield from self._dispatch(conn, pfd.revents)
-            if sim.now >= next_sweep:
+            if sim.now >= self._next_sweep:
                 yield from self.sweep_idle()
-                next_sweep = sim.now + cfg.timer_interval
+                self._next_sweep = sim.now + cfg.timer_interval
             # load-subsided detection
             if len(ready) <= cfg.low_water_ready:
                 calm += 1

@@ -184,14 +184,14 @@ GOLDEN = {
         "47945aef6c18df5bc51073279905f9c203dc8909f9d6b56bbbfd3fda52c8cabb"),
     "hybrid_rtsig_overflow": (
         replace(RTSIG_OVERFLOW, server="hybrid"),
-        "5fd5326b38dc280691821e94d03385047eef4fbce957284ab2c590b4136d4f5f"),
+        "27b098db54043847daae97b5b165a6bbb4148f2a7f219d04a7ad6161c2e34e1c"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
-        "32555699ef14f7a63d96a14d1d1acda9b374acfba21a5c658b660cea77df8381"),
+        "890eb479e533579d113d78ee9cd4420008de2e35877349125078e9e5d7f551c4"),
     "hybrid_parked": (
         replace(RTSIG_OVERFLOW, server="hybrid",
                 server_opts={"rtsig_max": 32, "calm_loops": 10**9}),
-        "1e4c5ce5eee9122ace514f31785a5fa96e4ec7382f8ae6d982c616d4d95ec4a9"),
+        "f63815fbbbc33cdaff0af389a59d37a1c87c5826db38d946582e3869a3047637"),
 }
 
 #: traced point -> its untraced twin

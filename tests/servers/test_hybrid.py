@@ -115,3 +115,19 @@ def test_stale_devpoll_events_counted(testbed):
     run_until_quiet(testbed, horizon=testbed.sim.now + 6,
                     condition=lambda: server.stats.idle_closes >= 6)
     assert server._process.crashed is None
+
+
+def test_idle_sweep_survives_frequent_mode_switches(testbed):
+    """Bursts that overflow a 4-deep queue flip the server between modes
+    faster than its sweep timer fires; the sweep must still run on time
+    and close the idle connections."""
+    server = make_server(testbed, rtsig_max=4, calm_loops=3,
+                         timer_interval=0.5, idle_timeout=1.0)
+    fetch_documents(testbed, 5, partial=True, spacing=0.001)
+    start = testbed.sim.now
+    while testbed.sim.now < start + 3.0:
+        fetch_documents(testbed, 30, spacing=0.0)
+        testbed.sim.run(until=testbed.sim.now + 0.15)
+    switches = len(server.mode_switches) - 1
+    assert switches > 3.0 / 0.5
+    assert server.stats.idle_closes >= 5

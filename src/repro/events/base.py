@@ -5,8 +5,9 @@ server: the server declares interest (``register``/``modify``/
 ``unregister``) and blocks in ``wait``, which returns ``(fd, revents)``
 pairs.  Everything mechanism-specific -- rebuilding a pollfd array,
 staging a ``/dev/poll`` write batch, arming an RT signal, issuing
-``epoll_ctl`` -- lives behind this interface, so the server loop is
-written once (see :class:`repro.servers.thttpd.ThttpdServer`).
+``epoll_ctl``, switching between signals and polling -- lives behind
+this interface, so the server loop is written once (see
+:meth:`repro.servers.base.BaseServer.event_loop`).
 
 All mutating methods are generators (``yield from backend.register(...)``)
 because some mechanisms pay syscalls for interest changes (``epoll_ctl``)
@@ -67,12 +68,21 @@ class EventBackend:
     #: state; backends with ``strict_state_stale`` count such events as
     #: stale (the ``select`` loop's semantics), others silently skip.
     strict_state_stale = False
+    #: ``wait()`` adds to the server's ``stats.loops`` itself (one per
+    #: signal it dequeues, say) instead of the loop counting one per wait
+    counts_loops = False
+    #: arming an fd reports only readiness that arrives later, so the
+    #: server reads once right after ``register()`` (RT signals)
+    arming_misses_readiness = False
     #: highest usable fd count, or None when unbounded
     fd_capacity: Optional[int] = None
 
     def __init__(self, server) -> None:
         self.server = server
         self.stats = BackendStats()
+        #: the backend whose stats and causal harvests this one's waits
+        #: count under: itself, or a backend composing it (the hybrid)
+        self.owner = self
         #: ``events.<name>.<op>`` counters; the tally builds each name
         #: once, so counting stays off the per-call string formatting
         self._counts = server.kernel.metrics.tally(f"events.{self.name}")
@@ -135,6 +145,11 @@ class EventBackend:
         """Block until readiness; returns a list of ``(fd, revents)``."""
         raise NotImplementedError
 
+    def recover_overflow(self) -> Generator:
+        """Recover after ``wait`` reported the ``RTSIG_OVERFLOW`` sentinel:
+        readiness events were lost and must be found another way."""
+        raise NotImplementedError(f"{self.name} cannot recover lost events")
+
     def dispatch_parts(self) -> tuple:
         """Per-delivered-event bookkeeping charge, as fused-grant parts.
 
@@ -165,19 +180,22 @@ class EventBackend:
         this wait.  Real events exclude negative-fd sentinels (the
         rtsig overflow marker).  When the causal ledger is enabled the
         harvest is stamped here -- one shared hook for all backends.
+        Everything is counted under :attr:`owner`.
         """
+        owner = self.owner
+        stats = owner.stats
         ready_count = len(events)
         real_count = sum(1 for fd, _band in events if fd >= 0)
-        self.stats.waits += 1
-        self.stats.events += ready_count
-        self.stats.registered_sum += registered
+        stats.waits += 1
+        stats.events += ready_count
+        stats.registered_sum += registered
         if real_count == 0:
-            self.stats.spurious_wakeups += 1
-        self._count("waits")
+            stats.spurious_wakeups += 1
+        owner._count("waits")
         if ready_count:
-            self._count("events", ready_count)
+            owner._count("events", ready_count)
         if self.kernel.causal.enabled:
-            self.kernel.causal.harvest(self.sim.now, self.name, events,
+            self.kernel.causal.harvest(self.sim.now, owner.name, events,
                                        self.server.task, registered)
 
 

@@ -1,7 +1,7 @@
 """``/dev/poll`` backend: in-kernel interest set, incremental updates.
 
 The paper's section 3 mechanism: interest changes are queued in
-userspace (:class:`~repro.servers.base.InterestUpdateBatch`), flushed
+userspace (:class:`InterestUpdateBatch`), flushed
 with one ``write()`` per loop, and waiting is ``ioctl(DP_POLL)``, which
 returns only ready descriptors -- so the per-loop scan is over the
 ready list, not the whole interest set, and there is no per-event
@@ -18,10 +18,52 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..core.devpoll import DevPollConfig
-from ..core.pollfd import DP_ALLOC, DP_POLL, DP_POLL_WRITE, DvPoll
-from ..kernel.constants import POLLIN
-from ..servers.base import InterestUpdateBatch
+from ..core.pollfd import DP_ALLOC, DP_POLL, DP_POLL_WRITE, DvPoll, PollFd
+from ..kernel.constants import POLLIN, POLLREMOVE
 from .base import EventBackend, register_backend
+
+
+class InterestUpdateBatch:
+    """Userspace staging of /dev/poll interest updates.
+
+    A careful application coalesces its updates before writing them: a
+    connection accepted and closed within the same event batch must not
+    reach the kernel at all (its fd may already be closed -- or worse,
+    reused -- by flush time).  Removes cancel any staged updates for the
+    same fd and are only emitted if the kernel has actually seen that
+    interest; batch order is preserved so remove-then-re-add on a reused
+    fd number stays correct.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list = []
+        self._in_kernel: set = set()
+
+    def add(self, fd: int, events: int) -> None:
+        self._pending.append(PollFd(fd, events))
+
+    def remove(self, fd: int) -> None:
+        self._pending = [p for p in self._pending if p.fd != fd]
+        if fd in self._in_kernel:
+            self._pending.append(PollFd(fd, POLLREMOVE))
+
+    def flush(self) -> list:
+        """Take the staged updates (possibly empty) and account them."""
+        updates, self._pending = self._pending, []
+        for p in updates:
+            if p.events & POLLREMOVE:
+                self._in_kernel.discard(p.fd)
+            else:
+                self._in_kernel.add(p.fd)
+        return updates
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    @property
+    def in_kernel(self) -> set:
+        """fds whose interest the kernel has actually seen (read-only)."""
+        return self._in_kernel
 
 
 @register_backend
@@ -90,6 +132,11 @@ class DevpollBackend(EventBackend):
         # loop), keeping fd reuse correct.
         self._updates.remove(fd)
 
+    def flush(self) -> Generator:
+        """Write the staged interest updates, if any, in one ``write()``."""
+        if len(self._updates):
+            yield from self.sys.write(self.dp_fd, self._updates.flush())
+
     def wait(self, max_events: Optional[int] = None,
              timeout: Optional[float] = None,
              deadline: Optional[float] = None) -> Generator:
@@ -105,8 +152,7 @@ class DevpollBackend(EventBackend):
             ready = yield from sys.ioctl(
                 self.dp_fd, DP_POLL_WRITE, (self._updates.flush(), dvp))
         else:
-            if len(self._updates):
-                yield from sys.write(self.dp_fd, self._updates.flush())
+            yield from self.flush()
             ready = yield from sys.ioctl(self.dp_fd, DP_POLL, dvp)
         # userspace scans only the ready results
         if self.kernel.tracer.enabled:

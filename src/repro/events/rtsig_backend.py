@@ -11,7 +11,11 @@ overflow, which the kernel reports by raising plain ``SIGIO``.
 queue overflow is surfaced as the sentinel fd :data:`RTSIG_OVERFLOW`
 (and any remaining dequeued events are dropped, as phhttpd's loop does)
 so the server can run its recovery path -- phhttpd hands every
-connection to a ``poll()`` sibling and never switches back.
+connection to a ``poll()`` sibling and never switches back.  A signal
+server counts one loop per signal it handles, so ``wait`` adds the
+dequeued count to the server's ``stats.loops``; and arming a descriptor
+reports nothing about data that arrived before it, so the server reads
+once right after ``register``.
 
 There is nothing to clean up on close: a signal queued for a dead fd is
 detected as stale at dispatch, so ``interest_forget`` is a no-op.
@@ -32,6 +36,8 @@ RTSIG_OVERFLOW = -1
 @register_backend
 class RtsigBackend(EventBackend):
     name = "rtsig"
+    counts_loops = True
+    arming_misses_readiness = True
 
     def __init__(self, server) -> None:
         super().__init__(server)
@@ -52,16 +58,14 @@ class RtsigBackend(EventBackend):
                              self.listen_signo)
 
     def register(self, fd: int, mask: int) -> Generator:
-        """Arm ``fd`` with a fresh RT signal number; returns the signo.
+        """Arm ``fd`` with a fresh RT signal number.
 
         The mask is ignored: RT-signal delivery always reports the full
         band of whatever happened on the descriptor.
         """
         self.stats.registers += 1
         self._count("registers")
-        signo = self.allocator.allocate()
-        yield from arm_rtsig(self.sys, fd, signo)
-        return signo
+        yield from arm_rtsig(self.sys, fd, self.allocator.allocate())
 
     def modify(self, fd: int, mask: int) -> Generator:
         # nothing to do: the signal reports all bands regardless of mask
@@ -86,6 +90,7 @@ class RtsigBackend(EventBackend):
                 events.append((RTSIG_OVERFLOW, 0))
                 break
             events.append((info.si_fd, info.si_band))
+        self.server.stats.loops += len(events)
         # registered = armed connections plus the listener
         self._note_wait(events, len(self.server.conns) + 1)
         return events

@@ -1,9 +1,11 @@
 """Machinery shared by every web-server implementation.
 
 Each server is a simulated process (or two, for phhttpd) driving the
-syscall interface.  The shared pieces are per-connection state, statistics,
-idle-timeout sweeps, and the HTTP request/response handling sequence --
-the servers differ *only* in their event model, which is the point of the
+syscall interface.  The shared pieces are per-connection state,
+statistics, idle-timeout sweeps, the HTTP request/response handling
+sequence, and the one event loop (:meth:`BaseServer.event_loop`) that
+thttpd, phhttpd and the hybrid all run -- the servers differ *only* in
+their event backend (:mod:`repro.events`), which is the point of the
 paper's comparison.
 """
 
@@ -12,13 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
+from ..events import RTSIG_OVERFLOW, make_backend
 from ..http.content import StaticSite
 from ..http.parser import RequestParseError, RequestParser
 from ..kernel.constants import (
     EAGAIN,
     F_SETFL,
     O_NONBLOCK,
-    POLLREMOVE,
+    POLLERR,
+    POLLHUP,
+    POLLIN,
+    POLLNVAL,
+    POLLOUT,
     SO_REUSEPORT,
     SOL_SOCKET,
     SyscallError,
@@ -36,52 +43,6 @@ READ_CHUNK = 4096
 # connection states
 READING = "reading"
 WRITING = "writing"
-
-
-class InterestUpdateBatch:
-    """Userspace staging of /dev/poll interest updates.
-
-    A careful application coalesces its updates before writing them: a
-    connection accepted and closed within the same event batch must not
-    reach the kernel at all (its fd may already be closed -- or worse,
-    reused -- by flush time).  Removes cancel any staged updates for the
-    same fd and are only emitted if the kernel has actually seen that
-    interest; batch order is preserved so remove-then-re-add on a reused
-    fd number stays correct.
-    """
-
-    def __init__(self) -> None:
-        from ..core.pollfd import PollFd  # local import: optional feature
-
-        self._pollfd_cls = PollFd
-        self._pending: list = []
-        self._in_kernel: set = set()
-
-    def add(self, fd: int, events: int) -> None:
-        self._pending.append(self._pollfd_cls(fd, events))
-
-    def remove(self, fd: int) -> None:
-        self._pending = [p for p in self._pending if p.fd != fd]
-        if fd in self._in_kernel:
-            self._pending.append(self._pollfd_cls(fd, POLLREMOVE))
-
-    def flush(self) -> list:
-        """Take the staged updates (possibly empty) and account them."""
-        updates, self._pending = self._pending, []
-        for p in updates:
-            if p.events & POLLREMOVE:
-                self._in_kernel.discard(p.fd)
-            else:
-                self._in_kernel.add(p.fd)
-        return updates
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def in_kernel(self) -> set:
-        """fds whose interest the kernel has actually seen (read-only)."""
-        return self._in_kernel
 
 
 @dataclass
@@ -123,7 +84,7 @@ class Connection:
     """Server-side per-connection bookkeeping."""
 
     __slots__ = ("fd", "state", "parser", "outbuf", "last_activity",
-                 "accepted_at", "signo", "span")
+                 "accepted_at", "span")
 
     def __init__(self, fd: int, now: float):
         self.fd = fd
@@ -132,7 +93,6 @@ class Connection:
         self.outbuf = b""
         self.last_activity = now
         self.accepted_at = now
-        self.signo = 0  # RT signal number, when the event model uses one
         self.span = None  # open tracing span for the in-flight request
 
     def touch(self, now: float) -> None:
@@ -143,7 +103,7 @@ class Connection:
 
 
 class BaseServer:
-    """Common skeleton; subclasses implement ``run()`` (the event loop)."""
+    """Common skeleton: set-up, the event loop, and request handling."""
 
     name = "base"
     #: event-driven servers (phhttpd, hybrid) write the response from the
@@ -152,10 +112,9 @@ class BaseServer:
     #: their small extra median latency in figure 14.
     immediate_write = True
     #: :data:`repro.events.BACKENDS` key naming the event-notification
-    #: mechanism; None means the subclass runs its own loop without one
-    #: (the hybrid composes two mechanisms by hand).  Instances may
-    #: override before ``BaseServer.__init__`` runs.
-    backend_name: Optional[str] = None
+    #: mechanism.  Instances may override before ``BaseServer.__init__``
+    #: runs.
+    backend_name = "poll"
 
     def __init__(self, kernel: "Kernel", site: Optional[StaticSite] = None,
                  config: Optional[ServerConfig] = None):
@@ -188,14 +147,10 @@ class BaseServer:
             ("http.cache", costs.file_cache_lookup, None),
             ("http.build", costs.http_build_response, None),
         )
-        if self.backend_name is not None:
-            # local import: repro.events imports servers.base for the
-            # shared InterestUpdateBatch
-            from ..events import make_backend
-
-            self.backend = make_backend(self.backend_name, self)
-        else:
-            self.backend = None
+        #: the per-event dispatch charge, issued by the event loop
+        self._dispatch_part = ("app.dispatch", costs.app_event_dispatch,
+                               None)
+        self.backend = make_backend(self.backend_name, self)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -210,8 +165,91 @@ class BaseServer:
         self.running = False
 
     def run(self):
-        raise NotImplementedError
-        yield  # pragma: no cover
+        yield from self.open_listener()
+        yield from self.backend.setup()
+        yield from self.event_loop()
+
+    # ------------------------------------------------------------------
+    # the event loop
+    # ------------------------------------------------------------------
+    def event_loop(self):
+        """Wait for events, handle each one, and sweep idle connections
+        when the timer falls due; every server runs this loop."""
+        kernel = self.kernel
+        sim = kernel.sim
+        causal = kernel.causal
+        backend = self.backend
+        next_sweep = sim.now + self.config.timer_interval
+
+        while self.running:
+            if not backend.counts_loops:
+                self.stats.loops += 1
+            ready = yield from backend.wait(deadline=next_sweep)
+
+            for fd, revents in ready:
+                # the per-event dispatch charge and the backend's
+                # bookkeeping (e.g. fdwatch_check_fd(): poll/select
+                # re-search their whole rebuilt array per handled event)
+                # are adjacent pure charges, so they go out as one fused
+                # grant (each part its own FIFO slice)
+                yield kernel.cpu.consume_parts(
+                    (self._dispatch_part,) + backend.dispatch_parts(),
+                    PRIO_USER)
+                if causal.enabled:
+                    causal.dispatch(sim.now, fd)
+                if fd == RTSIG_OVERFLOW:
+                    yield from self.recover_overflow()
+                    break
+                if fd == self.listen_fd:
+                    yield from self.accept_ready()
+                    continue
+                conn = self.conns.get(fd)
+                if conn is None:
+                    self._stale(fd)
+                    continue
+                if revents & POLLNVAL:
+                    self._stale(fd)
+                    yield from self.close_conn(conn)
+                    continue
+                if conn.state == READING and revents & (POLLIN | POLLERR | POLLHUP):
+                    yield from self.read_request(conn)
+                elif conn.state == WRITING and revents & (POLLOUT | POLLERR | POLLHUP):
+                    yield from self.handle_writable(conn)
+                elif backend.strict_state_stale:
+                    # select() cannot re-check a revents mask against the
+                    # connection state; a mismatch is a stale event
+                    self._stale(fd)
+
+            if sim.now >= next_sweep:
+                yield from self.sweep_idle()
+                next_sweep = sim.now + self.config.timer_interval
+
+    def accept_ready(self):
+        """Accept every queued connection and register it."""
+        backend = self.backend
+        new_conns = yield from self.accept_new()
+        for conn in new_conns:
+            yield from backend.register(conn.fd, POLLIN)
+            if backend.arming_misses_readiness and conn.fd in self.conns:
+                # data may have raced ahead of the arming: read it now
+                yield from self.read_request(conn)
+
+    def read_request(self, conn: Connection):
+        """:meth:`handle_readable`, then wait for ``POLLOUT`` if the
+        response is not all written yet."""
+        result = yield from self.handle_readable(conn)
+        if result == "responding":
+            yield from self.backend.modify(conn.fd, POLLOUT)
+
+    def recover_overflow(self):
+        """The backend lost events (the ``RTSIG_OVERFLOW`` sentinel): by
+        default it recovers them itself (the hybrid switches to polling)."""
+        yield from self.backend.recover_overflow()
+
+    def _stale(self, fd: int) -> None:
+        self.stats.stale_events += 1
+        if self.kernel.causal.enabled:
+            self.kernel.causal.stale(self.kernel.sim.now, fd)
 
     # ------------------------------------------------------------------
     # shared setup
@@ -346,8 +384,7 @@ class BaseServer:
         point at which the old per-server overrides staged their
         POLLREMOVEs.  Never charges simulated CPU.
         """
-        if self.backend is not None:
-            self.backend.interest_forget(conn.fd)
+        self.backend.interest_forget(conn.fd)
 
     # ------------------------------------------------------------------
     # idle-timeout sweep

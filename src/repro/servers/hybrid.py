@@ -2,24 +2,15 @@
 
 "Imagine a hybrid server that can switch between polling and processing
 incoming requests via RT signals" -- using the RT-signal-queue maximum as
-the crossover trigger, and, per section 6's re-architecture advice,
-maintaining the kernel interest set *concurrently* with RT-signal-queue
-activity "so switching between polling and signal queue mode [happens]
-with very little overhead".
+the crossover trigger, and keeping the kernel interest set current while
+it runs on signals, so the crossover costs "very little overhead".
 
-Concretely:
-
-* every descriptor is armed for RT signals **and** registered in a
-  /dev/poll interest set at all times;
-* normal operation drains the signal queue (``sigtimedwait4`` batches --
-  itself a section 6 proposal);
-* ``SIGIO`` (queue overflow) flips the server into /dev/poll mode: flush
-  the stale queue, and DP_POLL already knows the whole interest set --
-  no pollfd rebuilding, no one-connection-at-a-time handoff;
-* when DP_POLL returns at most ``low_water_ready`` events for
-  ``calm_loops`` consecutive iterations, the load has subsided: flush
-  the (stale) signal backlog, run one last zero-timeout DP_POLL sweep,
-  and return to signal mode -- the switch-back phhttpd never implemented.
+The server is the shared event loop on the ``hybrid`` backend
+(:class:`repro.events.hybrid_backend.HybridBackend`), which owns both
+mechanisms and the mode switch: a ``SIGIO`` overflow moves it to
+``/dev/poll``, and ``calm_loops`` quiet ``DP_POLL``s move it back to
+signals -- the switch-back phhttpd never implemented.  This module holds
+the configuration and views over the backend's state.
 """
 
 from __future__ import annotations
@@ -28,18 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.devpoll import DevPollConfig
-from ..core.pollfd import DP_ALLOC, DP_POLL, DvPoll
-from ..core.rtsig import SignalNumberAllocator, arm_rtsig
-from ..kernel.constants import (
-    POLLERR,
-    POLLHUP,
-    POLLIN,
-    POLLNVAL,
-    POLLOUT,
-    SIGIO,
-)
-from .base import (READING, WRITING, BaseServer, Connection,
-                   InterestUpdateBatch, ServerConfig)
+from .base import BaseServer, ServerConfig
 
 
 @dataclass
@@ -58,173 +38,24 @@ class HybridConfig(ServerConfig):
 
 class HybridServer(BaseServer):
     name = "hybrid"
+    backend_name = "hybrid"
 
     def __init__(self, kernel, site=None, config: Optional[HybridConfig] = None):
         super().__init__(kernel, site,
                          config if config is not None else HybridConfig())
-        cfg: HybridConfig = self.config  # type: ignore[assignment]
-        self.allocator = SignalNumberAllocator(
-            avoid_linuxthreads=cfg.avoid_linuxthreads)
-        self.mode = "signals"
-        #: (time, new_mode) history -- integration tests assert on this
-        self.mode_switches: List[Tuple[float, str]] = []
-        self.listen_signo = 0
-        self.dp_fd = -1
-        self._updates = InterestUpdateBatch()
-        self._result_area = None
-        #: one idle-sweep deadline for the server's whole life, so mode
-        #: switches never postpone a sweep
-        self._next_sweep = 0.0
 
-    # ------------------------------------------------------------------
-    # interest-set bookkeeping shared by both modes
-    # ------------------------------------------------------------------
-    def _flush_updates(self):
-        if len(self._updates):
-            yield from self.sys.write(self.dp_fd, self._updates.flush())
+    # -- views over the backend's state ---------------------------------
 
-    def interest_forget(self, conn: Connection) -> None:
-        # Stage the POLLREMOVE; the batch coalesces it away entirely if
-        # the kernel never saw this fd.  BaseServer.close_conn invokes
-        # this inside its membership guard, before the fd leaves conns.
-        self._updates.remove(conn.fd)
+    @property
+    def mode(self) -> str:
+        """``"signals"`` or ``"polling"``."""
+        return self.backend.mode
 
-    # ------------------------------------------------------------------
-    def _switch(self, new_mode: str) -> None:
-        self.mode = new_mode
-        self.mode_switches.append((self.kernel.sim.now, new_mode))
-        self.kernel.trace("hybrid", f"mode -> {new_mode} "
-                          f"({len(self.conns)} connections live)")
+    @property
+    def mode_switches(self) -> List[Tuple[float, str]]:
+        """(time, new_mode) history, starting with the initial mode."""
+        return self.backend.mode_switches
 
-    def run(self):
-        sys = self.sys
-        cfg: HybridConfig = self.config  # type: ignore[assignment]
-
-        yield from self.open_listener()
-        self.listen_signo = self.allocator.allocate()
-        yield from arm_rtsig(sys, self.listen_fd, self.listen_signo)
-        self.dp_fd = yield from sys.open_devpoll(cfg.devpoll)
-        if cfg.use_mmap:
-            yield from sys.ioctl(self.dp_fd, DP_ALLOC, cfg.result_capacity)
-            self._result_area = yield from sys.mmap_devpoll(self.dp_fd)
-        self._updates.add(self.listen_fd, POLLIN)
-        self._switch("signals")
-        self._next_sweep = self.kernel.sim.now + cfg.timer_interval
-
-        while self.running:
-            if self.mode == "signals":
-                yield from self._signal_phase()
-            else:
-                yield from self._devpoll_phase()
-
-    # ------------------------------------------------------------------
-    # signal mode
-    # ------------------------------------------------------------------
-    def _signal_phase(self):
-        sys = self.sys
-        cfg: HybridConfig = self.config  # type: ignore[assignment]
-        costs = self.kernel.costs
-        sim = self.kernel.sim
-        sigset = self.allocator.sigset() | {SIGIO}
-
-        while self.running and self.mode == "signals":
-            # keep the kernel interest set current (cheap incremental write)
-            yield from self._flush_updates()
-            timeout = max(0.0, self._next_sweep - sim.now)
-            infos = yield from sys.sigtimedwait4(
-                sigset, cfg.signal_batch, timeout)
-            for info in infos:
-                self.stats.loops += 1
-                yield from sys.cpu_work(costs.app_event_dispatch,
-                                        "app.dispatch")
-                if info.si_signo == SIGIO:
-                    # queue overflowed: the built-in crossover trigger.
-                    # The interest set is already in the kernel, so the
-                    # switch is nearly free (no handoff, no rebuild).
-                    yield from sys.flush_rt_signals()
-                    self.task.signal_queue.clear_classic(SIGIO)
-                    self._switch("polling")
-                    break
-                if info.si_fd == self.listen_fd:
-                    yield from self._handle_listener()
-                    continue
-                conn = self.conns.get(info.si_fd)
-                if conn is None:
-                    self.stats.stale_events += 1
-                    continue
-                yield from self._dispatch(conn, info.si_band)
-            if sim.now >= self._next_sweep:
-                yield from self.sweep_idle()
-                self._next_sweep = sim.now + cfg.timer_interval
-
-    # ------------------------------------------------------------------
-    # polling mode
-    # ------------------------------------------------------------------
-    def _devpoll_phase(self):
-        sys = self.sys
-        cfg: HybridConfig = self.config  # type: ignore[assignment]
-        costs = self.kernel.costs
-        sim = self.kernel.sim
-        calm = 0
-
-        while self.running and self.mode == "polling":
-            yield from self._flush_updates()
-            timeout = max(0.0, self._next_sweep - sim.now)
-            dvp = DvPoll(dp_fds=None if cfg.use_mmap else [],
-                         dp_nfds=cfg.result_capacity, dp_timeout=timeout)
-            ready = yield from sys.ioctl(self.dp_fd, DP_POLL, dvp)
-            self.stats.loops += 1
-            yield from sys.cpu_work(
-                costs.user_scan_per_fd * len(ready), "app.scan")
-            for pfd in ready:
-                yield from sys.cpu_work(costs.app_event_dispatch,
-                                        "app.dispatch")
-                if pfd.fd == self.listen_fd:
-                    yield from self._handle_listener()
-                    continue
-                conn = self.conns.get(pfd.fd)
-                if conn is None:
-                    self.stats.stale_events += 1
-                    continue
-                if pfd.revents & POLLNVAL:
-                    self.stats.stale_events += 1
-                    yield from self.close_conn(conn)
-                    continue
-                yield from self._dispatch(conn, pfd.revents)
-            if sim.now >= self._next_sweep:
-                yield from self.sweep_idle()
-                self._next_sweep = sim.now + cfg.timer_interval
-            # load-subsided detection
-            if len(ready) <= cfg.low_water_ready:
-                calm += 1
-                if calm >= cfg.calm_loops:
-                    # back to signal mode: drop the stale signal backlog,
-                    # then one zero-timeout sweep so nothing is lost.
-                    yield from sys.flush_rt_signals()
-                    self.task.signal_queue.clear_classic(SIGIO)
-                    self._switch("signals")
-                    return
-            else:
-                calm = 0
-
-    # ------------------------------------------------------------------
-    # shared dispatch
-    # ------------------------------------------------------------------
-    def _handle_listener(self):
-        new_conns = yield from self.accept_new()
-        for conn in new_conns:
-            conn.signo = self.allocator.allocate()
-            yield from arm_rtsig(self.sys, conn.fd, conn.signo)
-            self._updates.add(conn.fd, POLLIN)
-            if conn.fd in self.conns:
-                yield from self.handle_readable(conn)
-                if conn.fd in self.conns and conn.state == WRITING:
-                    self._updates.add(conn.fd, POLLOUT)
-
-    def _dispatch(self, conn: Connection, band: int):
-        if conn.state == READING and band & (POLLIN | POLLERR | POLLHUP):
-            result = yield from self.handle_readable(conn)
-            if result == "responding":
-                self._updates.add(conn.fd, POLLOUT)
-        elif conn.state == WRITING and band & (POLLOUT | POLLERR | POLLHUP):
-            yield from self.handle_writable(conn)
+    @property
+    def dp_fd(self) -> int:
+        return self.backend.devpoll.dp_fd

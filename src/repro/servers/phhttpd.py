@@ -4,11 +4,13 @@ Single-threaded in the sense of the paper's section 5.2 benchmarks: one
 signal-worker thread serves requests, and a partner thread exists solely
 to take over with poll() when the RT signal queue overflows.
 
-The signal mechanism itself (arming fds, ``sigtimedwait4`` dequeue,
-overflow detection) lives in
-:class:`repro.events.rtsig_backend.RtsigBackend`; this class keeps what
-is genuinely phhttpd's: the per-event timer update, the race-ahead
-first read after arming, and the section-6 meltdown choreography.
+phhttpd runs the shared event loop (:meth:`BaseServer.event_loop
+<repro.servers.base.BaseServer.event_loop>`) on the ``rtsig`` backend
+(:class:`repro.events.rtsig_backend.RtsigBackend`), which arms fds,
+dequeues signals, detects overflow and has the loop make its race-ahead
+first read after arming.  This module keeps what is genuinely
+phhttpd's: the per-event timer update, charged with the dispatch, the
+poll sibling's set-up, and the section-6 meltdown hand-off.
 
 Faithfully modelled behaviours (sections 2 and 6):
 
@@ -22,11 +24,10 @@ Faithfully modelled behaviours (sections 2 and 6):
 * on queue overflow (``SIGIO``) the worker flushes pending RT signals and
   passes **every connection, one at a time, plus its listener socket**
   to the poll sibling over a UNIX domain socket -- the "probably result
-  in server meltdown" recovery path;
+  in server meltdown" recovery path -- and its own loop ends;
 * the sibling then rebuilds a pollfd array from scratch each iteration
-  (it reuses the unified thttpd loop on the ``poll`` backend) and
-  **never switches back** to signal mode ("Brown never implemented this
-  logic").
+  (the shared loop on the ``poll`` backend) and **never switches back**
+  to signal mode ("Brown never implemented this logic").
 """
 
 from __future__ import annotations
@@ -34,19 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..events.rtsig_backend import RTSIG_OVERFLOW
-from ..kernel.constants import (
-    F_GETFL,
-    F_SETFL,
-    O_ASYNC,
-    POLLERR,
-    POLLHUP,
-    POLLIN,
-    POLLOUT,
-)
-from .base import READING, WRITING, BaseServer, Connection, ServerConfig
+from ..kernel.constants import F_GETFL, F_SETFL, O_ASYNC, POLLIN, POLLOUT
+from .base import READING, BaseServer, Connection, ServerConfig
 from .pool import WorkerPool
-from .thttpd import ThttpdServer
 
 
 @dataclass
@@ -59,14 +50,15 @@ class PhhttpdConfig(ServerConfig):
     per_fd_unique_signals: bool = True
 
 
-class _PollSibling(ThttpdServer):
-    """The partner thread that handles RT-signal-queue overflow."""
+class _PollSibling(BaseServer):
+    """The partner thread that handles RT-signal-queue overflow: a stock
+    thttpd poll() loop once it takes over."""
 
     name = "phhttpd-poll"
-    backend_name = "poll"
+    immediate_write = False
 
     def __init__(self, parent: "PhhttpdServer", handoff_fd: int):
-        BaseServer.__init__(self, parent.kernel, parent.site, parent.config)
+        super().__init__(parent.kernel, parent.site, parent.config)
         # the parent's pool adopts this worker right after construction,
         # pointing stats/request_latency at the combined scoreboard
         self.parent = parent
@@ -107,7 +99,7 @@ class _PollSibling(ThttpdServer):
         self.kernel.trace(
             "phhttpd", f"poll sibling took over {len(self.conns)} "
             f"connections; never switching back")
-        yield from self.poll_loop()
+        yield from self.event_loop()
 
 
 class PhhttpdServer(BaseServer):
@@ -117,6 +109,11 @@ class PhhttpdServer(BaseServer):
     def __init__(self, kernel, site=None, config: Optional[PhhttpdConfig] = None):
         super().__init__(kernel, site,
                          config if config is not None else PhhttpdConfig())
+        costs = self.kernel.costs
+        # each handled signal also updates the connection's timer
+        self._dispatch_part = (
+            "app.dispatch",
+            costs.app_event_dispatch + costs.phhttpd_timer_update, None)
         self.mode = "signals"
         self.overflow_at: Optional[float] = None
         self.takeover_at: Optional[float] = None
@@ -130,10 +127,6 @@ class PhhttpdServer(BaseServer):
     # ------------------------------------------------------------------
     def run(self):
         sys = self.sys
-        cfg: PhhttpdConfig = self.config  # type: ignore[assignment]
-        costs = self.kernel.costs
-        sim = self.kernel.sim
-
         yield from self.open_listener()
         yield from self.backend.setup()
 
@@ -148,52 +141,13 @@ class PhhttpdServer(BaseServer):
         self.handoff_fd = worker_end
         self.pool.spawn_worker(self.sibling)
 
-        next_sweep = sim.now + cfg.timer_interval
-
-        while self.running and self.mode == "signals":
-            events = yield from self.backend.wait(deadline=next_sweep)
-            for fd, band in events:
-                self.stats.loops += 1
-                yield from sys.cpu_work(
-                    costs.app_event_dispatch + costs.phhttpd_timer_update,
-                    "app.dispatch")
-                if self.kernel.causal.enabled:
-                    self.kernel.causal.dispatch(sim.now, fd)
-                if fd == RTSIG_OVERFLOW:
-                    yield from self._overflow_recovery()
-                    break
-                if fd == self.listen_fd:
-                    yield from self._handle_listener()
-                    continue
-                conn = self.conns.get(fd)
-                if conn is None:
-                    # an event queued before close(): treat as a hint only
-                    self.stats.stale_events += 1
-                    if self.kernel.causal.enabled:
-                        self.kernel.causal.stale(sim.now, fd)
-                    continue
-                if conn.state == READING and band & (POLLIN | POLLERR | POLLHUP):
-                    yield from self.handle_readable(conn)
-                elif conn.state == WRITING and band & (POLLOUT | POLLERR | POLLHUP):
-                    yield from self.handle_writable(conn)
-            if sim.now >= next_sweep:
-                yield from self.sweep_idle()
-                next_sweep = sim.now + cfg.timer_interval
-        # In polling mode the worker thread has nothing left to do.
+        yield from self.event_loop()
 
     # ------------------------------------------------------------------
-    def _handle_listener(self):
-        new_conns = yield from self.accept_new()
-        for conn in new_conns:
-            conn.signo = yield from self.backend.register(conn.fd, POLLIN)
-            # data may have raced ahead of F_SETSIG: try a first read now
-            if conn.fd in self.conns:
-                yield from self.handle_readable(conn)
-
-    # ------------------------------------------------------------------
-    def _overflow_recovery(self):
+    def recover_overflow(self):
         """The section 6 meltdown path: flush, then hand every connection
-        (one message each) plus the listener to the poll sibling."""
+        (one message each) plus the listener to the poll sibling.  The
+        worker thread then has nothing left to do, so its loop ends."""
         sys = self.sys
         self.overflow_at = self.kernel.sim.now
         self.mode = "polling"
@@ -220,6 +174,7 @@ class PhhttpdServer(BaseServer):
         self.listen_fd = -1
         yield from sys.send_fds(self.handoff_fd, ("done",), [])
         self.kernel.span_end(span, handoffs=self.handoffs)
+        self.running = False
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

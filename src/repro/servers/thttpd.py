@@ -2,8 +2,8 @@
 
 Historically this module held only the stock poll() build, with the
 select(), /dev/poll, and epoll variants as forked copies of the loop.
-The loop is now written once against the
-:class:`~repro.events.base.EventBackend` protocol; the mechanism is a
+thttpd now runs the shared loop (:meth:`BaseServer.event_loop
+<repro.servers.base.BaseServer.event_loop>`); the mechanism is a
 constructor argument (``backend="poll"`` by default).  The pinned
 variants (:class:`ThttpdSelectServer`, :class:`ThttpdDevpollServer`,
 :class:`ThttpdEpollServer`) live here too.
@@ -23,84 +23,17 @@ from typing import Optional
 
 from ..core.devpoll import DevPollConfig
 from ..core.select_syscall import FD_SETSIZE
-from ..kernel.constants import POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT
-from ..sim.resources import PRIO_USER
-from .base import READING, WRITING, BaseServer, ServerConfig
+from .base import BaseServer, ServerConfig
 
 
 class ThttpdServer(BaseServer):
     name = "thttpd"
     immediate_write = False
-    backend_name = "poll"
 
     def __init__(self, kernel, site=None, config=None, backend=None):
         if backend is not None:
             self.backend_name = backend
         super().__init__(kernel, site, config)
-
-    def run(self):
-        yield from self.open_listener()
-        yield from self.backend.setup()
-        yield from self.poll_loop()
-
-    def poll_loop(self):
-        """The fdwatch loop proper; phhttpd's poll sibling reuses it after
-        an overflow handoff (section 6)."""
-        kernel = self.kernel
-        sim = kernel.sim
-        backend = self.backend
-        next_sweep = sim.now + self.config.timer_interval
-        # the per-event dispatch charge and the backend's bookkeeping
-        # (e.g. fdwatch_check_fd(): poll/select re-search their whole
-        # rebuilt array per handled event) are adjacent pure charges, so
-        # they go out as one fused grant (each part its own FIFO slice)
-        dispatch_part = ("app.dispatch", kernel.costs.app_event_dispatch,
-                         None)
-
-        while self.running:
-            self.stats.loops += 1
-            ready = yield from backend.wait(deadline=next_sweep)
-
-            for fd, revents in ready:
-                yield kernel.cpu.consume_parts(
-                    (dispatch_part,) + backend.dispatch_parts(), PRIO_USER)
-                if self.kernel.causal.enabled:
-                    self.kernel.causal.dispatch(sim.now, fd)
-                if fd == self.listen_fd:
-                    new_conns = yield from self.accept_new()
-                    for conn in new_conns:
-                        yield from backend.register(conn.fd, POLLIN)
-                    continue
-                conn = self.conns.get(fd)
-                if conn is None:
-                    self.stats.stale_events += 1
-                    if self.kernel.causal.enabled:
-                        self.kernel.causal.stale(sim.now, fd)
-                    continue
-                if revents & POLLNVAL:
-                    self.stats.stale_events += 1
-                    if self.kernel.causal.enabled:
-                        self.kernel.causal.stale(sim.now, fd)
-                    yield from self.close_conn(conn)
-                    continue
-                if conn.state == READING and revents & (POLLIN | POLLERR | POLLHUP):
-                    before = conn.state
-                    result = yield from self.handle_readable(conn)
-                    if result == "responding" and before == READING:
-                        # response built; wait for writability next cycle
-                        yield from backend.modify(conn.fd, POLLOUT)
-                elif conn.state == WRITING and revents & (POLLOUT | POLLERR | POLLHUP):
-                    yield from self.handle_writable(conn)
-                elif backend.strict_state_stale:
-                    # select() cannot re-check a revents mask against the
-                    # connection state; a mismatch is a stale event
-                    self.stats.stale_events += 1
-                    if self.kernel.causal.enabled:
-                        self.kernel.causal.stale(sim.now, fd)
-
-            if sim.now >= next_sweep:
-                yield from self.sweep_idle()
-                next_sweep = sim.now + self.config.timer_interval
 
 
 class ThttpdSelectServer(ThttpdServer):

@@ -187,7 +187,7 @@ GOLDEN = {
         "27b098db54043847daae97b5b165a6bbb4148f2a7f219d04a7ad6161c2e34e1c"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
-        "890eb479e533579d113d78ee9cd4420008de2e35877349125078e9e5d7f551c4"),
+        "ecffee68f6a3f7fff84a70ab65fe77484760bfb73bb1ab439b5e73f9705e0978"),
     "hybrid_parked": (
         replace(RTSIG_OVERFLOW, server="hybrid",
                 server_opts={"rtsig_max": 32, "calm_loops": 10**9}),
@@ -268,3 +268,14 @@ def test_traced_twin_measures_what_the_untraced_point_does(records):
         traced.pop("pathologies")
         assert record_digest(traced) == record_digest(records[plain_name]), (
             f"{traced_name} measured differently from {plain_name}")
+
+
+def test_traced_backends_account_every_harvest(records):
+    """A traced point's backend blocks count exactly the waits the
+    causal ledger stamped, one harvest per wait, on every server."""
+    for name in TWINS:
+        pathologies = records[name]["pathologies"]
+        waits = sum(b["waits"] for b in pathologies["backends"])
+        assert waits == pathologies["causal"]["counters"]["waits"] > 0, name
+    hybrid = records["hybrid_rtsig_overflow_traced"]["pathologies"]
+    assert [b["name"] for b in hybrid["backends"]] == ["hybrid"]

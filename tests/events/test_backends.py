@@ -16,6 +16,7 @@ from repro.events import (
     DevpollBackend,
     EpollBackend,
     EventBackend,
+    HybridBackend,
     PollBackend,
     RtsigBackend,
     SelectBackend,
@@ -80,16 +81,18 @@ def open_file(server, name="conn"):
 # registry
 # ---------------------------------------------------------------------------
 
-def test_registry_names_all_five_mechanisms():
-    # the five simulated mechanisms from the paper; the live-* entries
-    # (real-socket runtime) register alongside them when available
+def test_registry_names_all_six_mechanisms():
+    # the five simulated mechanisms from the paper plus its section-6
+    # hybrid; the live-* entries (real-socket runtime) register
+    # alongside them when available
     sim = {name for name in BACKENDS if not name.startswith("live-")}
-    assert sim == {"select", "poll", "devpoll", "rtsig", "epoll"}
+    assert sim == {"select", "poll", "devpoll", "rtsig", "epoll", "hybrid"}
     assert BACKENDS["select"] is SelectBackend
     assert BACKENDS["poll"] is PollBackend
     assert BACKENDS["devpoll"] is DevpollBackend
     assert BACKENDS["rtsig"] is RtsigBackend
     assert BACKENDS["epoll"] is EpollBackend
+    assert BACKENDS["hybrid"] is HybridBackend
 
 
 def test_make_backend_instantiates_by_name(server):
@@ -116,9 +119,15 @@ def test_every_backend_constructs_against_a_server(server):
 def test_capability_flags():
     assert SelectBackend.strict_state_stale is True
     assert SelectBackend.fd_capacity is not None
-    for cls in (PollBackend, DevpollBackend, RtsigBackend, EpollBackend):
+    for cls in (PollBackend, DevpollBackend, RtsigBackend, EpollBackend,
+                HybridBackend):
         assert cls.strict_state_stale is False
         assert cls.fd_capacity is None
+    # only the signal mechanisms count loops and miss prior readiness
+    for name, cls in BACKENDS.items():
+        signals = cls in (RtsigBackend, HybridBackend)
+        assert cls.counts_loops is signals, name
+        assert cls.arming_misses_readiness is signals, name
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.events.devpoll_backend import InterestUpdateBatch
 from repro.kernel.constants import POLLIN, POLLOUT, POLLREMOVE
-from repro.servers.base import Connection, InterestUpdateBatch, ServerConfig
+from repro.servers.base import Connection, ServerConfig
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +23,6 @@ def test_connection_initial_state():
     conn = Connection(5, now=0.0)
     assert conn.state == "reading"
     assert conn.outbuf == b""
-    assert conn.signo == 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,12 @@ def test_connections_are_armed_with_unique_rt_signals(testbed):
     run_until_quiet(testbed, horizon=2,
                     condition=lambda: server.stats.accepts == 3)
     signos = set()
-    for fd, conn in server.conns.items():
+    for fd in server.conns:
         file = server.task.fdtable.get(fd)
         assert file.f_flags & O_ASYNC
         assert file.async_sig >= SIGRTMIN
         assert file.async_owner is server.task
-        signos.add(conn.signo)
+        signos.add(file.async_sig)
     assert len(signos) == 3  # unique per fd
 
 

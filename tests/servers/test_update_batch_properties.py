@@ -13,7 +13,7 @@ from repro.core.devpoll import DevPollFile
 from repro.kernel.constants import POLLIN, POLLOUT
 from repro.kernel.kernel import Kernel
 from repro.kernel.syscalls import SyscallInterface
-from repro.servers.base import InterestUpdateBatch
+from repro.events.devpoll_backend import InterestUpdateBatch
 from repro.sim.engine import Simulator
 from repro.sim.process import spawn
 

@@ -1,54 +1,55 @@
 #!/usr/bin/env python3
 """Capacity vs inactive load: the reproduction's signature summary curve.
 
-For each server, bisect for the highest sustainable request rate at
-increasing inactive-connection counts.  This condenses figures 4-13 into
-one table: stock poll()'s capacity falls roughly linearly with idle
-state, /dev/poll's stays flat, and phhttpd sits in between depending on
-whether its signal queue survived the run.
+For each event backend, search for the highest sustainable request rate
+at increasing inactive-connection counts.  This condenses figures 4-13
+into one table: stock poll()'s capacity falls roughly linearly with idle
+state, /dev/poll's stays flat, phhttpd (rtsig) sits in between depending
+on whether its signal queue survived the run, and the section-6 hybrid
+falls back to its /dev/poll interest set when the queue overflows.
 
-Run:  python examples/capacity_curve.py [--servers thttpd,thttpd-devpoll]
-      (full curve takes a while; each cell is a small bisection search)
+Every (backend, load) pair is one capacity-matrix cell: the same
+bracket-then-bisect search ``python -m repro capacity`` runs.
+
+Run:  python examples/capacity_curve.py [--backends poll,devpoll] [--jobs 2]
+      (the full curve takes a while; each cell is a small search)
 """
 
 import argparse
-import time
 
 from repro.bench import format_table
-from repro.bench.calibration import measure_capacity
+from repro.bench.capacity import (CapacitySearch, matrix_cells,
+                                  run_capacity_matrix)
 
-DEFAULT_SERVERS = ("thttpd", "thttpd-devpoll", "phhttpd", "hybrid")
+DEFAULT_BACKENDS = ("poll", "devpoll", "rtsig", "hybrid")
 DEFAULT_LOADS = (1, 126, 251, 501)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--servers", type=str,
-                        default=",".join(DEFAULT_SERVERS))
+    parser.add_argument("--backends", type=str,
+                        default=",".join(DEFAULT_BACKENDS))
     parser.add_argument("--loads", type=str,
                         default=",".join(str(l) for l in DEFAULT_LOADS))
     parser.add_argument("--duration", type=float, default=4.0)
     parser.add_argument("--tolerance", type=float, default=100.0)
+    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    servers = args.servers.split(",")
-    loads = [int(l) for l in args.loads.split(",")]
-
-    rows = []
-    for server in servers:
-        for load in loads:
-            start = time.time()
-            est = measure_capacity(server, inactive=load,
-                                   low=200, high=1600,
-                                   tolerance=args.tolerance,
-                                   duration=args.duration)
-            rows.append((server, load, est.capacity, len(est.probes)))
-            print(f"  {server} @ load {load}: ~{est.capacity:.0f} replies/s "
-                  f"({len(est.probes)} probes, {time.time()-start:.0f}s)")
+    cells = matrix_cells(args.backends.split(","),
+                         [int(l) for l in args.loads.split(",")])
+    search = CapacitySearch(low=200.0, high=1600.0,
+                            tolerance=args.tolerance,
+                            duration=args.duration, timeline=0.0)
+    artifact = run_capacity_matrix(cells, search=search, jobs=args.jobs,
+                                   name="capacity_curve", on_event=print)
+    rows = [(cell["backend"], cell["server"], cell["inactive"],
+             cell["capacity"], len(cell["probes"]))
+            for cell in artifact["cells"]]
 
     print()
     print(format_table(
-        ["server", "inactive", "capacity replies/s", "probes"],
+        ["backend", "server", "inactive", "capacity replies/s", "probes"],
         rows, title="sustainable capacity vs inactive-connection load"))
     print()
     print("The paper in one table: /dev/poll's capacity is flat in idle "

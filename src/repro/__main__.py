@@ -663,7 +663,7 @@ def main(argv=None) -> int:
     p_point.add_argument("--seed", type=int, default=0)
     p_point.add_argument("--backend", metavar="NAME",
                          help="pin an event backend (select, poll, "
-                              "devpoll, rtsig, epoll; live-epoll/"
+                              "devpoll, rtsig, epoll, hybrid; live-epoll/"
                               "live-select with --runtime live); "
                               "overrides SERVER")
     p_point.add_argument("--runtime", choices=("sim", "live"),

@@ -12,9 +12,8 @@ _EXPORTS = {
     **dict.fromkeys((
         "CALIBRATION_VERSION", "default_calibration_path", "dump_calibration",
         "load_calibration", "run_calibration"), "calibrate"),
-    **dict.fromkeys((
-        "CapacityEstimate", "cpu_breakdown", "measure_capacity",
-        "per_request_cost_us"), "calibration"),
+    **dict.fromkeys(("cpu_breakdown", "per_request_cost_us"),
+                    "calibration"),
     **dict.fromkeys((
         "CAPACITY_ARTIFACT_VERSION", "CapacitySearch", "CellSpec",
         "default_artifact_path", "dump_capacity_artifact",

@@ -1,120 +1,18 @@
-"""Capacity probing and CPU-breakdown tools.
+"""CPU-breakdown tools for one benchmark point.
 
 The reproduction matches the paper's *shapes*, which depend on where each
-server's saturation knee falls.  These helpers measure the knee and
-attribute CPU so cost-model changes can be validated quantitatively
-(DESIGN.md records the calibration targets: ~1000-1100 req/s at load 1
-on the 0.4-speed server host).
+server's saturation knee falls.  The knee itself is found by the capacity
+matrix (:mod:`repro.bench.capacity`); these helpers attribute a point's
+CPU so cost-model changes can be validated quantitatively (DESIGN.md
+records the calibration targets: ~1000-1100 req/s at load 1 on the
+0.4-speed server host).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .harness import BenchmarkPoint, PointResult, run_point
-
-
-@dataclass
-class CapacityEstimate:
-    """Result of a capacity bisection: the knee plus every probe taken."""
-
-    server: str
-    inactive: int
-    capacity: float                 # replies/s at the knee
-    probes: List[Tuple[float, float]] = field(default_factory=list)
-    #: event backend the probes ran on (None = the server's own)
-    backend: Optional[str] = None
-    #: SMP shape of the probed server host
-    cpus: int = 1
-    workers: int = 1
-    dispatch: str = "hash"
-
-    def __str__(self) -> str:  # pragma: no cover - presentation only
-        shown = (f"{self.server} [{self.backend}]" if self.backend
-                 else self.server)
-        smp = (f", {self.cpus} cpus x {self.workers} workers"
-               if self.cpus != 1 or self.workers != 1 else "")
-        return (f"{shown} @ {self.inactive} inactive{smp}: "
-                f"~{self.capacity:.0f} replies/s")
-
-
-def measure_capacity(server: str, inactive: int = 1,
-                     low: float = 100.0, high: float = 2000.0,
-                     tolerance: float = 50.0, duration: float = 4.0,
-                     seed: int = 0,
-                     server_opts: Optional[Dict[str, Any]] = None,
-                     sustain_fraction: float = 0.95,
-                     jobs: int = 1,
-                     backend: Optional[str] = None,
-                     cpus: int = 1, workers: int = 1,
-                     dispatch: str = "hash") -> CapacityEstimate:
-    """Bisect for the highest offered rate the server still sustains.
-
-    A rate is "sustained" when the measured average reply rate reaches
-    ``sustain_fraction`` of it with under 2% errors.  Returns the knee
-    estimate plus every probe taken.
-
-    ``backend`` pins every probe to one event backend (overriding the
-    server kind, exactly like :attr:`BenchmarkPoint.backend`), and
-    ``cpus``/``workers``/``dispatch`` probe an SMP server host; all
-    four travel into the returned estimate.
-
-    The bisection itself is inherently sequential (each probe depends
-    on the last), but with ``jobs > 1`` the two bracket probes run
-    concurrently; both always appear in ``probes``, so a parallel run
-    takes one extra ``high`` probe when ``low`` is already unsustained.
-    """
-    probes: List[Tuple[float, float]] = []
-
-    def estimate(capacity: float) -> CapacityEstimate:
-        return CapacityEstimate(server, inactive, capacity, probes,
-                                backend=backend, cpus=cpus,
-                                workers=workers, dispatch=dispatch)
-
-    def judge(result) -> bool:
-        rate = result.point.rate
-        probes.append((rate, result.reply_rate.avg))
-        return (result.reply_rate.avg >= sustain_fraction * rate
-                and result.error_percent < 2.0)
-
-    def make_point(rate: float) -> BenchmarkPoint:
-        return BenchmarkPoint(
-            server=server, backend=backend, rate=rate, inactive=inactive,
-            duration=duration, seed=seed,
-            cpus=cpus, workers=workers, dispatch=dispatch,
-            server_opts=dict(server_opts or {}))
-
-    def sustained(rate: float) -> bool:
-        return judge(run_point(make_point(rate)))
-
-    if jobs > 1:
-        from .parallel import run_points
-
-        outcomes = run_points([make_point(low), make_point(high)], jobs=jobs)
-        if any(not o.ok for o in outcomes):
-            raise RuntimeError(
-                "capacity bracket probe failed: "
-                + "; ".join(o.error for o in outcomes if not o.ok))
-        low_ok = judge(outcomes[0].result)
-        high_ok = judge(outcomes[1].result)
-        if not low_ok:
-            return estimate(0.0)
-        if high_ok:
-            return estimate(high)
-    else:
-        if not sustained(low):
-            return estimate(0.0)
-        if sustained(high):
-            return estimate(high)
-    lo, hi = low, high
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if sustained(mid):
-            lo = mid
-        else:
-            hi = mid
-    return estimate(lo)
+from .harness import PointResult
 
 
 def _server_busy_by_category(result: PointResult) -> Dict[str, float]:

@@ -2,12 +2,12 @@
 
 The paper's bottom line is a *capacity* claim -- which readiness
 mechanism sustains the highest reply rate once thousands of inactive
-connections pile onto the interest set.  :func:`measure_capacity`
-(:mod:`repro.bench.calibration`) answers that for one operating point;
-this module generalizes it into a **matrix driver** that binary-searches
-the saturation knee of every requested cell and emits one
-schema-versioned ``CAPACITY_<name>.json`` artifact -- the input to the
-self-contained HTML report (:mod:`repro.obs.report`).
+connections pile onto the interest set.  This module is the project's
+one capacity searcher: a **matrix driver** that binary-searches the
+saturation knee of every requested cell (one cell answers the question
+for one operating point) and emits one schema-versioned
+``CAPACITY_<name>.json`` artifact -- the input to the self-contained
+HTML report (:mod:`repro.obs.report`).
 
 A *cell* is a fully specified server shape: event backend, inactive
 load, and SMP configuration (``cpus x workers``).  Each cell runs the

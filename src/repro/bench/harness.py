@@ -60,6 +60,7 @@ BACKEND_TO_KIND: Dict[str, str] = {
     "devpoll": "thttpd-devpoll",
     "epoll": "thttpd-epoll",
     "rtsig": "phhttpd",
+    "hybrid": "hybrid",
     # the live backends run the unified loop on the live runtime; a
     # point naming one must also set runtime="live" (checked below)
     "live-epoll": "thttpd",

@@ -99,11 +99,12 @@ SUITES: Dict[str, BenchSuite] = {
     "backends": BenchSuite(
         "backends",
         "one smoke-scale point per event backend (select, poll, devpoll, "
-        "rtsig, epoll) through the unified repro.events API",
+        "rtsig, epoll, hybrid) through the unified repro.events API",
         tuple(
             BenchmarkPoint(server=BACKEND_TO_KIND[backend], backend=backend,
                            rate=150.0, inactive=50, duration=1.5)
-            for backend in ("select", "poll", "devpoll", "rtsig", "epoll"))),
+            for backend in ("select", "poll", "devpoll", "rtsig", "epoll",
+                            "hybrid"))),
 }
 
 

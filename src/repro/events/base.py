@@ -15,16 +15,18 @@ while others are free at declaration time and pay at ``wait`` (the
 ``poll`` backend rebuilds its array every loop).  Backends that do no
 simulated work for an operation simply return without yielding.
 
-Charge-sequence fidelity matters: the four pre-existing backends
-reproduce their legacy server loops' CPU charges *exactly* -- same
-categories, same amounts, same order -- so benchmark records for
-existing seeds are byte-identical to the pre-refactor servers.
+Charge-sequence fidelity matters: every backend reproduces the CPU
+charges of the server loop it replaced *exactly* -- same categories,
+same amounts, same order -- so benchmark records for existing seeds are
+byte-identical to the servers' own loops, phhttpd's and the hybrid's
+included.
 
 ``wait`` takes a ``deadline`` (absolute sim time of the next idle
 sweep) rather than a relative timeout because each mechanism computes
 its timeout at a different point in its loop: ``poll``/``select``
 convert after charging the per-fd array build (which advances simulated
-time), ``/dev/poll``/rtsig/epoll convert on entry.
+time), ``/dev/poll``/rtsig/epoll convert on entry, and the hybrid after
+flushing its staged ``/dev/poll`` updates.
 """
 
 from __future__ import annotations

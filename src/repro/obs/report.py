@@ -572,8 +572,16 @@ def _pathology_section(artifact: Dict[str, Any]) -> str:
         spurious = sum(b.get("spurious_wakeups", 0) for b in backends)
         reg_sum = sum(b.get("registered_sum", 0) for b in backends)
         reg_per_wait = (reg_sum / waits) if waits else None
-        stale = (p.get("server") or {}).get("stale_events", 0)
-        overflows = (p.get("signal_queue") or {}).get("overflows", 0)
+        # a cell with several processes lists one entry per process: the
+        # servers share one scoreboard, but each task has its own queue
+        server = p.get("server") or {}
+        if isinstance(server, list):
+            server = server[0]
+        stale = server.get("stale_events", 0)
+        queues = p.get("signal_queue") or []
+        if isinstance(queues, dict):
+            queues = [queues]
+        overflows = sum(q.get("overflows", 0) for q in queues)
         recoveries = counters.get("sigio_recovery_episodes", 0)
         smp = p.get("smp") or {}
         lock_ms = 1e3 * (smp.get("bkl_wait_s", 0.0)

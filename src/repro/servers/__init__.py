@@ -1,5 +1,6 @@
-"""The paper's web servers: thttpd (poll), thttpd+/dev/poll, phhttpd
-(RT signals), and the section-6 hybrid.
+"""The paper's web servers: thttpd (poll, select, /dev/poll, epoll),
+phhttpd (RT signals), and the section-6 hybrid, all on one event loop
+(:meth:`BaseServer.event_loop`) over an event backend.
 
 Each exported name is imported from its submodule on first access
 (PEP 562), so a caller loads only the servers it names.

@@ -363,10 +363,11 @@ class BaseServer:
         return "closed"
 
     def close_conn(self, conn: Connection):
-        """Tear down one connection, dropping any event-interest state
-        first (via :meth:`interest_forget`)."""
+        """Tear down one connection, dropping the backend's interest state
+        first: once per close, while the fd is still this connection's
+        (a ``/dev/poll`` backend stages its POLLREMOVE here)."""
         if conn.fd in self.conns:
-            self.interest_forget(conn)
+            self.backend.interest_forget(conn.fd)
             del self.conns[conn.fd]
             if conn.span is not None:
                 self.kernel.span_end(conn.span, outcome="aborted")
@@ -375,16 +376,6 @@ class BaseServer:
                 yield from self.sys.close(conn.fd)
             except SyscallError:
                 pass
-
-    def interest_forget(self, conn: Connection) -> None:
-        """Drop event-interest bookkeeping for a connection being closed.
-
-        Runs exactly once per close, inside :meth:`close_conn`'s
-        membership guard, *before* the fd leaves ``conns`` -- the same
-        point at which the old per-server overrides staged their
-        POLLREMOVEs.  Never charges simulated CPU.
-        """
-        self.backend.interest_forget(conn.fd)
 
     # ------------------------------------------------------------------
     # idle-timeout sweep

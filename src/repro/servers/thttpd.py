@@ -1,19 +1,17 @@
-"""thttpd: the single-process event loop, parameterized by backend.
+"""thttpd on the shared event loop, parameterized by backend.
 
-Historically this module held only the stock poll() build, with the
-select(), /dev/poll, and epoll variants as forked copies of the loop.
-thttpd now runs the shared loop (:meth:`BaseServer.event_loop
-<repro.servers.base.BaseServer.event_loop>`); the mechanism is a
+thttpd runs :meth:`BaseServer.event_loop
+<repro.servers.base.BaseServer.event_loop>`; the mechanism is a
 constructor argument (``backend="poll"`` by default).  The pinned
 variants (:class:`ThttpdSelectServer`, :class:`ThttpdDevpollServer`,
 :class:`ThttpdEpollServer`) live here too.
 
-The poll() default still models thttpd 2.x's fdwatch weaknesses the
-paper calls out: the pollfd array is rebuilt from scratch every
-iteration (section 6), every open connection -- active or inactive --
-appears in every poll call, and a periodic timer sweep closes idle
-connections.  Those per-loop costs live in the backend now, charged in
-exactly the order the forked loops charged them.
+The poll() default models thttpd 2.x's fdwatch weaknesses the paper
+calls out: the pollfd array is rebuilt from scratch every iteration
+(section 6), every open connection -- active or inactive -- appears in
+every poll call, and a periodic timer sweep closes idle connections.
+Those per-loop costs live in the backend, charged in exactly the order
+thttpd's own loop charged them.
 """
 
 from __future__ import annotations

@@ -1,84 +1,9 @@
-"""Tests for the capacity probe and CPU attribution helpers."""
+"""Tests for the CPU attribution helpers."""
 
 import pytest
 
-from repro.bench.calibration import (
-    cpu_breakdown,
-    measure_capacity,
-    per_request_cost_us,
-)
+from repro.bench.calibration import cpu_breakdown, per_request_cost_us
 from repro.bench.harness import BenchmarkPoint, run_point
-
-
-def test_measure_capacity_finds_a_knee():
-    est = measure_capacity("thttpd-devpoll", inactive=1,
-                           low=100, high=2400, tolerance=300,
-                           duration=2.0, seed=3)
-    # DESIGN.md calibration target: the 0.4-speed host saturates around
-    # 1000-1300 replies/s at load 1
-    assert 700 <= est.capacity <= 1600
-    assert len(est.probes) >= 3
-    # probes at or below the knee sustained their offered rate
-    for rate, measured in est.probes:
-        if rate <= est.capacity:
-            assert measured >= 0.9 * rate
-
-
-def test_measure_capacity_converges_within_tolerance():
-    est = measure_capacity("thttpd-devpoll", inactive=1,
-                           low=100, high=2400, tolerance=300,
-                           duration=2.0, seed=3)
-    # the knee is bracketed: some probe within tolerance above the
-    # returned capacity was offered and not sustained
-    assert 0 < est.capacity < 2400
-    overshoots = [rate for rate, measured in est.probes
-                  if rate > est.capacity and measured < 0.95 * rate]
-    assert overshoots
-    assert min(overshoots) - est.capacity <= 300
-
-
-def test_measure_capacity_zero_when_server_absent_rate_unreachable():
-    est = measure_capacity("thttpd", inactive=1, low=5000, high=6000,
-                           tolerance=500, duration=1.0, seed=0)
-    assert est.capacity == 0.0
-    # serial search stops at the first unsustained bracket probe
-    assert len(est.probes) == 1
-    assert est.probes[0][0] == 5000
-
-
-def test_measure_capacity_threads_backend_and_smp_shape():
-    est = measure_capacity("thttpd-select", inactive=1,
-                           low=100, high=200, tolerance=100,
-                           duration=2.0, seed=0,
-                           backend="select", cpus=2, workers=2,
-                           dispatch="round-robin")
-    assert est.backend == "select"
-    assert est.cpus == 2
-    assert est.workers == 2
-    assert est.dispatch == "round-robin"
-    assert est.server == "thttpd-select"
-    assert est.capacity > 0
-
-
-def test_measure_capacity_parallel_bracket_matches_serial():
-    kwargs = dict(inactive=1, low=100, high=900, tolerance=400,
-                  duration=2.0, seed=0)
-    serial = measure_capacity("thttpd-devpoll", **kwargs)
-    fanned = measure_capacity("thttpd-devpoll", jobs=2, **kwargs)
-    assert fanned.capacity == serial.capacity
-    # bisection probes after the bracket are identical; the parallel
-    # bracket may add one extra high probe when low is unsustained
-    assert fanned.probes[2:] == serial.probes[2:]
-    assert fanned.probes[:2] == serial.probes[:2]
-
-
-def test_measure_capacity_probe_history_is_deterministic():
-    kwargs = dict(inactive=1, low=100, high=1700, tolerance=400,
-                  duration=2.0, seed=7)
-    first = measure_capacity("thttpd-devpoll", **kwargs)
-    second = measure_capacity("thttpd-devpoll", **kwargs)
-    assert first.capacity == second.capacity
-    assert first.probes == second.probes
 
 
 def test_cpu_breakdown_and_per_request_cost():

@@ -16,6 +16,7 @@ from repro.bench.capacity import (
     parse_smp,
     run_capacity_matrix,
 )
+from repro.obs.report import render_report
 
 #: one cheap cell: bracket decides (tolerance spans the whole range)
 FAST = CapacitySearch(low=100.0, high=400.0, tolerance=300.0,
@@ -92,6 +93,43 @@ def test_matrix_artifact_schema(tmp_path):
     path = tmp_path / default_artifact_path("t")
     dump_capacity_artifact(artifact, str(path))
     assert load_capacity_artifact(str(path)) == json.loads(path.read_text())
+
+
+def test_devpoll_knee_at_load_1_lies_in_the_calibration_range():
+    search = CapacitySearch(low=100.0, high=2400.0, tolerance=300.0,
+                            duration=2.0, seed=3, timeline=0.0)
+    (cell,) = run_capacity_matrix(matrix_cells(["devpoll"], [1]),
+                                  search=search)["cells"]
+    # DESIGN.md calibration target: the 0.4-speed host saturates around
+    # 1000-1300 replies/s at load 1
+    assert 700 <= cell["capacity"] <= 1600
+    # the knee is bracketed: probes up to it sustained their rate, and
+    # one within tolerance above it did not
+    probes = cell["probes"]
+    assert all(p["sustained"] for p in probes if p["rate"] <= cell["capacity"])
+    overshoots = [p["rate"] for p in probes if not p["sustained"]]
+    assert 0 < min(overshoots) - cell["capacity"] <= 300
+
+
+def test_smp_cell_lists_every_process_and_renders():
+    """A 2x2 round-robin rtsig cell runs two phhttpd workers, each with
+    its poll sibling: the knee's pathology block lists every process,
+    and the report reads the shared scoreboard and sums the queues."""
+    cells = matrix_cells(["rtsig"], [1], smp=[(2, 2)],
+                         dispatch="round-robin")
+    artifact = run_capacity_matrix(cells, search=FAST, name="smp")
+    (cell,) = artifact["cells"]
+    assert (cell["label"], cell["server"], cell["dispatch"]) == \
+        ("rtsig@1/2x2", "phhttpd", "round-robin")
+    assert cell["capacity"] > 0
+    pathologies = cell["knee"]["pathologies"]
+    assert [b["name"] for b in pathologies["backends"]] == \
+        ["rtsig", "poll", "rtsig", "poll"]
+    assert len(pathologies["server"]) == 4
+    assert len(pathologies["signal_queue"]) == 2
+    html = render_report(artifact)
+    assert "Pathologies at the knee" in html
+    assert "rtsig@1/2x2" in html
 
 
 def test_unsustainable_low_short_circuits():

@@ -26,7 +26,7 @@ def _kernel():
 
 #: every simulated event backend (the live ones are not equivalence
 #: candidates -- they run on real sockets)
-SIM_BACKENDS = ("select", "poll", "devpoll", "rtsig", "epoll")
+SIM_BACKENDS = ("select", "poll", "devpoll", "rtsig", "epoll", "hybrid")
 
 NON_SIMULATED_KEYS = set(WALL_CLOCK_FIELDS) | {"sim_events"}
 

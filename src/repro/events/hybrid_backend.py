@@ -1,11 +1,9 @@
 """Hybrid backend: RT signals over a ``/dev/poll`` interest set (section 6).
 
-"Imagine a hybrid server that can switch between polling and processing
-incoming requests via RT signals", with the RT-signal queue maximum as
-the crossover trigger.  Per section 6's advice the kernel interest set
-is maintained *concurrently* with RT-signal activity, "so switching
-between polling and signal queue mode [happens] with very little
-overhead".  The backend composes the two existing mechanisms:
+The paper's imagined hybrid switches between RT signals and polling at
+the signal-queue limit, and keeps the kernel interest set current while
+it runs on signals so the switch costs "very little overhead".  The
+backend composes the two existing mechanisms:
 
 * every descriptor is armed for RT signals (:class:`RtsigBackend`) **and**
   staged into a ``/dev/poll`` interest set (:class:`DevpollBackend`);

@@ -11,7 +11,7 @@ falls back to its /dev/poll interest set when the queue overflows.
 Every (backend, load) pair is one capacity-matrix cell: the same
 bracket-then-bisect search ``python -m repro capacity`` runs.
 
-Run:  python examples/capacity_curve.py [--backends poll,devpoll] [--jobs 2]
+Run:  python examples/capacity_curve.py [--backends poll,devpoll]
       (the full curve takes a while; each cell is a small search)
 """
 
@@ -33,7 +33,6 @@ def main() -> None:
                         default=",".join(str(l) for l in DEFAULT_LOADS))
     parser.add_argument("--duration", type=float, default=4.0)
     parser.add_argument("--tolerance", type=float, default=100.0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     cells = matrix_cells(args.backends.split(","),
@@ -41,7 +40,7 @@ def main() -> None:
     search = CapacitySearch(low=200.0, high=1600.0,
                             tolerance=args.tolerance,
                             duration=args.duration, timeline=0.0)
-    artifact = run_capacity_matrix(cells, search=search, jobs=args.jobs,
+    artifact = run_capacity_matrix(cells, search=search,
                                    name="capacity_curve", on_event=print)
     rows = [(cell["backend"], cell["server"], cell["inactive"],
              cell["capacity"], len(cell["probes"]))

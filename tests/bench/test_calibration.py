@@ -1,9 +1,48 @@
-"""Tests for the CPU attribution helpers."""
+"""Tests for the capacity calibration range and CPU attribution helpers."""
 
 import pytest
 
 from repro.bench.calibration import cpu_breakdown, per_request_cost_us
+from repro.bench.capacity import (
+    CapacitySearch,
+    matrix_cells,
+    run_capacity_matrix,
+)
 from repro.bench.harness import BenchmarkPoint, run_point
+
+
+@pytest.fixture(scope="module")
+def devpoll_knee_cell():
+    """The capacity search over devpoll at load 1, run once per module."""
+    search = CapacitySearch(low=100.0, high=2400.0, tolerance=300.0,
+                            duration=2.0, seed=3, timeline=0.0)
+    (cell,) = run_capacity_matrix(matrix_cells(["devpoll"], [1]),
+                                  search=search)["cells"]
+    return cell
+
+
+def test_measure_capacity_finds_a_knee(devpoll_knee_cell):
+    cell = devpoll_knee_cell
+    # DESIGN.md calibration target: the 0.4-speed host saturates around
+    # 1000-1300 replies/s at load 1
+    assert 700 <= cell["capacity"] <= 1600
+    assert len(cell["probes"]) >= 3
+    # probes at or below the knee sustained their offered rate
+    for probe in cell["probes"]:
+        if probe["rate"] <= cell["capacity"]:
+            assert probe["sustained"]
+            assert probe["reply_steady"] >= 0.9 * probe["rate"]
+
+
+def test_measure_capacity_converges_within_tolerance(devpoll_knee_cell):
+    cell = devpoll_knee_cell
+    # the knee is bracketed: some probe within tolerance above the
+    # returned capacity was offered and not sustained
+    assert 0 < cell["capacity"] < 2400
+    overshoots = [p["rate"] for p in cell["probes"]
+                  if p["rate"] > cell["capacity"] and not p["sustained"]]
+    assert overshoots
+    assert min(overshoots) - cell["capacity"] <= 300
 
 
 def test_cpu_breakdown_and_per_request_cost():

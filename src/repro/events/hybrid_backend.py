@@ -17,7 +17,10 @@ backend composes the two existing mechanisms:
 * in polling mode ``wait`` is one ``DP_POLL``; once ``calm_loops``
   consecutive polls return at most ``low_water_ready`` events, the next
   wait flushes the signal backlog and returns to signal mode -- the
-  switch-back phhttpd never implemented.
+  switch-back phhttpd never implemented.  The flush also drops the
+  signals of readiness that arrived after the last poll, so that wait
+  ends with one more ``DP_POLL``, with a zero timeout, and returns what
+  it finds.
 
 A wait of either mechanism is one wait of this backend: the two are
 accounted under it (:attr:`EventBackend.owner`).  The server counts one
@@ -93,9 +96,12 @@ class HybridBackend(EventBackend):
              deadline: Optional[float] = None) -> Generator:
         cfg = self.server.config
         if self.mode == "polling" and self._calm >= cfg.calm_loops:
-            # the load has subsided: drop the stale signal backlog
+            # the load has subsided: drop the stale signal backlog, then
+            # harvest without blocking what the dropped signals reported
             yield from self._drop_signal_backlog()
             self._switch("signals")
+            self.server.stats.loops += 1
+            return (yield from self.devpoll.wait(max_events, 0.0))
         # keep the kernel interest set current before taking the timeout
         yield from self.devpoll.flush()
         if self.mode == "signals":

@@ -184,10 +184,10 @@ GOLDEN = {
         "47945aef6c18df5bc51073279905f9c203dc8909f9d6b56bbbfd3fda52c8cabb"),
     "hybrid_rtsig_overflow": (
         replace(RTSIG_OVERFLOW, server="hybrid"),
-        "27b098db54043847daae97b5b165a6bbb4148f2a7f219d04a7ad6161c2e34e1c"),
+        "a495e7798f971e694ac55f1cee65d8a302557813b77a07f63f0b710f481772ee"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
-        "ecffee68f6a3f7fff84a70ab65fe77484760bfb73bb1ab439b5e73f9705e0978"),
+        "d4904e05f37817fbaefb443eb07b4a2696fe2a3438d5e5b35d0e71e842034ff9"),
     "hybrid_parked": (
         replace(RTSIG_OVERFLOW, server="hybrid",
                 server_opts={"rtsig_max": 32, "calm_loops": 10**9}),

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.http.content import DEFAULT_DOCUMENT_BYTES
+from repro.http.messages import get_request, parse_status
+from repro.kernel.syscalls import SyscallInterface
 from repro.servers.hybrid import HybridConfig, HybridServer
+from repro.sim.process import spawn
 
 from .conftest import fetch_documents, run_until_quiet
 
@@ -58,6 +61,57 @@ def test_switches_back_when_load_subsides(testbed):
     run_until_quiet(testbed, horizon=testbed.sim.now + 10,
                     condition=lambda: len(late) == 3)
     assert all(late[i][0] == 200 for i in range(3))
+
+
+def test_request_in_the_switch_back_window_is_answered(testbed,
+                                                      monkeypatch):
+    """The switch back flushes the RT-signal queue.  A request whose
+    signal was queued after the last calm ``DP_POLL`` loses it there,
+    and is still answered, long before the idle sweep could close it."""
+    server = make_server(testbed, rtsig_max=4, calm_loops=3,
+                         low_water_ready=2, idle_timeout=30.0)
+    sys = SyscallInterface(testbed.client_kernel.new_task("late", fd_limit=64))
+    late = {}
+
+    def connect():
+        late["fd"] = yield from sys.socket()
+        yield from sys.connect(late["fd"], testbed.server_addr, timeout=10.0)
+
+    def request():
+        yield from sys.write(late["fd"], get_request("/index.html"))
+        reply = b""
+        while True:
+            data = yield from sys.read(late["fd"], 65536)
+            if data == b"":
+                break
+            reply += data
+        late["status"] = parse_status(reply)
+
+    spawn(testbed.sim, connect(), "late-connect")
+    run_until_quiet(testbed, horizon=testbed.sim.now + 1,
+                    condition=lambda: server.stats.accepts == 1)
+
+    backend = server.backend
+    drop_signal_backlog = backend._drop_signal_backlog
+
+    def request_arrives_first():
+        if backend.mode == "polling" and "sent" not in late:
+            # the switch back: the request lands and queues its signal
+            late["sent"] = testbed.sim.now
+            spawn(testbed.sim, request(), "late-request")
+            yield 0.01
+        yield from drop_signal_backlog()
+
+    monkeypatch.setattr(backend, "_drop_signal_backlog",
+                        request_arrives_first)
+    fetch_documents(testbed, 6, partial=True, spacing=0.001)
+    burst = fetch_documents(testbed, 12, spacing=0.001)
+    run_until_quiet(testbed, horizon=testbed.sim.now + 5,
+                    condition=lambda: len(burst) == 12 and "status" in late)
+    assert "sent" in late
+    assert [m for _t, m in server.mode_switches][-2:] == ["polling",
+                                                         "signals"]
+    assert late.get("status") == 200
 
 
 def test_no_events_lost_across_switches(testbed):

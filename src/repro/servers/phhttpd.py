@@ -59,8 +59,10 @@ class _PollSibling(BaseServer):
 
     def __init__(self, parent: "PhhttpdServer", handoff_fd: int):
         super().__init__(parent.kernel, parent.site, parent.config)
-        # the parent's pool adopts this worker right after construction,
-        # pointing stats/request_latency at the combined scoreboard
+        # the worker/sibling pair shares one scoreboard: the worker's,
+        # which a prefork pool has replaced with its own by now
+        self.stats = parent.stats
+        self.request_latency = parent.request_latency
         self.parent = parent
         self.handoff_fd = handoff_fd
         self.took_over = False
@@ -120,9 +122,6 @@ class PhhttpdServer(BaseServer):
         self.handoffs = 0
         self.handoff_fd = -1
         self.sibling: Optional[_PollSibling] = None
-        #: the worker/sibling pair shares one scoreboard through a pool
-        self.pool = WorkerPool(kernel, stats=self.stats,
-                               request_latency=self.request_latency)
 
     # ------------------------------------------------------------------
     def run(self):
@@ -134,12 +133,11 @@ class PhhttpdServer(BaseServer):
         # reachable over a UNIX domain socketpair (fork-style inheritance)
         worker_end, sibling_end = yield from sys.socketpair()
         self.sibling = _PollSibling(self, handoff_fd=-1)
-        self.pool.adopt(self.sibling)
-        self.sibling.handoff_fd = self.pool.inherit_fd(
+        self.sibling.handoff_fd = WorkerPool.inherit_fd(
             self, sibling_end, self.sibling)
         yield from sys.close(sibling_end)
         self.handoff_fd = worker_end
-        self.pool.spawn_worker(self.sibling)
+        self.sibling.start()
 
         yield from self.event_loop()
 
@@ -179,7 +177,8 @@ class PhhttpdServer(BaseServer):
     # ------------------------------------------------------------------
     def stop(self) -> None:
         super().stop()
-        self.pool.stop()
+        if self.sibling is not None:
+            self.sibling.stop()
 
     @property
     def signal_queue_depth(self) -> int:

@@ -71,3 +71,19 @@ def test_round_robin_dispatch_spreads_exactly():
     group = result.testbed.server_stack.get_listener(80)
     routed = sorted(m.syns_routed for m in group.members)
     assert routed[1] - routed[0] <= 1  # strict alternation
+
+
+def test_phhttpd_poll_sibling_records_into_the_pool_scoreboard():
+    """One prefork phhttpd worker overflows its RT-signal queue and hands
+    its connections to its poll sibling; the sibling's responses and
+    service times land on the pool's scoreboard with the workers'."""
+    result = run_point(BenchmarkPoint(
+        server="phhttpd", rate=1600.0, inactive=256, duration=0.5,
+        cpus=2, workers=2, dispatch="round-robin",
+        server_opts={"rtsig_max": 8}))
+    workers = result.server.workers
+    assert any(w.sibling.took_over for w in workers)
+    replies = result.httperf.replies_ok
+    assert replies > 0
+    assert result.server_stats.responses == replies
+    assert result.server.request_latency.count == replies

@@ -85,9 +85,10 @@ class EventBackend:
         #: the backend whose stats and causal harvests this one's waits
         #: count under: itself, or a backend composing it (the hybrid)
         self.owner = self
-        #: ``events.<name>.<op>`` counters; the tally builds each name
-        #: once, so counting stays off the per-call string formatting
-        self._counts = server.kernel.metrics.tally(f"events.{self.name}")
+        #: the kernel's counts, under ``events.<name>.<op>``; each name
+        #: is built once, so counting stays off per-call string formatting
+        self._counts = server.kernel.counters
+        self._count_names: Dict[str, str] = {}
 
     # -- conveniences over the owning server ---------------------------
 
@@ -108,7 +109,10 @@ class EventBackend:
         return self.server.kernel.costs
 
     def _count(self, op: str, by: int = 1) -> None:
-        self._counts.inc(op, by)
+        name = self._count_names.get(op)
+        if name is None:
+            name = self._count_names[op] = f"events.{self.name}.{op}"
+        self._counts[name] += by
 
     def _deadline_timeout(self, deadline: Optional[float],
                           timeout: Optional[float]) -> Optional[float]:

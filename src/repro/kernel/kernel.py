@@ -60,9 +60,10 @@ class Kernel:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: event-causality ledger (repro.obs.causal); disabled by default
         self.causal = causal if causal is not None else NULL_LEDGER
-        #: one registry per host; every kernel/net/server tally lives here
+        #: one registry per host; every kernel/net/server count lives here
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters = self.metrics.tally()
+        #: count name -> value (the registry's ``counts``)
+        self.counters = self.metrics.counts
         #: simulated-CPU profiler (repro.obs.profiler); None = off
         self.profiler = profiler
         if profiler is not None:

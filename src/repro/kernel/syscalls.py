@@ -86,7 +86,7 @@ class SyscallInterface:
         """Count one syscall under its counter ``key`` (``"sys.read"``,
         spelled out at each call site so no name is built per call) and
         charge the entry cost."""
-        self.kernel.counters.inc(key)
+        self.kernel.counters[key] += 1
         yield from self._charge(self.costs.syscall_entry, "syscall")
 
     def cpu_work(self, seconds: float, category: str = "user"):
@@ -111,7 +111,7 @@ class SyscallInterface:
         if file.fuse_write_entry and data:
             # files that opt in (the /dev/poll interest list) take the
             # syscall-entry charge fused with their own update charge
-            kernel.counters.inc("sys.write")
+            kernel.counters["sys.write"] += 1
             result = yield from file.do_write(
                 self.task, data, entry_part=kernel.fused.entry_part)
             return result
@@ -124,7 +124,7 @@ class SyscallInterface:
         if file is None:
             raise SyscallError(EBADF, f"close({fd})")
         kernel = self.kernel
-        kernel.counters.inc("sys.close")
+        kernel.counters["sys.close"] += 1
         yield kernel.cpu.consume_parts(kernel.fused.close_parts, PRIO_USER)
         self.task.fdtable.close(fd)
         return 0
@@ -157,7 +157,7 @@ class SyscallInterface:
     def fcntl(self, fd: int, op: int, arg: int = 0):
         file = self._file(fd)
         kernel = self.kernel
-        kernel.counters.inc("sys.fcntl")
+        kernel.counters["sys.fcntl"] += 1
         yield kernel.cpu.consume_parts(kernel.fused.fcntl_parts, PRIO_USER)
         if op == F_GETFL:
             return file.f_flags
@@ -200,7 +200,7 @@ class SyscallInterface:
         absolute time -- becomes the relative timeout at the end of the
         build, as a caller computing it itself would have.
         """
-        self.kernel.counters.inc("sys.poll")
+        self.kernel.counters["sys.poll"] += 1
         result = yield from sys_poll(
             self.task, interests, timeout, deadline_abs=deadline,
             build_part=build_part, tail_parts=tail_parts)
@@ -216,7 +216,7 @@ class SyscallInterface:
         forced the authors to modify httperf (section 5).  The fused
         keywords mirror :meth:`poll`.
         """
-        self.kernel.counters.inc("sys.select")
+        self.kernel.counters["sys.select"] += 1
         result = yield from sys_select(
             self.task, readfds, writefds, timeout, deadline_abs=deadline,
             build_part=build_part, tail_parts=tail_parts)
@@ -275,7 +275,7 @@ class SyscallInterface:
             yield from self._enter("sys.epoll_ctl")
             raise SyscallError(EINVAL, f"epoll_ctl: fd {epfd} is not epoll")
         # the epoll instance charges the entry fused with its own work
-        self.kernel.counters.inc("sys.epoll_ctl")
+        self.kernel.counters["sys.epoll_ctl"] += 1
         result = yield from file.ctl(self.task, op, fd, events)
         return result
 
@@ -349,7 +349,7 @@ class SyscallInterface:
         kernel = self.kernel
         if kernel.net is None:
             raise SyscallError(ENOTSOCK, "no network stack attached")
-        kernel.counters.inc("sys.socket")
+        kernel.counters["sys.socket"] += 1
         yield kernel.cpu.consume_parts(kernel.fused.socket_parts, PRIO_USER)
         file = SocketFile(self.kernel)
         fd = self.task.fdtable.alloc(file)
@@ -390,7 +390,7 @@ class SyscallInterface:
         """Blocking connect (with optional caller timeout)."""
         sock = require_socket(self._file(fd))
         kernel = self.kernel
-        kernel.counters.inc("sys.connect")
+        kernel.counters["sys.connect"] += 1
         yield kernel.cpu.consume_parts(kernel.fused.connect_parts, PRIO_USER)
         result = yield from sock.do_connect(self.task, addr, timeout)
         return result

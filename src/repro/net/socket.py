@@ -171,7 +171,7 @@ class SocketFile(File):
                 wait_for = min(rto, remaining)
             endpoint.send_syn(host, port)
             if attempt > 0:
-                stack.counters.inc("tcp.syn_retransmits")
+                stack.counters["tcp.syn_retransmits"] += 1
             timed_out, errno_code = yield from wait_with_timeout(
                 sim, endpoint.connect_result, wait_for)
             if not timed_out:

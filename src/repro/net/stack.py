@@ -34,9 +34,9 @@ class NetStack:
         self.network = network
         self.host_name = host_name if host_name is not None else kernel.name
         self.time_wait_seconds = time_wait_seconds
-        #: tallies live in the owning kernel's metrics registry, so one
+        #: counts live in the owning kernel's metrics registry, so one
         #: snapshot shows syscall counts and TCP counters side by side
-        self.counters = kernel.metrics.tally()
+        self.counters = kernel.metrics.counts
         self._open_gauge = kernel.metrics.gauge("tcp.open_connections")
         #: plain Listener, or a ReusePortGroup once SO_REUSEPORT sockets
         #: share the port
@@ -124,7 +124,7 @@ class NetStack:
         if isinstance(listener, ReusePortGroup):
             listener = listener.select(client_end, self.reuseport_dispatch)
         if listener is None:
-            self.counters.inc("tcp.syn_refused")
+            self.counters["tcp.syn_refused"] += 1
             self.charge_tx(1)  # the RST
             client_end.syn_refused()
             return
@@ -144,7 +144,7 @@ class NetStack:
         self._open_gauge.set(max(0, self._open_gauge.value - 1))
         if time_wait:
             self.time_wait_count += 1
-            self.counters.inc("tcp.time_wait_entered")
+            self.counters["tcp.time_wait_entered"] += 1
             self.sim.schedule(
                 self.time_wait_seconds, self._leave_time_wait, endpoint)
         elif endpoint.owns_port:

@@ -375,7 +375,7 @@ class Listener:
         if len(self.queue) >= self.backlog:
             # Linux drops the SYN silently; the client's RTO retries.
             self.syn_drops += 1
-            self.stack.counters.inc("tcp.syn_drops")
+            self.stack.counters["tcp.syn_drops"] += 1
             return
         server_end = TcpEndpoint(
             self.stack, self.port, client_end.stack.host_name,
@@ -385,7 +385,7 @@ class Listener:
         server_end.established = True
         self.queue.append(server_end)
         self.stack.connection_opened()
-        self.stack.counters.inc("tcp.accepted_queued")
+        self.stack.counters["tcp.accepted_queued"] += 1
         client_end.syn_accepted(server_end)
         self.notify(POLLIN)
 

@@ -53,9 +53,7 @@ _EXPORTS = {
         "ascii_flame", "collapse_profile", "collapse_spans", "folded_stacks",
         "write_folded"), "flame"),
     "LatencyHistogram": "latency",
-    **dict.fromkeys((
-        "Counter", "Gauge", "Histogram", "MetricsRegistry", "Tally"),
-        "metrics"),
+    **dict.fromkeys(("Gauge", "Histogram", "MetricsRegistry"), "metrics"),
     **dict.fromkeys(("CpuProfiler", "ProfileReport", "split_category"),
                     "profiler"),
     **dict.fromkeys(("render_report", "write_report"), "report"),

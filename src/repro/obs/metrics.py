@@ -1,15 +1,19 @@
-"""Metrics registry: named counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: named counts, gauges, and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` lives on each simulated host's kernel and
-collects every tally the kernel, network stack, and servers keep.  The
-old ad-hoc ``repro.sim.stats.Counter`` (a bare labelled dict) is now a
-:class:`Tally` -- a thin dict-like view over registry counters -- so all
-statistics end up in one queryable, renderable place.
+collects every count the kernel, network stack, event backends and
+servers keep, so all statistics end up in one queryable, renderable
+place.
 
 Design notes:
 
-* metrics are created on first use (``registry.counter("sys.read")``)
-  and requesting an existing name with a different kind raises;
+* counts are plain ints in one name -> int dict,
+  :attr:`MetricsRegistry.counts`, which its owners update in place
+  (``kernel.counters["sys.read"] += 1``): counting is on the syscall
+  hot path, so it costs no call;
+* gauges and histograms are created on first use
+  (``registry.gauge("tcp.open_connections")``), and requesting an
+  existing name with a different kind raises;
 * histogram buckets are *fixed at creation* (upper bounds, inclusive:
   a value lands in the first bucket whose bound is >= the value, or in
   the overflow bucket past the last bound) -- observation is O(buckets)
@@ -21,31 +25,13 @@ Design notes:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 #: default histogram bounds: exponential microseconds-to-seconds scale,
 #: suitable for both CPU charges and connection times (in seconds)
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    kind = "counter"
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += by
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name}={self.value}>"
 
 
 class Gauge:
@@ -114,23 +100,24 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Create-on-first-use directory of named metrics."""
+    """Named counts, plus create-on-first-use gauges and histograms."""
 
     def __init__(self) -> None:
+        #: count name -> value; a name appears once it is first counted
+        self.counts: DefaultDict[str, int] = defaultdict(int)
         self._metrics: Dict[str, object] = {}
 
     def _get_or_create(self, name: str, factory, kind: str):
         metric = self._metrics.get(name)
         if metric is None:
+            if name in self.counts:
+                raise ValueError(f"metric {name!r} is already a count")
             metric = factory()
             self._metrics[name] = metric
         elif metric.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {metric.kind}")
         return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), "counter")
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, lambda: Gauge(name), "gauge")
@@ -140,23 +127,22 @@ class MetricsRegistry:
         return self._get_or_create(
             name, lambda: Histogram(name, buckets), "histogram")
 
-    def tally(self, prefix: str = "") -> "Tally":
-        """A dict-like counter family view bound to this registry."""
-        return Tally(self, prefix)
-
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted([*self._metrics, *self.counts])
 
     def get(self, name: str):
+        """The gauge or histogram called ``name``, else None."""
         return self._metrics.get(name)
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-data dump of every metric (JSON-serializable)."""
         out: Dict[str, object] = {}
         for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
+            metric = self._metrics.get(name)
+            if metric is None:
+                out[name] = self.counts[name]
+            elif isinstance(metric, Histogram):
                 out[name] = {
                     "count": metric.count,
                     "sum": metric.sum,
@@ -173,63 +159,13 @@ class MetricsRegistry:
         """One metric per line, histograms summarized."""
         lines = []
         for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
+            metric = self._metrics.get(name)
+            if metric is None:
+                lines.append(f"{name}: {self.counts[name]}")
+            elif isinstance(metric, Histogram):
                 lines.append(f"{name}: n={metric.count} "
                              f"mean={metric.mean():.6g}")
             else:
                 lines.append(f"{name}: {metric.value}")
         return "\n".join(lines)
 
-
-class Tally:
-    """Labelled counter family -- the old ``sim.stats.Counter`` API.
-
-    ``inc``/``get`` address counters by key; with a ``prefix`` the keys
-    map to registry names ``prefix.key``.  Constructed bare (``Tally()``)
-    it owns a private registry, which keeps the historic standalone
-    ``Counter()`` usage working.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = ""):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        # key -> Counter cache: ``inc`` sits on the syscall-entry hot
-        # path, so repeat increments must not pay the name join and the
-        # registry's create-or-check lookup every time.
-        self._counters: Dict[str, Counter] = {}
-
-    def _name(self, key: str) -> str:
-        return f"{self.prefix}.{key}" if self.prefix else key
-
-    def inc(self, key: str, by: int = 1) -> None:
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self.registry.counter(self._name(key))
-            self._counters[key] = counter
-        counter.inc(by)
-
-    def get(self, key: str) -> int:
-        metric = self.registry.get(self._name(key))
-        return metric.value if isinstance(metric, Counter) else 0
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Snapshot dict of this family's counters (prefix stripped)."""
-        strip = len(self.prefix) + 1 if self.prefix else 0
-        out: Dict[str, int] = {}
-        for name in self.registry.names():
-            metric = self.registry.get(name)
-            if not isinstance(metric, Counter):
-                continue
-            if self.prefix and not name.startswith(self.prefix + "."):
-                continue
-            out[name[strip:]] = metric.value
-        return out
-
-    def keys(self) -> Iterable[str]:
-        return self.counts.keys()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Tally prefix={self.prefix!r} {self.counts}>"

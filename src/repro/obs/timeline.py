@@ -14,8 +14,8 @@ snapshots, every ``interval`` *simulated* seconds:
   difference adjacent samples into per-interval utilization);
 * the server run-queue depth (grants queued across all CPUs);
 * a configurable slice of the server kernel's metrics registry --
-  counters and gauges matched by name prefix (by default the TCP
-  open-connections gauge and the per-backend ``events.*`` tallies,
+  counts and gauges matched by name prefix (by default the TCP
+  open-connections gauge and the per-backend ``events.*`` counts,
   whose deltas are "events delivered per interval").
 
 Sampling is pure observation: the tick callback reads state and
@@ -31,8 +31,6 @@ per matrix cell and the HTML report charts it.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from .metrics import Counter, Gauge
 
 #: registry names (exact or prefix ending in ".") sampled by default
 DEFAULT_SERIES: Tuple[str, ...] = ("tcp.open_connections", "events.")
@@ -105,13 +103,11 @@ class TimelineSampler:
             self.dropped += 1
             return
         kernel = self.testbed.server_kernel
-        metrics: Dict[str, float] = {}
-        for name in kernel.metrics.names():
-            if not _matches(name, self.series):
-                continue
-            metric = kernel.metrics.get(name)
-            if isinstance(metric, (Counter, Gauge)):
-                metrics[name] = metric.value
+        # counts and gauges: the snapshot's plain numbers
+        metrics = {name: value
+                   for name, value in kernel.metrics.snapshot().items()
+                   if _matches(name, self.series)
+                   and not isinstance(value, dict)}
         self.samples.append({
             "t": round(self._rel_now(), 9),
             "cpu_busy": [round(cpu.busy_time, 9) for cpu in kernel.cpus],

@@ -132,7 +132,7 @@ class LiveKernel:
     everything the shared server/backend code touches: ``sim.now``,
     ``costs``, ``cpu``, ``smp`` (always ``None`` -- the live host is
     one process), ``tracer``/``causal`` observation hooks, the metrics
-    ``counters`` tally, and ``trace``/``span``/``span_end``.
+    ``counters`` dict, and ``trace``/``span``/``span_end``.
     """
 
     def __init__(self, runtime: "LiveRuntime", costs: CostModel,
@@ -149,7 +149,7 @@ class LiveKernel:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.causal = NULL_LEDGER
         self.metrics = MetricsRegistry()
-        self.counters = self.metrics.tally()
+        self.counters = self.metrics.counts
         self._pid = 0
 
     def next_pid(self) -> int:
@@ -207,7 +207,7 @@ class LiveSyscallInterface:
     def _enter(self, key: str, modeled_extra: float = 0.0):
         """Count one syscall under its counter ``key`` (``"sys.read"``)
         and charge its modeled cost."""
-        self.kernel.counters.inc(key)
+        self.kernel.counters[key] += 1
         self.kernel.cpu.consume(self.costs.syscall_entry + modeled_extra,
                                 category="syscall")
 

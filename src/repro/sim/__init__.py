@@ -13,13 +13,12 @@ from .process import (
 )
 from .resources import CPU, Channel, PRIO_SOFTIRQ, PRIO_USER
 from .rng import RngStreams
-from .stats import Counter, ErrorCounter, RateSummary, SampleSet, WindowedRate
+from .stats import ErrorCounter, RateSummary, SampleSet, WindowedRate
 
 __all__ = [
     "AnyOf",
     "CPU",
     "Channel",
-    "Counter",
     "ErrorCounter",
     "Event",
     "PRIO_SOFTIRQ",

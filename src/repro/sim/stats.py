@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..obs.metrics import Tally
-
 
 class WindowedRate:
     """Counts events into fixed-width time windows and reports rates.
@@ -175,9 +173,3 @@ class ErrorCounter:
             "refused": self.refused,
             "other": self.other,
         }
-
-
-#: The tiny labelled tally used for kernel/server internal statistics
-#: now lives in the observability layer as a registry-backed counter
-#: family; this alias keeps the historic name and API working.
-Counter = Tally

@@ -1,23 +1,8 @@
-"""Metrics registry: counters, gauges, histogram bucket edges, Tally."""
+"""Metrics registry: counts, gauges, histogram bucket edges."""
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Tally,
-)
-
-
-def test_counter_monotonic():
-    c = Counter("x")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 
 
 def test_gauge_moves_both_ways():
@@ -65,23 +50,25 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("a")
+        reg.counts["a"] += 1
         with pytest.raises(ValueError):
             reg.gauge("a")
         with pytest.raises(ValueError):
             reg.histogram("a")
+        reg.gauge("g")
+        with pytest.raises(ValueError):
+            reg.histogram("g")
 
     def test_snapshot_is_plain_data(self):
         import json
 
         reg = MetricsRegistry()
-        reg.counter("c").inc(3)
+        reg.counts["c"] += 3
         reg.gauge("g").set(1.5)
         reg.histogram("h", buckets=(1.0,)).observe(0.5)
         snap = json.loads(json.dumps(reg.snapshot()))
@@ -92,41 +79,21 @@ class TestRegistry:
 
     def test_render_lists_every_metric(self):
         reg = MetricsRegistry()
-        reg.counter("sys.read").inc()
+        reg.counts["sys.read"] += 1
         reg.histogram("lat", buckets=(1.0,)).observe(0.5)
         text = reg.render()
         assert "sys.read: 1" in text
         assert "lat: n=1" in text
 
 
-class TestTally:
-    def test_standalone_matches_old_counter_api(self):
-        t = Tally()
-        t.inc("read")
-        t.inc("read", 2)
-        t.inc("write")
-        assert t.get("read") == 3
-        assert t.get("missing") == 0
-        assert t.counts == {"read": 3, "write": 1}
-        assert set(t.keys()) == {"read", "write"}
-
-    def test_shared_registry_with_prefix(self):
+    def test_a_count_exists_once_counted(self):
         reg = MetricsRegistry()
-        t = reg.tally(prefix="sys")
-        t.inc("read")
-        assert reg.counter("sys.read").value == 1
-        assert t.counts == {"read": 1}
-
-    def test_two_tallies_on_one_registry_stay_distinct(self):
-        reg = MetricsRegistry()
-        sys_t = reg.tally(prefix="sys")
-        tcp_t = reg.tally(prefix="tcp")
-        sys_t.inc("read")
-        tcp_t.inc("segments")
-        assert sys_t.counts == {"read": 1}
-        assert tcp_t.counts == {"segments": 1}
-
-    def test_sim_stats_counter_is_tally(self):
-        from repro.sim.stats import Counter as LegacyCounter
-
-        assert LegacyCounter is Tally
+        assert reg.counts.get("sys.read") is None
+        assert reg.names() == []
+        reg.counts["sys.read"] += 1
+        reg.counts["events.poll.events"] += 0  # counted, by nothing
+        reg.gauge("tcp.open_connections").set(2)
+        assert reg.names() == ["events.poll.events", "sys.read",
+                               "tcp.open_connections"]
+        assert reg.snapshot() == {"events.poll.events": 0, "sys.read": 1,
+                                  "tcp.open_connections": 2}

@@ -6,7 +6,6 @@ import statistics
 import pytest
 
 from repro.sim.stats import (
-    Counter,
     ErrorCounter,
     RateSummary,
     SampleSet,
@@ -172,7 +171,7 @@ def test_sampleset_interleaved_add_and_query():
 
 
 # ---------------------------------------------------------------------------
-# ErrorCounter / Counter
+# ErrorCounter
 # ---------------------------------------------------------------------------
 
 def test_error_counter_total_and_percent():
@@ -186,11 +185,3 @@ def test_error_counter_as_dict():
     ec = ErrorCounter(timeouts=5)
     assert ec.as_dict()["timeouts"] == 5
     assert set(ec.as_dict()) == {"fd_unavail", "timeouts", "refused", "other"}
-
-
-def test_counter_inc_get():
-    c = Counter()
-    c.inc("x")
-    c.inc("x", 4)
-    assert c.get("x") == 5
-    assert c.get("missing") == 0

@@ -12,14 +12,15 @@ Subcommands:
                                    examples/paper_figures.py)
 * ``bench --suite NAME``        -- run a named suite, write the
                                    canonical ``BENCH_<suite>.json``
-* ``compare OLD NEW``           -- diff two BENCH artifacts; exits
-                                   nonzero on regression (the CI gate)
 * ``trace SERVER RATE LOAD``    -- run one point with the causal ledger
                                    on; export a Chrome trace-event JSON
                                    (load it in Perfetto / about:tracing)
-* ``diff OLD NEW``              -- attributed diff of two BENCH or two
-                                   CAPACITY artifacts: what moved, and
-                                   which subsystem/pathology moved it
+* ``diff OLD NEW``              -- attributed diff of two BENCH, two
+                                   CAPACITY or two CALIBRATION
+                                   artifacts: what moved, and which
+                                   subsystem/pathology moved it; exits 1
+                                   when two BENCH artifacts differ past
+                                   the gate (the CI gate)
 * ``selfperf``                  -- measure the harness's own speed
                                    (simulator events per host second)
 * ``capacity``                  -- binary-search the saturation knee of
@@ -104,7 +105,7 @@ def cmd_info(_args) -> int:
     print("profile : `repro profile SERVER RATE LOAD` attributes server "
           "CPU to (subsystem, operation)")
     print("bench   : `repro bench --suite smoke --out BENCH_smoke.json`, "
-          "then `repro compare OLD NEW` gates on regressions")
+          "then `repro diff OLD NEW` gates on regressions")
     print("capacity: `repro capacity --backends select,epoll --inactive "
           "1,251 --jobs 2 --out report.html` maps the saturation knees "
           "and renders a self-contained HTML report")
@@ -343,25 +344,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    """Diff two BENCH artifacts; exit nonzero on regression."""
-    from repro.bench.regression import Tolerances, compare_artifacts
-    from repro.bench.suites import load_artifact
-
-    artifacts = []
-    for path in (args.old, args.new):
-        try:
-            artifacts.append(load_artifact(path))
-        except (OSError, ValueError, json.JSONDecodeError) as err:
-            print(f"repro: cannot read {path}: {err}", file=sys.stderr)
-            return 2
-    report = compare_artifacts(artifacts[0], artifacts[1], Tolerances(
-        reply_rate=args.reply_tol, error_percent=args.error_tol,
-        latency_p99=args.latency_tol, cpu=args.cpu_tol))
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def cmd_trace(args) -> int:
     """Run one traced point; export the causal Chrome trace JSON."""
     from repro.bench import BenchmarkPoint, run_point
@@ -410,21 +392,28 @@ def cmd_trace(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    """Attributed diff of two BENCH or two CAPACITY artifacts."""
-    from repro.bench.diffing import render_diff
+    """Attributed diff of two artifacts: exit 1 when two BENCH artifacts
+    differ past the gate, 2 when a file cannot be read."""
+    from repro.bench.diffing import artifact_kind, gate_findings, render_diff
+    from repro.bench.suites import check_artifact
 
     artifacts = []
     for path in (args.old, args.new):
         try:
             with open(path, encoding="utf-8") as fh:
-                artifacts.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as err:
+                artifact = json.load(fh)
+            if not isinstance(artifact, dict):
+                raise ValueError("not a JSON object")
+            if artifact_kind(artifact) == "bench":
+                check_artifact(artifact)
+        except (OSError, ValueError) as err:
             print(f"repro: cannot read {path}: {err}", file=sys.stderr)
             return 2
-    text = render_diff(artifacts[0], artifacts[1],
-                       old_name=args.old, new_name=args.new, top=args.top)
-    print(text)
-    return 2 if text.startswith("cannot diff") else 0
+        artifacts.append(artifact)
+    old, new = artifacts
+    print(render_diff(old, new, old_name=args.old, new_name=args.new,
+                      top=args.top))
+    return 1 if gate_findings(old, new) else 0
 
 
 def cmd_calibrate(args) -> int:
@@ -742,20 +731,6 @@ def main(argv=None) -> int:
     p_bench.add_argument("--list", action="store_true",
                          help="list available suites and exit")
 
-    p_cmp = sub.add_parser(
-        "compare", help="diff two BENCH artifacts; nonzero on regression")
-    p_cmp.add_argument("old")
-    p_cmp.add_argument("new")
-    p_cmp.add_argument("--reply-tol", type=float, default=0.10,
-                       help="max relative reply-rate drop (default 0.10)")
-    p_cmp.add_argument("--error-tol", type=float, default=1.0,
-                       help="max absolute error-%% increase (default 1.0)")
-    p_cmp.add_argument("--latency-tol", type=float, default=0.30,
-                       help="max relative p99 increase (default 0.30)")
-    p_cmp.add_argument("--cpu-tol", type=float, default=0.10,
-                       help="max absolute cpu-utilization increase "
-                            "(default 0.10)")
-
     p_trace = sub.add_parser(
         "trace", help="run one traced point; export Chrome trace JSON "
                       "(causal wakeup chains + spans, Perfetto-loadable)")
@@ -771,7 +746,8 @@ def main(argv=None) -> int:
                               "(default trace.json)")
 
     p_diff = sub.add_parser(
-        "diff", help="attributed diff of two BENCH or CAPACITY artifacts")
+        "diff", help="attributed diff of two artifacts; exit 1 when two "
+                     "BENCH artifacts differ past the gate")
     p_diff.add_argument("old")
     p_diff.add_argument("new")
     p_diff.add_argument("--top", type=int, default=8,
@@ -890,8 +866,6 @@ def main(argv=None) -> int:
         return cmd_flame(args)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "compare":
-        return cmd_compare(args)
     if args.command == "trace":
         return cmd_trace(args)
     if args.command == "diff":

@@ -41,9 +41,6 @@ _EXPORTS = {
         "SelfPerfResult", "run_engine_churn", "run_point_workload",
         "run_selfperf"), "selfperf"),
     **dict.fromkeys((
-        "ComparisonReport", "MetricDelta", "Tolerances", "compare_artifacts"),
-        "regression"),
-    **dict.fromkeys((
         "ascii_histogram", "ascii_plot", "format_table", "reply_rate_table"),
         "reporting"),
     **dict.fromkeys((

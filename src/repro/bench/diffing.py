@@ -1,9 +1,7 @@
-"""Attributed diffs between two benchmark artifacts (``repro diff``).
+"""Attributed diffs between two artifacts, and the CI gate (``repro diff``).
 
-``repro compare`` answers *did it regress* (tolerance gate, exit code);
-this module answers *what moved and why*.  Given two BENCH or two
-CAPACITY artifacts it aligns their entries by label and reports, per
-entry:
+Given two BENCH, two CAPACITY or two CALIBRATION artifacts, the diff
+aligns their entries by label and reports, per entry:
 
 * the headline measurement deltas (reply rate, error %, p99, CPU);
 * the top profiler movers -- which ``(subsystem, operation)`` rows
@@ -13,15 +11,56 @@ entry:
   sides carry a ``pathologies`` block -- spurious wakeups, stale
   events, rtsig overflows, lock wait, and friends.
 
+Two BENCH artifacts also go through the gate (:func:`gate_findings`);
+``repro diff`` exits 1 on any finding, as Unix ``diff`` does when its
+inputs differ.  A finding is one of:
+
+* a shared point whose headline moved past its limit: ``reply_rate.avg``
+  dropped by more than :data:`REPLY_RATE_DROP` (relative; a rise never
+  flags), ``error_percent`` rose by more than
+  :data:`ERROR_PERCENT_RISE` points, the client p99 rose by more than
+  :data:`P99_RISE` (relative) *and* :data:`P99_RISE_FLOOR_MS`, or
+  ``cpu_utilization`` rose by more than :data:`CPU_RISE`.  A metric
+  missing on either side never flags;
+* a structural difference: different suites, different config
+  fingerprints, a point on one side only, or a point that *failed* to
+  run on either side -- the runs measured different experiments (or
+  nothing).
+
 Wall-clock fields (:data:`repro.bench.records.WALL_CLOCK_FIELDS`) are
-host measurements, not simulation results, and never appear in a diff.
-Rendering is pure text on plain dicts, so it works on any artifact
-version that loads.
+host measurements, not simulation results, and never appear in a diff
+or a finding.  Rendering is pure text on plain dicts, so it works on
+any artifact version that loads.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
+
+#: the gate's limits on a shared BENCH point (see the module docstring)
+REPLY_RATE_DROP = 0.25      # relative drop of the average reply rate
+ERROR_PERCENT_RISE = 2.0    # rise of the error percentage, in points
+P99_RISE = 0.50             # relative rise of the client p99 ...
+P99_RISE_FLOOR_MS = 0.5     # ... that must also exceed this many ms
+CPU_RISE = 0.20             # rise of the CPU utilization (0..1)
+
+#: a BENCH point's headline metrics: (printed name, reader, print scale,
+#: digits, the gate's test of (old, new), that test in words)
+_HEADLINES = (
+    ("replies/s avg", lambda e: (e.get("reply_rate") or {}).get("avg"),
+     1, 1, lambda a, b: b < a * (1.0 - REPLY_RATE_DROP),
+     f"dropped more than {REPLY_RATE_DROP:.0%}"),
+    ("error %", lambda e: e.get("error_percent"),
+     1, 2, lambda a, b: b > a + ERROR_PERCENT_RISE,
+     f"rose more than {ERROR_PERCENT_RISE:g} points"),
+    ("p99 ms", lambda e: (e.get("latency_percentiles") or {}).get("p99"),
+     1, 2, lambda a, b: (b > a * (1.0 + P99_RISE)
+                         and b - a > P99_RISE_FLOOR_MS),
+     f"rose more than {P99_RISE:.0%} and {P99_RISE_FLOOR_MS:g} ms"),
+    ("cpu %", lambda e: e.get("cpu_utilization"),
+     100, 1, lambda a, b: b > a + CPU_RISE,
+     f"rose more than {100 * CPU_RISE:g} points"),
+)
 
 
 def artifact_kind(artifact: Dict[str, Any]) -> str:
@@ -143,17 +182,11 @@ def _diff_bench_entry(old: Dict[str, Any], new: Dict[str, Any],
     if old.get("failed") or new.get("failed"):
         return [f"    failed: {bool(old.get('failed'))} -> "
                 f"{bool(new.get('failed'))}"]
-    old_pct = old.get("latency_percentiles") or {}
-    new_pct = new.get("latency_percentiles") or {}
     lines = _metric_lines([
-        ("replies/s avg", (old.get("reply_rate") or {}).get("avg"),
-         (new.get("reply_rate") or {}).get("avg"), "", 1),
-        ("error %", old.get("error_percent"), new.get("error_percent"),
-         "", 2),
-        ("p99 ms", old_pct.get("p99"), new_pct.get("p99"), "", 2),
-        ("cpu %", _scale(old.get("cpu_utilization"), 100),
-         _scale(new.get("cpu_utilization"), 100), "", 1),
-    ], "    ")
+        (name, _scale(read(old), scale), _scale(read(new), scale), "",
+         digits)
+        for name, read, scale, digits, _past, _limit in _HEADLINES],
+        "    ")
     lines += _profile_mover_lines(old.get("profile"), new.get("profile"),
                                   top, "    ")
     lines += _pathology_lines(old.get("pathologies"),
@@ -307,8 +340,7 @@ def render_diff(old: Dict[str, Any], new: Dict[str, Any],
                      f"({old_fp} -> {new_fp}); deltas below include "
                      "configuration effects, not just code changes")
     key = "points" if kind == "bench" else "cells"
-    old_by = {e.get("label"): e for e in old.get(key, [])}
-    new_by = {e.get("label"): e for e in new.get(key, [])}
+    old_by, new_by = _by_label(old, key), _by_label(new, key)
     only_old = [label for label in old_by if label not in new_by]
     only_new = [label for label in new_by if label not in old_by]
     if only_old:
@@ -332,4 +364,54 @@ def render_diff(old: Dict[str, Any], new: Dict[str, Any],
         lines.append(f"  all {shared} shared "
                      f"{'point' if kind == 'bench' else 'cell'}(s) "
                      "measure identically")
+    if kind == "bench":
+        findings = gate_findings(old, new)
+        if findings:
+            lines.append(f"  {len(findings)} finding(s) past the gate:")
+            lines.extend(f"    {finding}" for finding in findings)
+        else:
+            lines.append("  no findings past the gate")
     return "\n".join(lines)
+
+
+def gate_findings(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
+    """Why two BENCH artifacts differ where it matters, one line per
+    finding (see the module docstring); empty when they do not, and for
+    any pair of artifacts that are not both BENCH."""
+    if artifact_kind(old) != "bench" or artifact_kind(new) != "bench":
+        return []
+    findings = []
+    if old.get("suite") != new.get("suite"):
+        findings.append(f"different suites ({old.get('suite')!r} -> "
+                        f"{new.get('suite')!r})")
+    if old.get("fingerprint") != new.get("fingerprint"):
+        findings.append(f"config fingerprints differ "
+                        f"({old.get('fingerprint')} -> "
+                        f"{new.get('fingerprint')}): the runs measured "
+                        "different experiments")
+    old_by, new_by = _by_label(old, "points"), _by_label(new, "points")
+    findings += [f"{label}: only in old" for label in old_by
+                 if label not in new_by]
+    findings += [f"{label}: only in new" for label in new_by
+                 if label not in old_by]
+    for label, a in old_by.items():
+        b = new_by.get(label)
+        if b is None:
+            continue
+        failed = [side for side, entry in (("old", a), ("new", b))
+                  if entry.get("failed")]
+        if failed:
+            findings.append(f"{label}: failed to run in "
+                            f"{' and '.join(failed)}")
+            continue
+        for name, read, scale, digits, past, limit in _HEADLINES:
+            x, y = read(a), read(b)
+            if x is not None and y is not None and past(x, y):
+                findings.append(f"{label}: {name} {x * scale:.{digits}f} "
+                                f"-> {y * scale:.{digits}f} {limit}")
+    return findings
+
+
+def _by_label(artifact: Dict[str, Any], key: str) -> Dict[Any, Dict[str, Any]]:
+    """An artifact's points or cells, by label."""
+    return {entry.get("label"): entry for entry in artifact.get(key, [])}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
 from .harness import PointResult
 
@@ -54,8 +54,8 @@ RECORD_VERSION = 6
 
 #: Per-point artifact keys that measure the *host*, not the simulation:
 #: they differ run-to-run and between serial and parallel execution, so
-#: the determinism contract (`docs/performance.md`) and the regression
-#: gate's tolerance checks both exclude them.
+#: the determinism contract (`docs/performance.md`) and ``repro diff``
+#: both exclude them.
 WALL_CLOCK_FIELDS = ("wall_clock_s", "sim_wall_seconds",
                      "events_per_second")
 
@@ -198,44 +198,3 @@ def load_figure_record(path: str) -> Dict[str, Any]:
                          f"(this build reads 1..{RECORD_VERSION})")
     return record
 
-
-def compare_series(old: Dict[str, Any], new: Dict[str, Any],
-                   series: str = "Average",
-                   tolerance: float = 0.15) -> Optional[str]:
-    """Compare one plotted series between two figure records.
-
-    Points are aligned on their x-rate, not their position, so records
-    swept over different rate grids are never compared value-for-value
-    at mismatched x: shared rates are checked within ``tolerance``
-    (relative) and rates present on only one side are reported
-    explicitly.  Returns None when the grids match and every shared
-    point agrees, else a human-readable mismatch summary.
-    """
-    if old["figure_id"] != new["figure_id"]:
-        return (f"different figures: {old['figure_id']} vs "
-                f"{new['figure_id']}")
-    old_vals = old["series"].get(series)
-    new_vals = new["series"].get(series)
-    if old_vals is None or new_vals is None:
-        return f"series {series!r} missing"
-    old_by_rate = dict(zip(old["x_rates"], old_vals))
-    new_by_rate = dict(zip(new["x_rates"], new_vals))
-    mismatches = []
-    missing = [x for x in old["x_rates"] if x not in new_by_rate]
-    extra = [x for x in new["x_rates"] if x not in old_by_rate]
-    if missing:
-        mismatches.append("missing in new: rates "
-                          + ", ".join(f"{x:.0f}" for x in missing))
-    if extra:
-        mismatches.append("extra in new: rates "
-                          + ", ".join(f"{x:.0f}" for x in extra))
-    for x in old["x_rates"]:
-        if x not in new_by_rate:
-            continue
-        a, b = old_by_rate[x], new_by_rate[x]
-        scale = max(abs(a), abs(b), 1e-9)
-        if abs(a - b) / scale > tolerance:
-            mismatches.append(f"rate {x:.0f}: {a:.1f} vs {b:.1f}")
-    if mismatches:
-        return f"{old['figure_id']}/{series}: " + "; ".join(mismatches)
-    return None

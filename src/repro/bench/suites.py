@@ -7,7 +7,7 @@ point: the full v2 point record (config + reply rate + error classes +
 client/server latency percentiles), the profiler's (subsystem,
 operation) attribution, and real wall-clock cost.  The suite's *config
 fingerprint* -- a hash over every point's re-runnable configuration --
-travels in the artifact so ``repro compare`` can refuse to diff runs of
+travels in the artifact so ``repro diff`` fails a diff of runs of
 different experiments (the telemetry-pipeline equivalent of the paper's
 "same testbed, same workload" discipline).
 
@@ -302,7 +302,12 @@ def dump_artifact(artifact: Dict[str, Any], path: str) -> None:
 def load_artifact(path: str) -> Dict[str, Any]:
     """Read a BENCH artifact (version-checked, like figure records)."""
     with open(path, encoding="utf-8") as fh:
-        artifact = json.load(fh)
+        return check_artifact(json.load(fh))
+
+
+def check_artifact(artifact: Dict[str, Any]) -> Dict[str, Any]:
+    """Return a BENCH artifact whose version this build reads; raise
+    ValueError on any other version."""
     version = artifact.get("artifact_version")
     if not isinstance(version, int) or not 1 <= version <= ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version {version!r} "

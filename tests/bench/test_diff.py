@@ -1,6 +1,11 @@
 """Tests for the attributed artifact diff (repro diff)."""
 
-from repro.bench.diffing import artifact_kind, flatten_numeric, render_diff
+from repro.bench.diffing import (
+    artifact_kind,
+    flatten_numeric,
+    gate_findings,
+    render_diff,
+)
 
 
 def _bench_entry(label, avg, p99, cpu, profile_rows=None, pathologies=None):
@@ -206,3 +211,37 @@ def test_failed_point_is_structural_not_numeric():
                         "error": "boom"}])
     text = render_diff(old, new)
     assert "failed: False -> True" in text
+    assert gate_findings(old, new) == ["t@150/1: failed to run in new"]
+    assert "t@150/1: failed to run in new" in text
+
+
+def test_gate_summary_names_the_point_and_the_metric():
+    old = _bench("f", [_bench_entry("thttpd@150/1", 149.0, 2.0, 0.5),
+                       _bench_entry("phhttpd@150/1", 149.0, 2.0, 0.5)])
+    new = _bench("f", [_bench_entry("thttpd@150/1", 74.5, 2.0, 0.5),
+                       _bench_entry("phhttpd@150/1", 140.0, 2.0, 0.5)])
+    text = render_diff(old, new)
+    assert "replies/s avg:  149.0 -> 74.5  (-74.5, -50.0%)" in text
+    assert text.endswith(
+        "  1 finding(s) past the gate:\n"
+        "    thttpd@150/1: replies/s avg 149.0 -> 74.5 dropped more "
+        "than 25%")
+
+
+def test_only_two_bench_artifacts_are_gated():
+    # capacity and calibration diffs, and mismatched kinds, print what
+    # moved and never find anything
+    def cells(fingerprint, label, knee_avg):
+        return {"fingerprint": fingerprint, "cells": [
+            {"label": label, "capacity": knee_avg,
+             "knee": {"reply_rate": {"avg": knee_avg}}}]}
+
+    pairs = [
+        (cells("a", "select@1", 900.0), cells("b", "epoll@1", 100.0)),
+        (_calibration({"accept_op": 1.0}), _calibration({"accept_op": 9.0})),
+        (_bench("f", [_bench_entry("t@150/1", 150.0, 2.0, 0.5)]),
+         cells("f", "t@150/1", 10.0)),
+    ]
+    for old, new in pairs:
+        assert gate_findings(old, new) == []
+        assert "past the gate" not in render_diff(old, new)

@@ -8,7 +8,6 @@ from repro.bench.figures import fig05
 from repro.bench.harness import BenchmarkPoint, run_point
 from repro.bench.records import (
     RECORD_VERSION,
-    compare_series,
     dump_figure_record,
     figure_record,
     load_figure_record,
@@ -83,56 +82,3 @@ def test_load_accepts_older_versions(tmp_path):
     record = load_figure_record(str(path))
     assert record["figure_id"] == "fig05"
     assert "latency_percentiles" not in record.get("sweeps", {})
-
-
-def test_compare_series_agreement(figure):
-    record = figure_record(figure)
-    assert compare_series(record, record) is None
-
-
-def test_compare_series_detects_drift(figure):
-    record = figure_record(figure)
-    drifted = json.loads(json.dumps(record))
-    drifted["series"]["Average"][0] *= 2.0
-    message = compare_series(record, drifted)
-    assert message is not None
-    assert "rate 150" in message
-
-
-def test_compare_series_mismatched_figures(figure):
-    record = figure_record(figure)
-    other = dict(record, figure_id="fig06")
-    assert "different figures" in compare_series(record, other)
-
-
-def make_record(x_rates, averages):
-    return {"figure_id": "figX", "x_rates": list(x_rates),
-            "series": {"Average": list(averages)}}
-
-
-def test_compare_series_aligns_on_rates_not_positions():
-    """A shifted grid must not silently compare mismatched points: the
-    old zip-based diff would line 600@600 against 500's value."""
-    old = make_record([500, 600, 700], [100.0, 200.0, 300.0])
-    new = make_record([600, 700], [200.0, 300.0])
-    message = compare_series(old, new)
-    assert message is not None
-    assert "missing in new: rates 500" in message
-    # the shared rates agree, so no per-rate value mismatch is reported
-    assert "600" not in message.replace("rates 500", "")
-
-
-def test_compare_series_reports_extra_rates():
-    old = make_record([500], [100.0])
-    new = make_record([500, 800], [100.0, 50.0])
-    message = compare_series(old, new)
-    assert "extra in new: rates 800" in message
-
-
-def test_compare_series_shared_rate_drift_still_detected():
-    old = make_record([500, 700], [100.0, 300.0])
-    new = make_record([700, 900], [150.0, 400.0])
-    message = compare_series(old, new)
-    assert "rate 700: 300.0 vs 150.0" in message
-    assert "missing in new: rates 500" in message
-    assert "extra in new: rates 900" in message

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line front door."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -120,9 +122,8 @@ def test_bench_unknown_suite_exits_2(capsys):
 def test_bench_and_compare_end_to_end(tmp_path, capsys):
     """The acceptance path: bench writes a schema-versioned artifact
     with latency percentiles + profiler attribution for every point;
-    self-compare exits 0; a degraded reply rate exits nonzero."""
-    import json
-
+    a self-diff exits 0; a degraded reply rate exits 1 and names the
+    point and the metric."""
     artifact_path = tmp_path / "BENCH_smoke.json"
     assert main(["bench", "--suite", "smoke",
                  "--out", str(artifact_path)]) == 0
@@ -142,26 +143,36 @@ def test_bench_and_compare_end_to_end(tmp_path, capsys):
         assert entry["sim_events"] > 0
         assert entry["events_per_second"] > 0
 
-    assert main(["compare", str(artifact_path), str(artifact_path)]) == 0
-    assert "no regressions" in capsys.readouterr().out
+    assert main(["diff", str(artifact_path), str(artifact_path)]) == 0
+    out = capsys.readouterr().out
+    assert "measure identically" in out
+    assert "no findings past the gate" in out
 
     degraded = json.loads(artifact_path.read_text())
     degraded["points"][0]["reply_rate"]["avg"] *= 0.5
     degraded_path = tmp_path / "BENCH_degraded.json"
     degraded_path.write_text(json.dumps(degraded))
-    assert main(["compare", str(artifact_path), str(degraded_path)]) == 1
-    assert "REGRESSED" in capsys.readouterr().out
+    assert main(["diff", str(artifact_path), str(degraded_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 finding(s) past the gate:" in out
+    assert (f"{degraded['points'][0]['label']}: replies/s avg" in
+            out.splitlines()[-1])
 
 
 def test_compare_unreadable_artifact_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
-    assert main(["compare", str(missing), str(missing)]) == 2
+    assert main(["diff", str(missing), str(missing)]) == 2
     assert "cannot read" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    assert main(["compare", str(bad), str(bad)]) == 2
-    assert "version" in capsys.readouterr().err
+    bad.write_text(json.dumps({"artifact_version": 99, "points": []}))
+    assert main(["diff", str(bad), str(bad)]) == 2
+    assert "unsupported artifact version 99" in capsys.readouterr().err
+
+    for text in ("{", "[]"):
+        bad.write_text(text)
+        assert main(["diff", str(bad), str(bad)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
 
 def test_info_mentions_bench(capsys):

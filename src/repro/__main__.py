@@ -395,7 +395,6 @@ def cmd_diff(args) -> int:
     """Attributed diff of two artifacts: exit 1 when two BENCH artifacts
     differ past the gate, 2 when a file cannot be read."""
     from repro.bench.diffing import artifact_kind, gate_findings, render_diff
-    from repro.bench.suites import check_artifact
 
     artifacts = []
     for path in (args.old, args.new):
@@ -405,6 +404,8 @@ def cmd_diff(args) -> int:
             if not isinstance(artifact, dict):
                 raise ValueError("not a JSON object")
             if artifact_kind(artifact) == "bench":
+                # only BENCH diffs pay for loading the suite harness
+                from repro.bench.suites import check_artifact
                 check_artifact(artifact)
         except (OSError, ValueError) as err:
             print(f"repro: cannot read {path}: {err}", file=sys.stderr)

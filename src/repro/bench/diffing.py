@@ -316,7 +316,8 @@ def render_diff(old: Dict[str, Any], new: Dict[str, Any],
     """Human-readable attributed diff of two artifacts.
 
     Same-kind BENCH/CAPACITY/CALIBRATION artifacts get the attributed
-    per-entry treatment; mismatched kinds or schemas degrade to a
+    per-entry treatment, and a BENCH diff ends with the gate's findings
+    (:func:`gate_findings`); mismatched kinds or schemas degrade to a
     warning plus a generic numeric diff of whatever keys are shared
     (never an error -- new artifact schemas must stay diffable against
     old ones).

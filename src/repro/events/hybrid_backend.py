@@ -17,10 +17,10 @@ backend composes the two existing mechanisms:
 * in polling mode ``wait`` is one ``DP_POLL``; once ``calm_loops``
   consecutive polls return at most ``low_water_ready`` events, the next
   wait flushes the signal backlog and returns to signal mode -- the
-  switch-back phhttpd never implemented.  The flush also drops the
-  signals of readiness that arrived after the last poll, so that wait
-  ends with one more ``DP_POLL``, with a zero timeout, and returns what
-  it finds.
+  switch-back phhttpd never implemented.  That flush also drops the
+  signal of any readiness that arrived after the last poll, so the
+  switching wait ends with one zero-timeout ``DP_POLL`` and returns
+  what it finds.
 
 A wait of either mechanism is one wait of this backend: the two are
 accounted under it (:attr:`EventBackend.owner`).  The server counts one

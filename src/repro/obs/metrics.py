@@ -158,14 +158,11 @@ class MetricsRegistry:
     def render(self) -> str:
         """One metric per line, histograms summarized."""
         lines = []
-        for name in self.names():
-            metric = self._metrics.get(name)
-            if metric is None:
-                lines.append(f"{name}: {self.counts[name]}")
-            elif isinstance(metric, Histogram):
-                lines.append(f"{name}: n={metric.count} "
-                             f"mean={metric.mean():.6g}")
+        for name, value in self.snapshot().items():
+            if isinstance(value, dict):
+                lines.append(f"{name}: n={value['count']} "
+                             f"mean={value['mean']:.6g}")
             else:
-                lines.append(f"{name}: {metric.value}")
+                lines.append(f"{name}: {value}")
         return "\n".join(lines)
 

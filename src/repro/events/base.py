@@ -85,10 +85,16 @@ class EventBackend:
         #: the backend whose stats and causal harvests this one's waits
         #: count under: itself, or a backend composing it (the hybrid)
         self.owner = self
-        #: the kernel's counts, under ``events.<name>.<op>``; each name
-        #: is built once, so counting stays off per-call string formatting
+        #: the kernel's counts, updated in place under this backend's
+        #: ``events.<name>.<op>`` names, which are built once here
         self._counts = server.kernel.counters
-        self._count_names: Dict[str, str] = {}
+        prefix = f"events.{self.name}."
+        self._setups_key = prefix + "setups"
+        self._registers_key = prefix + "registers"
+        self._modifies_key = prefix + "modifies"
+        self._unregisters_key = prefix + "unregisters"
+        self._waits_key = prefix + "waits"
+        self._events_key = prefix + "events"
 
     # -- conveniences over the owning server ---------------------------
 
@@ -108,12 +114,6 @@ class EventBackend:
     def costs(self):
         return self.server.kernel.costs
 
-    def _count(self, op: str, by: int = 1) -> None:
-        name = self._count_names.get(op)
-        if name is None:
-            name = self._count_names[op] = f"events.{self.name}.{op}"
-        self._counts[name] += by
-
     def _deadline_timeout(self, deadline: Optional[float],
                           timeout: Optional[float]) -> Optional[float]:
         """Relative timeout from an absolute deadline, clamped at 0."""
@@ -125,7 +125,7 @@ class EventBackend:
 
     def setup(self) -> Generator:
         """One-time initialization, after the listener socket exists."""
-        self._count("setups")
+        self._counts[self._setups_key] += 1
         return
         yield  # pragma: no cover - marks this as a generator
 
@@ -140,7 +140,7 @@ class EventBackend:
     def unregister(self, fd: int) -> Generator:
         """Explicitly withdraw interest in ``fd`` (may cost a syscall)."""
         self.stats.unregisters += 1
-        self._count("unregisters")
+        self._counts[self._unregisters_key] += 1
         self.interest_forget(fd)
         return
         yield  # pragma: no cover - marks this as a generator
@@ -197,9 +197,10 @@ class EventBackend:
         stats.registered_sum += registered
         if real_count == 0:
             stats.spurious_wakeups += 1
-        owner._count("waits")
+        counts = owner._counts
+        counts[owner._waits_key] += 1
         if ready_count:
-            owner._count("events", ready_count)
+            counts[owner._events_key] += ready_count
         if self.kernel.causal.enabled:
             self.kernel.causal.harvest(self.sim.now, owner.name, events,
                                        self.server.task, registered)

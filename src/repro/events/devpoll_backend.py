@@ -112,7 +112,7 @@ class DevpollBackend(EventBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         self._updates.add(fd, mask)
         return
         yield  # pragma: no cover - marks this as a generator
@@ -121,7 +121,7 @@ class DevpollBackend(EventBackend):
         # /dev/poll has no distinct modify: re-adding replaces the mask
         # (or ORs it in under solaris_compat) at the next batch flush.
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         self._updates.add(fd, mask)
         return
         yield  # pragma: no cover - marks this as a generator

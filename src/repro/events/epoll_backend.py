@@ -52,13 +52,13 @@ class EpollBackend(EventBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         yield from self.sys.epoll_ctl(
             self.ep_fd, EPOLL_CTL_ADD, fd, self._mask(mask))
 
     def modify(self, fd: int, mask: int) -> Generator:
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         yield from self.sys.epoll_ctl(
             self.ep_fd, EPOLL_CTL_MOD, fd, self._mask(mask))
 

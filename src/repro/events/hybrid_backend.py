@@ -74,14 +74,14 @@ class HybridBackend(EventBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         yield from self.rtsig.register(fd, mask)
         yield from self.devpoll.register(fd, mask)
 
     def modify(self, fd: int, mask: int) -> Generator:
         # signals report every band anyway; only the interest set changes
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         yield from self.devpoll.modify(fd, mask)
 
     def interest_forget(self, fd: int) -> None:

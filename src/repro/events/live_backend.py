@@ -72,7 +72,7 @@ class LiveEpollBackend(_LiveBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         with self.runtime.timed("epoll_ctl"):
             self._ep.register(fd, mask)
         self._charge(self.costs.epoll_ctl_op)
@@ -82,7 +82,7 @@ class LiveEpollBackend(_LiveBackend):
 
     def modify(self, fd: int, mask: int) -> Generator:
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         with self.runtime.timed("epoll_ctl"):
             self._ep.modify(fd, mask)
         self._charge(self.costs.epoll_ctl_op)
@@ -135,14 +135,14 @@ class LiveSelectBackend(_LiveBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         self._interests[fd] = mask
         return
         yield  # pragma: no cover - marks this as a generator
 
     def modify(self, fd: int, mask: int) -> Generator:
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         self._interests[fd] = mask
         return
         yield  # pragma: no cover - marks this as a generator

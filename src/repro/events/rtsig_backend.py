@@ -64,13 +64,13 @@ class RtsigBackend(EventBackend):
         band of whatever happened on the descriptor.
         """
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         yield from arm_rtsig(self.sys, fd, self.allocator.allocate())
 
     def modify(self, fd: int, mask: int) -> Generator:
         # nothing to do: the signal reports all bands regardless of mask
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         return
         yield  # pragma: no cover - marks this as a generator
 

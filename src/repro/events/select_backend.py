@@ -36,14 +36,14 @@ class SelectBackend(EventBackend):
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
-        self._count("registers")
+        self._counts[self._registers_key] += 1
         self._interests[fd] = mask
         return
         yield  # pragma: no cover - marks this as a generator
 
     def modify(self, fd: int, mask: int) -> Generator:
         self.stats.modifies += 1
-        self._count("modifies")
+        self._counts[self._modifies_key] += 1
         if fd in self._interests:
             self._interests[fd] = mask
         return

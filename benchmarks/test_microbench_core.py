@@ -14,7 +14,7 @@ from repro.kernel.file import NullFile
 from repro.kernel.kernel import Kernel
 from repro.kernel.signals import SignalQueue, Siginfo
 from repro.sim.engine import Simulator
-from repro.sim.stats import SampleSet, WindowedRate
+from repro.sim.stats import RateSummary, quantile, window_rates
 
 
 @pytest.fixture
@@ -111,11 +111,7 @@ def test_windowed_rate_ingest(benchmark):
     times = [rng.uniform(0, 60) for _ in range(20_000)]
 
     def ingest():
-        wr = WindowedRate(1.0)
-        for t in times:
-            wr.record(t)
-        wr.set_span(0, 60)
-        return wr.summary()
+        return RateSummary.from_samples(window_rates(times, 0, 60))
 
     summary = benchmark(ingest)
     assert summary.samples == 60
@@ -126,10 +122,8 @@ def test_sampleset_quantiles(benchmark):
     values = [rng.expovariate(1.0) for _ in range(20_000)]
 
     def quantiles():
-        ss = SampleSet()
-        for v in values:
-            ss.add(v)
-        return ss.median(), ss.quantile(0.99)
+        ordered = sorted(values)
+        return quantile(ordered, 0.5), quantile(ordered, 0.99)
 
     median, p99 = benchmark(quantiles)
     assert 0 < median < p99

@@ -18,11 +18,10 @@ Mirrors what the authors measured with their modified httperf:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from ..http.messages import get_request, parse_status
 from ..kernel.constants import (
-    EADDRINUSE,
     EAGAIN,
     ECONNREFUSED,
     ECONNRESET,
@@ -37,7 +36,8 @@ from ..kernel.syscalls import SyscallInterface
 from ..obs.latency import LatencyHistogram
 from ..sim.engine import Event
 from ..sim.process import spawn
-from ..sim.stats import ErrorCounter, RateSummary, SampleSet, WindowedRate
+from ..sim.stats import (RATE_WINDOW, ErrorCounter, RateSummary, quantile,
+                         window_rates)
 from .testbed import Testbed
 
 READ_CHUNK = 65536
@@ -69,9 +69,6 @@ class HttperfConfig:
     #: +/- fraction of the interarrival gap applied as uniform jitter
     #: (deterministic mode only)
     jitter: float = 0.1
-    #: reply-rate sampling window (httperf samples every 5 s; 1 s keeps
-    #: short simulated runs statistically useful)
-    sample_window: float = 1.0
 
 
 @dataclass
@@ -80,60 +77,76 @@ class HttperfResult:
 
     attempts: int = 0
     completions: int = 0
-    replies_ok: int = 0
     bytes_received: int = 0
     errors: ErrorCounter = field(default_factory=ErrorCounter)
     reply_rate: RateSummary = field(default_factory=RateSummary)
-    conn_time_ms: Optional[SampleSet] = None
-    #: per-reply (completion_time_s, connection_time_ms) pairs, in
-    #: completion order -- lets analyses split a run at an instant (e.g.
-    #: before/after a signal-queue overflow)
+    #: one (completion_time_s, connection_time_ms) pair per successful
+    #: reply, in completion order: the run's only per-reply store.  Rate
+    #: windows and latency statistics are computed from it when read,
+    #: and analyses can split a run at an instant (e.g. before/after a
+    #: signal-queue overflow)
     reply_log: list = field(default_factory=list)
     #: the per-window reply-rate series behind ``reply_rate`` (one value
     #: per sample window, aligned to the measurement span)
     reply_rate_samples: list = field(default_factory=list)
-    #: streaming log-bucket histogram of connection times (ms) -- the
-    #: source of each point's archived p50/p90/p99/p99.9
-    latency_hist: Optional[LatencyHistogram] = None
     started_at: float = 0.0
     finished_at: float = 0.0
+    #: the log's connection times, ascending, as of its last read
+    _ordered_ms: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def replies_ok(self) -> int:
+        return len(self.reply_log)
 
     @property
     def error_percent(self) -> float:
         """Errored connections as a percentage of attempts (figure 10)."""
         return self.errors.percent_of(self.attempts)
 
+    def _conn_times_ms(self) -> List[float]:
+        """The logged connection times in ms, ascending; sorted once and
+        reused while the log does not grow."""
+        if len(self._ordered_ms) != len(self.reply_log):
+            self._ordered_ms = sorted(ms for _t, ms in self.reply_log)
+        return self._ordered_ms
+
     def median_conn_time_ms(self) -> Optional[float]:
         """Median connection wall time in ms (figure 14), or None."""
-        if self.conn_time_ms is None or len(self.conn_time_ms) == 0:
-            return None
-        return self.conn_time_ms.median()
+        return self.conn_time_quantile_ms(0.5)
 
     def conn_time_quantile_ms(self, q: float) -> Optional[float]:
         """Arbitrary latency quantile, e.g. ``0.9`` or ``0.99``."""
-        if self.conn_time_ms is None or len(self.conn_time_ms) == 0:
-            return None
-        return self.conn_time_ms.quantile(q)
+        ordered = self._conn_times_ms()
+        return quantile(ordered, q) if ordered else None
 
     def latency_summary_ms(self) -> Optional[dict]:
         """min/median/p90/p99/max of connection times, in milliseconds."""
-        if self.conn_time_ms is None or len(self.conn_time_ms) == 0:
+        ordered = self._conn_times_ms()
+        if not ordered:
             return None
-        ct = self.conn_time_ms
         return {
-            "min": ct.min(),
-            "median": ct.median(),
-            "p90": ct.quantile(0.90),
-            "p99": ct.quantile(0.99),
-            "max": ct.max(),
+            "min": ordered[0],
+            "median": quantile(ordered, 0.5),
+            "p90": quantile(ordered, 0.90),
+            "p99": quantile(ordered, 0.99),
+            "max": ordered[-1],
         }
 
     def latency_percentiles_ms(self) -> Optional[dict]:
-        """Streaming-histogram percentiles (count/min/mean/max plus
+        """Log-bucket histogram percentiles (count/min/mean/max plus
         p50/p90/p99/p99.9, all in ms), or None before any reply."""
-        if self.latency_hist is None:
-            return None
-        return self.latency_hist.summary()
+        hist = LatencyHistogram()
+        for _t, ms in self.reply_log:
+            hist.record(ms)
+        return hist.summary()
+
+    def set_reply_rate(self, start: float, end: float) -> RateSummary:
+        """Set ``reply_rate`` and ``reply_rate_samples`` together from
+        the logged completions in the windows of ``[start, end)``."""
+        self.reply_rate_samples = window_rates(
+            (t for t, _ms in self.reply_log), start, end)
+        self.reply_rate = RateSummary.from_samples(self.reply_rate_samples)
+        return self.reply_rate
 
 
 class HttperfClient:
@@ -148,11 +161,7 @@ class HttperfClient:
             name, fd_limit=self.config.fd_limit)
         self.sys = SyscallInterface(self.task)
         self._rng = testbed.rng.stream(f"{name}.arrivals")
-        self._reply_window = WindowedRate(self.config.sample_window)
-        self._conn_times = SampleSet()
-        self._latency_hist = LatencyHistogram()
-        self.result = HttperfResult(conn_time_ms=self._conn_times,
-                                    latency_hist=self._latency_hist)
+        self.result = HttperfResult()
         self._outstanding = 0
         #: triggered when the generator has launched everything and every
         #: connection has finished or errored
@@ -188,27 +197,31 @@ class HttperfClient:
                     gap *= 1.0 + self._rng.uniform(-cfg.jitter, cfg.jitter)
             yield gap
         self.result.finished_at = sim.now
-        self._reply_window.set_span(self.result.started_at,
-                                    self.result.finished_at)
         self._generator_done = True
         self._maybe_done()
 
     def _maybe_done(self) -> None:
         if (self._generator_done and self._outstanding == 0
                 and not self.done.triggered):
-            self.result.reply_rate = self._reply_window.summary()
-            self.result.reply_rate_samples = self._reply_window.rates()
+            self.partial_summary()
             self.done.trigger(self.result)
 
     def partial_summary(self) -> RateSummary:
-        """Reply-rate summary over whatever has completed so far.
+        """Set and return the reply-rate summary of what has completed.
 
-        The harness safety net for a run cut off at its horizon with
-        connections still outstanding: ``result.reply_rate`` has not
-        been finalized (that happens when ``done`` triggers), so this
-        summarizes the reply windows recorded to date instead.
+        ``done`` finalizes ``result.reply_rate`` this way; the harness
+        calls it as a safety net for a run cut off at its horizon with
+        connections still outstanding.  The windows cover the
+        measurement span once the generator has finished, and the
+        observed range of completions before that.
         """
-        return self._reply_window.summary()
+        res = self.result
+        log = res.reply_log
+        if self._generator_done:
+            return res.set_reply_rate(res.started_at, res.finished_at)
+        if log:
+            return res.set_reply_rate(log[0][0], log[-1][0] + RATE_WINDOW)
+        return res.set_reply_rate(0.0, 0.0)
 
     # ------------------------------------------------------------------
     def _connection(self):
@@ -281,12 +294,7 @@ class HttperfClient:
         res.completions += 1
         res.bytes_received += len(body)
         if status == 200:
-            res.replies_ok += 1
-            self._reply_window.record(sim.now)
-            conn_ms = (sim.now - t0) * 1000.0
-            self._conn_times.add(conn_ms)
-            self._latency_hist.record(conn_ms)
-            res.reply_log.append((sim.now, conn_ms))
+            res.reply_log.append((sim.now, (sim.now - t0) * 1000.0))
         else:
             res.errors.other += 1
 
@@ -299,8 +307,6 @@ class HttperfClient:
             errors.timeouts += 1
         elif code in (ECONNREFUSED, ECONNRESET):
             errors.refused += 1
-        elif code == EADDRINUSE:
-            errors.other += 1
         else:
             errors.other += 1
 

@@ -6,11 +6,12 @@ The server side is the unchanged unified loop --
 :class:`~repro.runtime.live.LiveRuntime` thread.  The client side is a
 thread-pool httperf analogue: connections are launched at the targeted
 rate against the runtime's (ephemeral) listen port, each sends one GET
-and reads to EOF, and replies land in the very same statistics objects
-the simulated :class:`~repro.bench.httperf.HttperfClient` fills --
-:class:`~repro.bench.httperf.HttperfResult`, windowed reply rates, the
-streaming latency histogram -- so every consumer of a point result
-(CLI headline, records, diffs) reads live runs without special cases.
+and reads to EOF, and replies land in the very same reply log the
+simulated :class:`~repro.bench.httperf.HttperfClient` fills -- one
+:class:`~repro.bench.httperf.HttperfResult` entry per reply, from which
+the reply rates and latency statistics are computed -- so every
+consumer of a point result (CLI headline, records, diffs) reads live
+runs without special cases.
 
 The paper's *inactive connection* axis maps to real idle persistent
 connections: a keeper thread holds ``point.inactive`` open sockets that
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..http.messages import get_request, parse_status
-from ..obs.latency import LatencyHistogram
-from ..sim.stats import SampleSet, WindowedRate
 from .httperf import HttperfResult
+from .records import measurement_keys
 
 READ_CHUNK = 65536
 
@@ -161,11 +161,7 @@ class _LiveLoadGenerator:
         self._lock = threading.Lock()
         self._next = 0
         self._t0 = 0.0
-        self._window = WindowedRate(1.0)
-        self._conn_times = SampleSet()
-        self._latency_hist = LatencyHistogram()
-        self.result = HttperfResult(conn_time_ms=self._conn_times,
-                                    latency_hist=self._latency_hist)
+        self.result = HttperfResult()
 
     def run(self) -> HttperfResult:
         self._t0 = time.monotonic()
@@ -183,9 +179,7 @@ class _LiveLoadGenerator:
         # a few ms early, which would otherwise round the last (often
         # only) rate window away
         nominal = self.total / self.rate if self.rate > 0 else finished
-        self._window.set_span(0.0, max(finished, nominal))
-        self.result.reply_rate = self._window.summary()
-        self.result.reply_rate_samples = self._window.rates()
+        self.result.set_reply_rate(0.0, max(finished, nominal))
         return self.result
 
     def _claim(self) -> Optional[int]:
@@ -251,18 +245,14 @@ class _LiveLoadGenerator:
             res.completions += 1
             res.bytes_received += len(body)
             if status == 200:
-                res.replies_ok += 1
-                self._window.record(now - self._t0)
-                self._conn_times.add(conn_ms)
-                self._latency_hist.record(conn_ms)
                 res.reply_log.append((now - self._t0, conn_ms))
             else:
                 res.errors.other += 1
 
 
 def live_point_record(point, result: "LivePointResult") -> Dict[str, Any]:
-    """The v6 artifact for a live point: the familiar measurement keys
-    plus ``runtime`` and the ``live`` calibration block."""
+    """The artifact for a live point: the measurement keys every point
+    record carries plus ``runtime`` and the ``live`` calibration block."""
     runtime = result.runtime
     record = {
         "server": point.server,
@@ -274,32 +264,7 @@ def live_point_record(point, result: "LivePointResult") -> Dict[str, Any]:
         "num_conns": point.num_conns,
         "seed": point.seed,
         "timeout": point.timeout,
-        "reply_rate": {
-            "avg": result.reply_rate.avg,
-            "min": result.reply_rate.min,
-            "max": result.reply_rate.max,
-            "stddev": result.reply_rate.stddev,
-            "samples": result.reply_rate.samples,
-        },
-        "errors": result.httperf.errors.as_dict(),
-        "error_percent": result.error_percent,
-        "median_conn_ms": result.median_conn_ms,
-        "latency_ms": result.httperf.latency_summary_ms(),
-        "latency_percentiles": result.httperf.latency_percentiles_ms(),
-        "server_latency_percentiles": result.server.request_latency.summary(),
-        "attempts": result.httperf.attempts,
-        "replies_ok": result.httperf.replies_ok,
-        "cpu_utilization": result.cpu_utilization,
-        "inactive_reconnects": result.inactive_reconnects,
-        "wall_clock_s": result.wall_clock_s,
-        "server_stats": {
-            "accepts": result.server_stats.accepts,
-            "responses": result.server_stats.responses,
-            "io_errors": result.server_stats.io_errors,
-            "idle_closes": result.server_stats.idle_closes,
-            "stale_events": result.server_stats.stale_events,
-            "loops": result.server_stats.loops,
-        },
+        **measurement_keys(result, wall_clock_s=result.wall_clock_s),
         "live": {
             "listen_port": (runtime.listen_address[1]
                             if runtime.listen_address else None),

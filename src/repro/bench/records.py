@@ -60,6 +60,47 @@ WALL_CLOCK_FIELDS = ("wall_clock_s", "sim_wall_seconds",
                      "events_per_second")
 
 
+def measurement_keys(result, **extra: Any) -> Dict[str, Any]:
+    """The measurement keys simulated and live point records share.
+
+    ``result`` is a :class:`PointResult` or a live point result; the
+    keys run from ``reply_rate`` to ``server_stats``, and ``extra`` (a
+    record kind's own measurements) goes just before ``server_stats``.
+    """
+    server_stats = result.server_stats
+    request_latency = getattr(result.server, "request_latency", None)
+    return {
+        "reply_rate": {
+            "avg": result.reply_rate.avg,
+            "min": result.reply_rate.min,
+            "max": result.reply_rate.max,
+            "stddev": result.reply_rate.stddev,
+            "samples": result.reply_rate.samples,
+        },
+        "errors": result.httperf.errors.as_dict(),
+        "error_percent": result.error_percent,
+        "median_conn_ms": result.median_conn_ms,
+        "latency_ms": result.httperf.latency_summary_ms(),
+        "latency_percentiles": result.httperf.latency_percentiles_ms(),
+        "server_latency_percentiles": (
+            request_latency.summary() if request_latency is not None
+            else None),
+        "attempts": result.httperf.attempts,
+        "replies_ok": result.httperf.replies_ok,
+        "cpu_utilization": result.cpu_utilization,
+        "inactive_reconnects": result.inactive_reconnects,
+        **extra,
+        "server_stats": {
+            "accepts": server_stats.accepts,
+            "responses": server_stats.responses,
+            "io_errors": server_stats.io_errors,
+            "idle_closes": server_stats.idle_closes,
+            "stale_events": server_stats.stale_events,
+            "loops": server_stats.loops,
+        },
+    }
+
+
 def point_record(result: PointResult) -> Dict[str, Any]:
     """Flatten one benchmark point to JSON-compatible data.
 
@@ -89,35 +130,8 @@ def point_record(result: PointResult) -> Dict[str, Any]:
         "server_opts": {k: repr(v) if not isinstance(
             v, (int, float, str, bool, type(None))) else v
             for k, v in point.server_opts.items()},
-        "reply_rate": {
-            "avg": result.reply_rate.avg,
-            "min": result.reply_rate.min,
-            "max": result.reply_rate.max,
-            "stddev": result.reply_rate.stddev,
-            "samples": result.reply_rate.samples,
-        },
-        "errors": result.httperf.errors.as_dict(),
-        "error_percent": result.error_percent,
-        "median_conn_ms": result.median_conn_ms,
-        "latency_ms": result.httperf.latency_summary_ms(),
-        "latency_percentiles": result.httperf.latency_percentiles_ms(),
-        "server_latency_percentiles": (
-            result.server.request_latency.summary()
-            if getattr(result.server, "request_latency", None) is not None
-            else None),
-        "attempts": result.httperf.attempts,
-        "replies_ok": result.httperf.replies_ok,
-        "cpu_utilization": result.cpu_utilization,
-        "inactive_reconnects": result.inactive_reconnects,
-        "time_wait_server": result.time_wait_server,
-        "server_stats": {
-            "accepts": result.server_stats.accepts,
-            "responses": result.server_stats.responses,
-            "io_errors": result.server_stats.io_errors,
-            "idle_closes": result.server_stats.idle_closes,
-            "stale_events": result.server_stats.stale_events,
-            "loops": result.server_stats.loops,
-        },
+        **measurement_keys(result,
+                           time_wait_server=result.time_wait_server),
     }
     # only present when the point was pinned to an event backend: legacy
     # records (and their fingerprints) stay byte-identical.

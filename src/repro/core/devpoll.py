@@ -122,9 +122,7 @@ class DevPollFile(File):
         self._nohint: List[Interest] = []
         self.result_area: Optional[ResultArea] = None
         self.mapped = False
-        self._batch_hist = kernel.metrics.histogram(
-            "devpoll.ready_batch", buckets=(1, 2, 4, 8, 16, 32, 64, 128,
-                                            256, 512, 1024))
+        self._batch_hist = kernel.metrics.histogram("devpoll.ready_batch")
 
     # ------------------------------------------------------------------
     # interest-set maintenance (write())
@@ -344,7 +342,7 @@ class DevPollFile(File):
             if ready or dvp.dp_timeout == 0:
                 ready = ready[:max_results]
                 self.stats.results_returned += len(ready)
-                self._batch_hist.observe(len(ready))
+                self._batch_hist.record(len(ready))
                 if use_area:
                     area = self.result_area
                     for i, entry in enumerate(ready):

@@ -90,9 +90,7 @@ class EpollFile(File):
         self._ready_cache: List[Interest] = []
         #: interests on drivers without hint support: always re-checked
         self._nohint: List[Interest] = []
-        self._batch_hist = kernel.metrics.histogram(
-            "epoll.ready_batch", buckets=(1, 2, 4, 8, 16, 32, 64, 128,
-                                          256, 512, 1024))
+        self._batch_hist = kernel.metrics.histogram("epoll.ready_batch")
 
     # ------------------------------------------------------------------
     # epoll_ctl
@@ -282,7 +280,7 @@ class EpollFile(File):
                 self._ready_cache = [e for e in self._ready_cache
                                      if e.in_ready_cache]
                 self.stats.events_returned += len(reported)
-                self._batch_hist.observe(len(reported))
+                self._batch_hist.record(len(reported))
                 yield from self._charge_copyout(len(reported))
                 tracer.end(sim.now, span, ready=len(reported))
                 return [(e.fd, e.cached_revents) for e in reported]

@@ -73,7 +73,7 @@ class SyscallInterface:
         self.costs = task.kernel.costs
         self.sim = task.kernel.sim
         self._dequeue_hist = self.kernel.metrics.histogram(
-            "rtsig.dequeue_batch", buckets=(1, 2, 4, 8, 16, 32, 64))
+            "rtsig.dequeue_batch")
 
     # ------------------------------------------------------------------
     # plumbing
@@ -317,7 +317,7 @@ class SyscallInterface:
                 infos: List[Siginfo] = queue.dequeue_many(sigset, max_signals)
                 yield from self._charge(
                     self.costs.rtsig_dequeue * len(infos), "rtsig.dequeue")
-                self._dequeue_hist.observe(len(infos))
+                self._dequeue_hist.record(len(infos))
                 return infos
             if timeout == 0:
                 return []

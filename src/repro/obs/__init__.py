@@ -9,8 +9,9 @@ benchmark or test can turn on to see inside the simulator:
   bounded ring buffer that counts (rather than hides) drops, with JSONL
   export.
 * :mod:`repro.obs.metrics` -- a registry of named counters, gauges, and
-  fixed-bucket histograms.  The kernel's and network stack's tallies all
-  live in one per-host registry.
+  log-bucket histograms (:class:`~repro.obs.latency.LatencyHistogram`).
+  The kernel's and network stack's tallies all live in one per-host
+  registry.
 * :mod:`repro.obs.profiler` -- attributes every charged simulated-CPU
   microsecond to a (subsystem, operation) pair, giving a scalene-style
   per-layer breakdown (copyin/copyout vs driver callbacks vs wait-queue
@@ -53,12 +54,12 @@ _EXPORTS = {
         "ascii_flame", "collapse_profile", "collapse_spans", "folded_stacks",
         "write_folded"), "flame"),
     "LatencyHistogram": "latency",
-    **dict.fromkeys(("Gauge", "Histogram", "MetricsRegistry"), "metrics"),
+    **dict.fromkeys(("Gauge", "MetricsRegistry"), "metrics"),
     **dict.fromkeys(("CpuProfiler", "ProfileReport", "split_category"),
                     "profiler"),
     **dict.fromkeys(("render_report", "write_report"), "report"),
     **dict.fromkeys((
-        "NULL_TRACER", "Span", "SpanTracer", "TraceRecord", "Tracer"),
+        "NULL_TRACER", "Span", "SpanTracer", "TraceRecord"),
         "spans"),
     **dict.fromkeys(("TimelineSampler", "utilization_series"), "timeline"),
 }

@@ -13,7 +13,7 @@ from .process import (
 )
 from .resources import CPU, Channel, PRIO_SOFTIRQ, PRIO_USER
 from .rng import RngStreams
-from .stats import ErrorCounter, RateSummary, SampleSet, WindowedRate
+from .stats import ErrorCounter, RateSummary, quantile, window_rates
 
 __all__ = [
     "AnyOf",
@@ -27,14 +27,14 @@ __all__ = [
     "ProcessCrashed",
     "RateSummary",
     "RngStreams",
-    "SampleSet",
     "SimulationError",
     "Simulator",
     "Timer",
-    "WindowedRate",
+    "quantile",
     "sleep",
     "spawn",
     "wait",
     "wait_any",
     "wait_with_timeout",
+    "window_rates",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.httperf import HttperfClient, HttperfConfig
+from repro.bench.httperf import HttperfClient, HttperfConfig, HttperfResult
 from repro.bench.testbed import Testbed, TestbedConfig
 from repro.servers.thttpd import ThttpdDevpollServer
 
@@ -186,12 +186,15 @@ def test_reply_log_aligned_and_ordered(testbed):
     start_server(testbed)
     result = run_client(testbed, rate=80, duration=1.5)
     log = result.reply_log
-    assert len(log) == result.replies_ok
+    assert len(log) == result.replies_ok == result.completions > 0
     times = [t for t, _ms in log]
     assert times == sorted(times)  # completion order
-    # latencies in the log match the sample set's contents
-    assert sorted(ms for _t, ms in log) == sorted(
-        result.conn_time_ms._samples)
+    # each entry is one reply: its connection began inside the run, and
+    # the exact statistics read these latencies
+    assert all(t - ms / 1000.0 >= result.started_at for t, ms in log)
+    summary = result.latency_summary_ms()
+    assert summary["min"] == min(ms for _t, ms in log)
+    assert summary["max"] == max(ms for _t, ms in log)
 
 
 def test_reply_rate_samples_exposed(testbed):
@@ -203,18 +206,27 @@ def test_reply_rate_samples_exposed(testbed):
 
 
 def test_latency_hist_tracks_sample_set(testbed):
-    """The streaming histogram and the exact sample set see the same
-    replies; quantiles agree within the bucket's relative error."""
+    """The log-bucket percentiles and the exact quantiles read the same
+    reply log; they agree within the bucket's relative error."""
     start_server(testbed)
     result = run_client(testbed, rate=150, duration=2.0)
-    hist = result.latency_hist
-    assert hist.count == len(result.conn_time_ms) == result.replies_ok
-    for q in (0.5, 0.9, 0.99):
-        assert hist.quantile(q) == pytest.approx(
-            result.conn_time_ms.quantile(q), rel=0.10)
     pct = result.latency_percentiles_ms()
-    assert pct["count"] == result.replies_ok
+    assert pct["count"] == len(result.reply_log) == result.replies_ok
+    for name, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+        assert pct[name] == pytest.approx(
+            result.conn_time_quantile_ms(q), rel=0.10)
     assert pct["p50"] <= pct["p99.9"]
+
+
+def test_quantile_read_after_more_replies_reflects_them():
+    """The sorted connection times are reused between reads, but a read
+    after more replies are logged sees them."""
+    result = HttperfResult()
+    result.reply_log.append((0.1, 3.0))
+    assert result.median_conn_time_ms() == 3.0
+    result.reply_log.append((0.2, 1.0))  # must re-sort
+    assert result.latency_summary_ms()["min"] == 1.0
+    assert result.median_conn_time_ms() == 2.0
 
 
 def test_latency_percentiles_none_before_any_reply(testbed):
@@ -233,6 +245,8 @@ def test_partial_summary_public_safety_net(testbed):
     assert not client.done.triggered
     partial = client.partial_summary()
     assert partial.avg == pytest.approx(100, rel=0.5)
+    assert client.result.reply_rate is partial
+    assert len(client.result.reply_rate_samples) == partial.samples
     # finishing the run must still produce the real summary
     while not client.done.triggered and testbed.sim.now < 30:
         testbed.sim.run(until=testbed.sim.now + 0.25)

@@ -1,8 +1,9 @@
-"""Metrics registry: counts, gauges, histogram bucket edges."""
+"""Metrics registry: counts, gauges, histograms."""
 
 import pytest
 
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+from repro.obs.latency import LatencyHistogram
+from repro.obs.metrics import Gauge, MetricsRegistry
 
 
 def test_gauge_moves_both_ways():
@@ -16,35 +17,14 @@ def test_gauge_moves_both_ways():
 
 
 class TestHistogram:
-    def test_bucket_edges_are_inclusive_upper_bounds(self):
-        h = Histogram("lat", buckets=(1.0, 2.0, 4.0))
-        h.observe(0.5)   # <= 1.0
-        h.observe(1.0)   # exactly on a bound -> that bucket
-        h.observe(1.001)  # just past -> next bucket
-        h.observe(4.0)   # last bound, inclusive
-        h.observe(4.001)  # overflow
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-
-    def test_bucket_counts_marks_overflow_with_none(self):
-        h = Histogram("lat", buckets=(1.0,))
-        h.observe(9.0)
-        assert h.bucket_counts() == [(1.0, 0), (None, 1)]
-
     def test_mean(self):
-        h = Histogram("lat", buckets=(10.0,))
-        assert h.mean() == 0.0
-        h.observe(1.0)
-        h.observe(3.0)
+        h = MetricsRegistry().histogram("lat")
+        assert isinstance(h, LatencyHistogram)
+        with pytest.raises(ValueError):
+            h.mean()  # no samples yet: there is no mean
+        h.record(1.0)
+        h.record(3.0)
         assert h.mean() == 2.0
-
-    def test_bounds_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("bad", buckets=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("bad", buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("bad", buckets=())
 
 
 class TestRegistry:
@@ -70,20 +50,35 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counts["c"] += 3
         reg.gauge("g").set(1.5)
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        reg.histogram("h").record(0.5)
+        reg.histogram("empty")
         snap = json.loads(json.dumps(reg.snapshot()))
         assert snap["c"] == 3
         assert snap["g"] == 1.5
         assert snap["h"]["count"] == 1
-        assert snap["h"]["buckets"][0] == {"le": 1.0, "count": 1}
+        assert snap["h"]["mean"] == 0.5
+        assert snap["empty"] == {"count": 0}
+
+    def test_snapshot_reports_histogram_percentiles(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("batch")
+        for size in range(1, 101):
+            hist.record(size)
+        snap = reg.snapshot()["batch"]
+        assert snap == hist.summary()
+        assert snap["count"] == 100
+        assert snap["p99"] == pytest.approx(99.0, rel=0.08)
+        assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["p99.9"]
 
     def test_render_lists_every_metric(self):
         reg = MetricsRegistry()
         reg.counts["sys.read"] += 1
-        reg.histogram("lat", buckets=(1.0,)).observe(0.5)
+        reg.histogram("lat").record(0.5)
+        reg.histogram("idle")
         text = reg.render()
         assert "sys.read: 1" in text
-        assert "lat: n=1" in text
+        assert "lat: n=1 mean=0.5" in text
+        assert "idle: n=0 mean=nan" in text
 
 
     def test_a_count_exists_once_counted(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import SampleSet, WindowedRate
+from repro.sim.stats import RATE_WINDOW, quantile, window_rates
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1000.0,
@@ -28,35 +28,27 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
        st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=80)
 def test_sampleset_quantile_bounds_and_monotonicity(values, q):
-    ss = SampleSet()
-    for v in values:
-        ss.add(v)
-    quantile = ss.quantile(q)
-    assert min(values) <= quantile <= max(values)
-    assert ss.quantile(0.0) == min(values)
-    assert ss.quantile(1.0) == max(values)
+    ordered = sorted(values)
+    assert min(values) <= quantile(ordered, q) <= max(values)
+    assert quantile(ordered, 0.0) == min(values)
+    assert quantile(ordered, 1.0) == max(values)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
                 min_size=1, max_size=100))
 @settings(max_examples=60)
 def test_sampleset_median_matches_statistics(values):
-    ss = SampleSet()
-    for v in values:
-        ss.add(v)
-    assert abs(ss.median() - statistics.median(values)) < 1e-9
+    median = quantile(sorted(values), 0.5)
+    assert abs(median - statistics.median(values)) < 1e-9
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=9.999, allow_nan=False),
                 max_size=200))
 @settings(max_examples=60)
 def test_windowed_rate_conserves_events_inside_span(times):
-    wr = WindowedRate(window=1.0)
-    for t in times:
-        wr.record(t)
-    wr.set_span(0.0, 10.0)
-    assert sum(wr.rates()) == len(times)
-    assert len(wr.rates()) == 10
+    rates = window_rates(times, 0.0, 10.0)
+    assert sum(rates) == len(times)
+    assert len(rates) == 10
 
 
 @given(st.integers(min_value=1, max_value=50),
@@ -67,9 +59,7 @@ def test_windowed_rate_uniform_events(nwindows, seed):
     import random
 
     rng = random.Random(seed)
-    window = 0.5
-    wr = WindowedRate(window=window)
-    for k in range(nwindows):
-        wr.record(k * window + rng.uniform(0, window * 0.999))
-    wr.set_span(0.0, nwindows * window)
-    assert wr.rates() == [1.0 / window] * nwindows
+    times = [k * RATE_WINDOW + rng.uniform(0, RATE_WINDOW * 0.999)
+             for k in range(nwindows)]
+    rates = window_rates(times, 0.0, nwindows * RATE_WINDOW)
+    assert rates == [1.0 / RATE_WINDOW] * nwindows

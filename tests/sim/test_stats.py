@@ -6,89 +6,49 @@ import statistics
 import pytest
 
 from repro.sim.stats import (
+    RATE_WINDOW,
     ErrorCounter,
     RateSummary,
-    SampleSet,
-    WindowedRate,
+    quantile,
+    window_rates,
 )
 
 
 # ---------------------------------------------------------------------------
-# WindowedRate
+# window_rates
 # ---------------------------------------------------------------------------
 
 def test_windowed_rate_counts_per_window():
-    wr = WindowedRate(window=1.0)
-    for t in (0.1, 0.2, 1.5, 2.9):
-        wr.record(t)
-    wr.set_span(0.0, 3.0)
-    assert wr.rates() == [2.0, 1.0, 1.0]
+    assert window_rates([0.1, 0.2, 1.5, 2.9], 0.0, 3.0) == [2.0, 1.0, 1.0]
 
 
 def test_windowed_rate_zero_windows_inside_span_count():
-    wr = WindowedRate(window=1.0)
-    wr.record(0.5)
-    wr.record(3.5)
-    wr.set_span(0.0, 4.0)
-    assert wr.rates() == [1.0, 0.0, 0.0, 1.0]
+    assert window_rates([0.5, 3.5], 0.0, 4.0) == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_windowed_rate_ignores_stragglers_after_span():
-    wr = WindowedRate(window=1.0)
-    wr.record(0.5)
-    wr.record(2.7)  # after the span: a drain-time straggler
-    wr.set_span(0.0, 2.0)
-    assert wr.rates() == [1.0, 0.0]
+    # 2.7 is after the span: a drain-time straggler
+    assert window_rates([0.5, 2.7], 0.0, 2.0) == [1.0, 0.0]
 
 
 def test_windowed_rate_aligned_to_span_start():
-    wr = WindowedRate(window=1.0)
-    wr.record(10.4)
-    wr.record(10.6)
-    wr.set_span(10.3, 12.3)
-    assert wr.rates() == [2.0, 0.0]
+    assert window_rates([10.4, 10.6], 10.3, 12.3) == [2.0, 0.0]
 
 
 def test_windowed_rate_partial_last_window_dropped():
-    wr = WindowedRate(window=1.0)
-    wr.record(0.5)
-    wr.record(1.5)
-    wr.set_span(0.0, 1.9)  # only one complete window
-    assert wr.rates() == [1.0]
-
-
-def test_windowed_rate_non_unit_window():
-    wr = WindowedRate(window=0.5)
-    for t in (0.1, 0.4, 0.6):
-        wr.record(t)
-    wr.set_span(0.0, 1.0)
-    assert wr.rates() == [4.0, 2.0]  # counts divided by 0.5s
+    # only one complete window
+    assert window_rates([0.5, 1.5], 0.0, 1.9) == [1.0]
 
 
 def test_windowed_rate_without_span_uses_observed_range():
-    wr = WindowedRate(window=1.0)
-    wr.record(5.2)
-    wr.record(6.4)
-    rates = wr.rates()
+    times = [5.2, 6.4]
+    rates = window_rates(times, times[0], times[-1] + RATE_WINDOW)
     assert sum(rates) == pytest.approx(2.0)
 
 
 def test_windowed_rate_empty():
-    wr = WindowedRate()
-    assert wr.rates() == []
-    assert wr.summary().samples == 0
-
-
-def test_windowed_rate_total():
-    wr = WindowedRate()
-    for t in range(5):
-        wr.record(float(t))
-    assert wr.total == 5
-
-
-def test_windowed_rate_rejects_bad_window():
-    with pytest.raises(ValueError):
-        WindowedRate(window=0)
+    assert window_rates([], 0.0, 0.0) == []
+    assert RateSummary.from_samples(window_rates([], 0.0, 0.0)).samples == 0
 
 
 # ---------------------------------------------------------------------------
@@ -110,64 +70,33 @@ def test_rate_summary_empty():
 
 
 # ---------------------------------------------------------------------------
-# SampleSet
+# quantile
 # ---------------------------------------------------------------------------
 
 def test_sampleset_median_odd_even():
-    ss = SampleSet()
-    for v in (5.0, 1.0, 3.0):
-        ss.add(v)
-    assert ss.median() == 3.0
-    ss.add(7.0)
-    assert ss.median() == 4.0  # interpolated
+    assert quantile(sorted([5.0, 1.0, 3.0]), 0.5) == 3.0
+    # interpolated
+    assert quantile(sorted([5.0, 1.0, 3.0, 7.0]), 0.5) == 4.0
 
 
 def test_sampleset_quantiles_match_reference():
-    ss = SampleSet()
     values = [float(v) for v in range(1, 101)]
-    for v in values:
-        ss.add(v)
     # linear interpolation matches statistics.quantiles(n=..., method state)
-    assert ss.quantile(0.0) == 1.0
-    assert ss.quantile(1.0) == 100.0
-    assert ss.quantile(0.5) == pytest.approx(statistics.median(values))
+    assert quantile(values, 0.0) == 1.0
+    assert quantile(values, 1.0) == 100.0
+    assert quantile(values, 0.5) == pytest.approx(statistics.median(values))
 
 
 def test_sampleset_single_value():
-    ss = SampleSet()
-    ss.add(42.0)
     for q in (0.0, 0.3, 0.5, 1.0):
-        assert ss.quantile(q) == 42.0
-
-
-def test_sampleset_mean_min_max_len():
-    ss = SampleSet()
-    for v in (2.0, 4.0, 6.0):
-        ss.add(v)
-    assert ss.mean() == 4.0
-    assert ss.min() == 2.0
-    assert ss.max() == 6.0
-    assert len(ss) == 3
+        assert quantile([42.0], q) == 42.0
 
 
 def test_sampleset_errors():
-    ss = SampleSet()
     with pytest.raises(ValueError):
-        ss.median()
+        quantile([], 0.5)
     with pytest.raises(ValueError):
-        ss.mean()
-    ss.add(1.0)
-    with pytest.raises(ValueError):
-        ss.quantile(1.5)
-
-
-def test_sampleset_interleaved_add_and_query():
-    ss = SampleSet()
-    ss.add(3.0)
-    assert ss.median() == 3.0
-    ss.add(1.0)  # must re-sort lazily
-    assert ss.min() == 1.0
-    assert ss.median() == 2.0
+        quantile([1.0], 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each exported name is imported from its submodule on first access
 (PEP 562), so a caller loads only the tools it names: a simulated point
-never compiles the capacity, calibration, figure or suite modules.
+never compiles the capacity, calibrate, figure or suite modules.
 """
 
 from importlib import import_module
@@ -12,8 +12,6 @@ _EXPORTS = {
     **dict.fromkeys((
         "CALIBRATION_VERSION", "default_calibration_path", "dump_calibration",
         "load_calibration", "run_calibration"), "calibrate"),
-    **dict.fromkeys(("cpu_breakdown", "per_request_cost_us"),
-                    "calibration"),
     **dict.fromkeys((
         "CAPACITY_ARTIFACT_VERSION", "CapacitySearch", "CellSpec",
         "default_artifact_path", "dump_capacity_artifact",
@@ -41,8 +39,8 @@ _EXPORTS = {
         "SelfPerfResult", "run_engine_churn", "run_point_workload",
         "run_selfperf"), "selfperf"),
     **dict.fromkeys((
-        "ascii_histogram", "ascii_plot", "format_table", "reply_rate_table"),
-        "reporting"),
+        "ascii_histogram", "ascii_plot", "cpu_breakdown", "format_table",
+        "per_request_cost_us", "reply_rate_table"), "reporting"),
     **dict.fromkeys((
         "ARTIFACT_VERSION", "SUITES", "BenchSuite", "dump_artifact",
         "load_artifact", "point_label", "run_suite", "suite_fingerprint"),

@@ -28,8 +28,6 @@ from .testbed import Testbed
 #: fragment is a separate readiness event at the server.
 PARTIAL_FRAGMENTS = (b"GET /i", b"ndex", b".html HTT",
                      b"P/1.0\r\nUser-Agent: slow-modem")
-#: kept for backwards compatibility with early tests
-PARTIAL_REQUEST = b"".join(PARTIAL_FRAGMENTS)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from ..net.link import ETHERNET_100MBIT, LAN_LATENCY, Network
 from ..net.stack import NetStack
 from ..obs.causal import CausalLedger
 from ..obs.profiler import CpuProfiler
-from ..obs.spans import Tracer
+from ..obs.spans import SpanTracer
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 
@@ -59,7 +59,7 @@ class Testbed:
         cfg = self.config
         self.sim = Simulator()
         self.rng = RngStreams(cfg.seed)
-        self.tracer = Tracer(enabled=cfg.trace)
+        self.tracer = SpanTracer(enabled=cfg.trace)
         self.profiler = CpuProfiler() if cfg.profile else None
         #: event-causality ledger, server host only (the paper's
         #: pathology story is about the server's readiness path)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 from ..obs.causal import NULL_LEDGER, CausalLedger
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import CpuProfiler
-from ..obs.spans import NULL_TRACER, Span, Tracer
+from ..obs.spans import NULL_TRACER, Span, SpanTracer
 from ..sim.engine import Simulator
 from ..sim.resources import CPU, PRIO_SOFTIRQ
 from .constants import RTSIG_MAX_DEFAULT
@@ -33,7 +33,7 @@ class Kernel:
         name: str = "host",
         cpu_speed: float = 1.0,
         costs: CostModel = DEFAULT_COSTS,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         profiler: Optional[CpuProfiler] = None,
         num_cpus: int = 1,

@@ -22,7 +22,7 @@ reports it.
 
 Tracing is off by default and costs a single attribute check per call
 site, so it stays wired through the kernel and servers without affecting
-benchmark numbers.  ``Tracer`` is a short alias of :class:`SpanTracer`.
+benchmark numbers.
 """
 
 from __future__ import annotations
@@ -226,9 +226,6 @@ class SpanTracer:
             if close:
                 out.close()
 
-
-#: Backwards-compatible name: the old flat tracer API is a strict subset.
-Tracer = SpanTracer
 
 #: Shared no-op tracer for components created without an explicit one.
 NULL_TRACER = SpanTracer(enabled=False, capacity=1)

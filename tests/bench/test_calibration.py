@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.calibration import cpu_breakdown, per_request_cost_us
+from repro.bench.reporting import cpu_breakdown, per_request_cost_us
 from repro.bench.capacity import (
     CapacitySearch,
     matrix_cells,

@@ -5,7 +5,7 @@ import pytest
 from repro.kernel.costs import CostModel
 from repro.kernel.kernel import Kernel
 from repro.sim.engine import Simulator
-from repro.obs.spans import Tracer
+from repro.obs.spans import SpanTracer
 
 
 def test_pids_are_unique_and_increasing():
@@ -56,7 +56,7 @@ def test_softirq_runs_ahead_of_user_work():
 
 
 def test_tracer_wiring():
-    tracer = Tracer(enabled=True)
+    tracer = SpanTracer(enabled=True)
     sim = Simulator()
     kernel = Kernel(sim, "k", tracer=tracer)
     kernel.trace("net", "hello")

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.spans import NULL_TRACER, Span, SpanTracer, TraceRecord
+from repro.obs.spans import Span, SpanTracer, TraceRecord
 
 
 def test_disabled_tracer_records_nothing():
@@ -94,13 +94,6 @@ def test_export_jsonl(tmp_path):
     assert spans[0]["name"] == "request"
     assert spans[0]["attrs"]["fd"] == 7
     assert isinstance(spans[0]["attrs"]["obj"], str)  # repr'd, not raw
-
-
-def test_backward_compat_alias():
-    from repro.obs.spans import Tracer
-
-    assert Tracer is SpanTracer
-    assert NULL_TRACER.enabled is False
 
 
 def test_span_message_property():

@@ -17,7 +17,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: harness tooling no single point runs
 TOOLING = {f"repro.bench.{name}" for name in (
-    "calibrate", "calibration", "capacity", "diffing", "figures", "live",
+    "calibrate", "capacity", "diffing", "figures", "live",
     "parallel", "reporting", "selfperf", "suites", "sweeps")}
 #: renderers and samplers only reports and traced capacity cells use
 RENDERERS = {"repro.obs.report", "repro.obs.flame", "repro.obs.timeline"}

@@ -375,8 +375,11 @@ def cmd_trace(args) -> int:
           "chrome://tracing)")
     summary = ledger.summary()
     wakeup = summary["wakeup_latency"]
-    print(f"  wakeups: {wakeup['count']} harvested, ready->harvest avg "
-          f"{wakeup['avg_us']:.1f} us, max {wakeup['max_us']:.1f} us")
+    if wakeup is None:
+        print("  wakeups: none harvested")
+    else:
+        print(f"  wakeups: {wakeup['count']} harvested, ready->harvest "
+              f"mean {wakeup['mean']:.3f} ms, max {wakeup['max']:.3f} ms")
     counters = summary["counters"]
     interesting = [
         (key, counters[key]) for key in (

@@ -59,7 +59,10 @@ from .suites import point_config
 #: 2 -- knee verification runs with the causal ledger on, so each cell's
 #:      ``knee`` block gains ``pathologies`` (see repro.obs.causal);
 #:      v1 artifacts simply lack the key.
-CAPACITY_ARTIFACT_VERSION = 2
+#: 3 -- the knee's ``pathologies.causal`` latencies are in milliseconds,
+#:      shaped like ``latency_percentiles`` (record version 7); the
+#:      report reads their ``mean`` and ``max``.
+CAPACITY_ARTIFACT_VERSION = 3
 
 #: profile rows archived per cell (the report shows these)
 PROFILE_TOP_ROWS = 12

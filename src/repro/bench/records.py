@@ -50,7 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports; a
 #:      wait stats), present only on points run with ``runtime="live"``
 #:      (:mod:`repro.bench.live`); simulated records -- and therefore
 #:      every existing fingerprint -- are byte-identical to v5.
-RECORD_VERSION = 6
+#: 7 -- the two causal-ledger latencies in ``pathologies.causal``
+#:      (``wakeup_latency``, ``path_latency``) take the shape of
+#:      ``latency_percentiles``: count/min/mean/max plus p50 through
+#:      p99.9, in milliseconds, or None when nothing was observed (v5-6:
+#:      count, ``avg_us``, ``max_us`` and log2 microsecond buckets).
+#:      Untraced records are byte-identical to v6.
+RECORD_VERSION = 7
 
 #: Per-point artifact keys that measure the *host*, not the simulation:
 #: they differ run-to-run and between serial and parallel execution, so

@@ -47,8 +47,8 @@ from importlib import import_module
 #: exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "NULL_LEDGER", "CausalLedger", "WakeupHistogram",
-        "chrome_trace_events", "collect_pathologies", "export_chrome_trace"),
+        "NULL_LEDGER", "CausalLedger", "chrome_trace_events",
+        "collect_pathologies", "export_chrome_trace"),
         "causal"),
     **dict.fromkeys((
         "ascii_flame", "collapse_profile", "collapse_spans", "folded_stacks",

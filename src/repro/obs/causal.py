@@ -9,7 +9,7 @@ notification is stamped along its full path --
     ready-list) -> backend ``wait()`` return -> server dispatch -> reply
 
 -- with per-hop simulated timestamps, so we get wakeup-latency
-histograms (ready -> harvested) and per-backend pathology counters
+histograms (ready -> harvested, in ms) and per-backend pathology counters
 (spurious wakeups, rtsig overflows and SIGIO recovery episodes, stale
 post-close events, and so on).
 
@@ -30,6 +30,8 @@ import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
+from .latency import LatencyHistogram
+
 # Canonical hop order of a completed causality chain.  Chains may skip
 # hops (select/poll have no kernel enqueue stage; a listener fd never
 # reaches "reply") -- consecutive *present* hops become trace spans.
@@ -37,46 +39,9 @@ HOP_ORDER = ("ready", "enqueue", "harvest", "dispatch", "reply")
 
 # Ring capacities.  Chains dominate the ledger's memory; the deques
 # keep long capacity searches bounded while the counters and
-# histograms stay exact over the whole run.
+# histograms cover the whole run.
 CHAIN_CAPACITY = 4096
 MARK_CAPACITY = 1024
-
-
-class WakeupHistogram:
-    """Log2-bucketed latency histogram over microseconds.
-
-    Bucket ``i`` holds latencies in ``(2**(i-1), 2**i]`` us; bucket 0
-    holds everything at or below 1 us (including the zero-latency case
-    where readiness is harvested in the same simulated instant).
-    """
-
-    __slots__ = ("count", "total_us", "max_us", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_us = 0.0
-        self.max_us = 0.0
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, seconds: float) -> None:
-        us = max(seconds, 0.0) * 1e6
-        self.count += 1
-        self.total_us += us
-        if us > self.max_us:
-            self.max_us = us
-        index = 0 if us <= 1.0 else int(us - 1e-9).bit_length()
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary; bucket keys are 'le_<2**i>us' labels."""
-        return {
-            "count": self.count,
-            "avg_us": round(self.total_us / self.count, 3) if self.count
-            else 0.0,
-            "max_us": round(self.max_us, 3),
-            "buckets": {f"le_{2 ** i}us": n
-                        for i, n in sorted(self.buckets.items())},
-        }
 
 
 class CausalLedger:
@@ -91,8 +56,9 @@ class CausalLedger:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.counters: Dict[str, int] = {}
-        self.wakeup_latency = WakeupHistogram()   # ready -> harvest
-        self.path_latency = WakeupHistogram()     # ready -> reply
+        #: ready -> harvest and ready -> reply, in milliseconds
+        self.wakeup_latency = LatencyHistogram()
+        self.path_latency = LatencyHistogram()
         self.chains: deque = deque(maxlen=CHAIN_CAPACITY)
         self.marks: deque = deque(maxlen=MARK_CAPACITY)
         self._pending_ready: Dict[Any, Tuple[float, int]] = {}
@@ -153,7 +119,8 @@ class CausalLedger:
                 pending = self._pending_ready.pop(file, None)
                 if pending is not None:
                     chain["ready"] = pending[0]
-                    self.wakeup_latency.observe(now - pending[0])
+                    self.wakeup_latency.record(
+                        (now - pending[0]) * 1000.0)
                 else:
                     self._bump("harvest_unmatched")
                 queued = self._enqueued.pop(file, None)
@@ -185,7 +152,7 @@ class CausalLedger:
             return
         chain["reply"] = now
         if "ready" in chain:
-            self.path_latency.observe(now - chain["ready"])
+            self.path_latency.record((now - chain["ready"]) * 1000.0)
         self.chains.append(chain)
 
     def stale(self, now: float, fd: int) -> None:
@@ -210,8 +177,8 @@ class CausalLedger:
         """Deterministic JSON-ready rollup of the whole run."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "wakeup_latency": self.wakeup_latency.as_dict(),
-            "path_latency": self.path_latency.as_dict(),
+            "wakeup_latency": self.wakeup_latency.summary(),
+            "path_latency": self.path_latency.summary(),
             "pending_ready": len(self._pending_ready),
             "pending_enqueued": len(self._enqueued),
             "abandoned_chains": len(self._harvested),

@@ -560,7 +560,7 @@ def _pathology_section(artifact: Dict[str, Any]) -> str:
     head = ('<tr><th class="rowhead">cell</th><th>waits</th>'
             "<th>spurious</th><th>reg/wait</th><th>stale</th>"
             "<th>rtsig ovfl</th><th>SIGIO rec</th>"
-            "<th>wakeup avg &micro;s</th><th>wakeup max &micro;s</th>"
+            "<th>wakeup mean ms</th><th>wakeup max ms</th>"
             "<th>lock wait ms</th></tr>")
     rows = []
     for cell in cells:
@@ -596,8 +596,8 @@ def _pathology_section(artifact: Dict[str, Any]) -> str:
             f"<td>{stale}</td>"
             f"<td>{overflows}</td>"
             f"<td>{recoveries}</td>"
-            f"<td>{_fmt(wakeup.get('avg_us'), 1)}</td>"
-            f"<td>{_fmt(wakeup.get('max_us'), 1)}</td>"
+            f"<td>{_fmt(wakeup.get('mean'), 3)}</td>"
+            f"<td>{_fmt(wakeup.get('max'), 3)}</td>"
             f"<td>{_fmt(lock_ms, 3)}</td>"
             "</tr>")
     return ("<h2>Pathologies at the knee</h2>"

@@ -84,25 +84,25 @@ GOLDEN = {
         "2a98699bf63507bbd66d9da1a54757ea3b638f689630d550ef10b8174b1102b4"),
     "smp_overload_traced": (
         replace(SMP_OVERLOAD, trace=True),
-        "dd413551d681329cf8f4be00c9426f6c57b3367d4231624275789fdb7d34db42"),
+        "19311c5fd3c2323a5b20502906ce12efef0a4675cd397415a8a7b49c6ce97cc9"),
     "smp_overload_poll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd"),
         "75c69342704e82189e1e4dc3425679036ddd118c5a18499cd9fddeb9f92043ae"),
     "smp_overload_poll_traced": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd", trace=True),
-        "9996f43690178428cc719884d9a19ae2149d870c6037c7cc44f04d7ff0598b1c"),
+        "8c3b5e989f60fd161a3a7c16c41a114511d1a2bb418185ada37d70bad1900ca6"),
     "smp_overload_devpoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll"),
         "34712ef6b42ae0f217b2d695c50aee3ccd2b4d00070a1619824f667c27b5d9e1"),
     "smp_overload_devpoll_traced": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll", trace=True),
-        "e49f410c0d2d7445420b49dd3f502a3962f78567c278718b9bea11c24d00bad8"),
+        "5a2b6f1dc95df6ae93e86bfd47b13e2bcd9d2a0a9915467565d63ea0ff982065"),
     "smp_overload_epoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll"),
         "97bce3620d31bb85b52a6a70b035bf4d62f8c74513c1bf3e4ad01a836fa049bc"),
     "smp_overload_epoll_traced": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll", trace=True),
-        "80ff56cc12cf58c7e2dc31937b2bb5e4fbc04b43b778840b272793fa58da23cb"),
+        "2431c3372f170a6f883b572dd30ca1583f0bd00e97682476092e32fd2a75a654"),
     "smp2_unpinned": (
         BenchmarkPoint(server="thttpd", rate=1500.0, inactive=64,
                        duration=0.3, timeout=1.0, cpus=2),
@@ -112,13 +112,13 @@ GOLDEN = {
         "edce7857e4d99a6a08c5a31a9aa28e7d5e08cee6ecb1e0bb619943c75c319b76"),
     "poll_traced": (
         replace(UNIPROCESSOR, trace=True),
-        "e234d2859115160807316290e47ff2f7522eccc77d1de5309a49d52aaaebf387"),
+        "f1fe6f547a9900dc5e8ad93005f7b9c651f851fc51d2c6cf2594d69b6911163a"),
     "select": (
         replace(UNIPROCESSOR, server="thttpd-select"),
         "0284d0a346692f823e39ddaa89fac4da6268edf021a9378dc5a73c37ccc83886"),
     "select_traced": (
         replace(UNIPROCESSOR, server="thttpd-select", trace=True),
-        "c9b968f14ad99cd8b61f7097269c4e20b76f696d7792cffebec041c2f4d17c4e"),
+        "746388da75e8cf525bfb19be28e76097e426d1dd3ea2dd6b8b6b6cb004d2d90f"),
     "overload_poll": (
         UNIPROCESSOR_OVERLOAD,
         "a2244389144ba9385d2d79a21ad9f33417fdc8ba4a6dff9c1a575d6220783778"),
@@ -144,13 +144,13 @@ GOLDEN = {
         "7d9c524a7ad3a4265a6a5f2c41541a8c00187454d42f17eac0515b3fe7e34d31"),
     "overload_devpoll_traced": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-devpoll", trace=True),
-        "4ee78da59261f9dfd404a460933648b8b791f609146942739a0381fb7e5bb480"),
+        "2946eff8aa1a96e3e87fe2baa4d83fd627e2d8b4e6c5b23a041d700a74769b0d"),
     "overload_epoll": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-epoll"),
         "34077308596140b203b3ad0c3a44dab98b58501c9a2e36425736cea126fa2b44"),
     "overload_epoll_traced": (
         replace(UNIPROCESSOR_OVERLOAD, server="thttpd-epoll", trace=True),
-        "6e35e2c4e0f7d4fff16ed212b1d031280e25b59fa4a8530fd51c14765c5dc5a8"),
+        "52136f32c24cec916e3ecbf32eb70d899776f66ad9e7951a0b34e7d28db2a636"),
     "overload_phhttpd": (
         replace(UNIPROCESSOR_OVERLOAD, server="phhttpd"),
         "99c49156761f29553ab282c87e70ed3ab24a32ce5190967fcbfd90bfde919658"),
@@ -177,7 +177,7 @@ GOLDEN = {
         "1ebb18ea78323c0c631ca0307e0c2c7d7c617c3f044c5b156489776f529104e7"),
     "rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, trace=True),
-        "c674792f164d017679ca6561337cb0fb6a0330862b102e02a76523fa21a924a0"),
+        "8cf1f9e1523b0c8abc0d3288f9482668fd0a0fc655ff097e72f0249a819e3fa2"),
     "rtsig_overflow_batch": (
         replace(RTSIG_OVERFLOW,
                 server_opts={"rtsig_max": 32, "signal_batch": 8}),
@@ -187,7 +187,7 @@ GOLDEN = {
         "a495e7798f971e694ac55f1cee65d8a302557813b77a07f63f0b710f481772ee"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
-        "d4904e05f37817fbaefb443eb07b4a2696fe2a3438d5e5b35d0e71e842034ff9"),
+        "be6e86f42d15c8819547c85ee89af01b8771cd475782b86d8d0e975aa3febe16"),
     "hybrid_parked": (
         replace(RTSIG_OVERFLOW, server="hybrid",
                 server_opts={"rtsig_max": 32, "calm_loops": 10**9}),

@@ -9,10 +9,10 @@ from repro.bench.records import point_record
 from repro.kernel.constants import POLLIN
 from repro.obs.causal import (
     CausalLedger,
-    WakeupHistogram,
     chrome_trace_events,
     export_chrome_trace,
 )
+from repro.obs.latency import REPORT_QUANTILES
 
 
 def _run(trace, backend=None, **kwargs):
@@ -23,27 +23,8 @@ def _run(trace, backend=None, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# histogram + ledger units
+# ledger units
 # ---------------------------------------------------------------------------
-
-def test_histogram_log2_buckets():
-    hist = WakeupHistogram()
-    hist.observe(0.0)        # same-instant harvest -> bucket le_1us
-    hist.observe(3e-6)       # 3 us -> (2, 4]
-    hist.observe(100e-6)     # 100 us -> (64, 128]
-    data = hist.as_dict()
-    assert data["count"] == 3
-    assert data["max_us"] == pytest.approx(100.0)
-    assert data["avg_us"] == pytest.approx(103.0 / 3, abs=1e-3)
-    assert data["buckets"] == {"le_1us": 1, "le_4us": 1, "le_128us": 1}
-
-
-def test_bucket_edges_are_inclusive_upper():
-    hist = WakeupHistogram()
-    hist.observe(2e-6)       # exactly 2 us lands in (1, 2], not (2, 4]
-    hist.observe(1e-6)       # exactly 1 us lands in the base bucket
-    assert hist.as_dict()["buckets"] == {"le_1us": 1, "le_2us": 1}
-
 
 class _FdTable:
     def __init__(self, mapping):
@@ -68,7 +49,7 @@ def test_disabled_ledger_is_inert():
     ledger.reply(0.0, 5)
     assert ledger.counters == {}
     assert not ledger.chains and not ledger.marks
-    assert ledger.summary()["wakeup_latency"]["count"] == 0
+    assert ledger.summary()["wakeup_latency"] is None
 
 
 def test_ledger_joins_full_chain():
@@ -86,8 +67,9 @@ def test_ledger_joins_full_chain():
     assert chain["ready"] < chain["enqueue"] < chain["harvest"] \
         < chain["dispatch"] < chain["reply"]
     assert ledger.wakeup_latency.count == 1
-    assert ledger.wakeup_latency.max_us == pytest.approx(20.0, rel=1e-3)
+    assert ledger.wakeup_latency.max() == pytest.approx(0.02, rel=1e-3)  # ms
     assert ledger.path_latency.count == 1
+    assert ledger.path_latency.max() == pytest.approx(0.04, rel=1e-3)
     assert ledger.counters["registered_scanned"] == 10
     assert ledger.summary()["abandoned_chains"] == 0
 
@@ -193,6 +175,21 @@ def test_tracing_changes_no_measurement():
     record_traced = point_record(traced)
     record_traced.pop("pathologies")
     assert record_traced == record_bare
+
+
+def test_traced_point_reports_wakeup_latency_percentiles_in_ms():
+    record = point_record(_run(trace=True))
+    wakeup = record["pathologies"]["causal"]["wakeup_latency"]
+    names = [name for name, _q in REPORT_QUANTILES]
+    assert list(wakeup) == ["count", "min", "mean", "max", *names]
+    assert wakeup["count"] > 0
+    assert wakeup["min"] <= wakeup["mean"] <= wakeup["max"]
+    assert ([wakeup[name] for name in names]
+            == sorted(wakeup[name] for name in names))
+    # in ms: at 150 req/s the typical wakeup takes tens of microseconds,
+    # and none outlasts the 2 s run
+    assert 0.0 < wakeup["p50"] < 1.0
+    assert wakeup["max"] < 2000.0
 
 
 def test_record_carries_pathologies_only_when_traced():

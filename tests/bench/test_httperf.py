@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.httperf import HttperfClient, HttperfConfig, HttperfResult
+from repro.bench.httperf import HttperfClient, HttperfConfig
 from repro.bench.testbed import Testbed, TestbedConfig
 from repro.servers.thttpd import ThttpdDevpollServer
 
@@ -216,17 +216,6 @@ def test_latency_hist_tracks_sample_set(testbed):
         assert pct[name] == pytest.approx(
             result.conn_time_quantile_ms(q), rel=0.10)
     assert pct["p50"] <= pct["p99.9"]
-
-
-def test_quantile_read_after_more_replies_reflects_them():
-    """The sorted connection times are reused between reads, but a read
-    after more replies are logged sees them."""
-    result = HttperfResult()
-    result.reply_log.append((0.1, 3.0))
-    assert result.median_conn_time_ms() == 3.0
-    result.reply_log.append((0.2, 1.0))  # must re-sort
-    assert result.latency_summary_ms()["min"] == 1.0
-    assert result.median_conn_time_ms() == 2.0
 
 
 def test_latency_percentiles_none_before_any_reply(testbed):

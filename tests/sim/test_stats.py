@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from repro.bench.httperf import HttperfResult
 from repro.sim.stats import (
     RATE_WINDOW,
     ErrorCounter,
@@ -97,6 +98,17 @@ def test_sampleset_errors():
         quantile([], 0.5)
     with pytest.raises(ValueError):
         quantile([1.0], 1.5)
+
+
+def test_sampleset_interleaved_add_and_query():
+    """The reply log's sorted connection times are reused between reads,
+    but a read after more replies are logged sees them."""
+    result = HttperfResult()
+    result.reply_log.append((0.1, 3.0))
+    assert result.median_conn_time_ms() == 3.0
+    result.reply_log.append((0.2, 1.0))  # must re-sort
+    assert result.latency_summary_ms()["min"] == 1.0
+    assert result.median_conn_time_ms() == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 The paper's figures report medians, but a median hides exactly the tail
 the inactive-connection experiments create: a run can keep a healthy
-p50 while its p99.9 blows through the client timeout.  Recording every
-sample exactly (``repro.sim.stats.SampleSet``) is fine for one point but
-wrong for an always-on telemetry layer, so :class:`LatencyHistogram`
-keeps *counts per logarithmic bucket* instead:
+p50 while its p99.9 blows through the client timeout.  Keeping every
+sample exactly (the client's reply log) is fine for one point but wrong
+for an always-on telemetry layer, so :class:`LatencyHistogram` keeps
+*counts per logarithmic bucket* instead:
 
 * buckets are log-spaced -- ``buckets_per_decade`` bounds per factor of
   ten -- so relative quantile error is bounded by the bucket ratio
@@ -16,10 +16,15 @@ keeps *counts per logarithmic bucket* instead:
 * ``min``/``max``/``sum``/``count`` are tracked exactly, underflow and
   overflow land in dedicated edge buckets, and two histograms with the
   same geometry can be merged (sharded clients, summed sweeps);
-* ``as_dict``/``from_dict`` round-trip through plain JSON, which is how
-  percentiles enter the canonical ``BENCH_*.json`` artifacts.
+* ``as_dict``/``from_dict`` round-trip through plain JSON;
+  ``summary()`` (count/min/mean/max plus p50/p90/p99/p99.9) is how
+  percentiles enter point records and the canonical ``BENCH_*.json``
+  artifacts.
 
-Values are unit-agnostic; the benchmark layer feeds milliseconds.
+It is the one histogram type: the client's connection-time
+percentiles, each server's service time, the metrics registry's
+histograms and the causal ledger's two latencies all use it.  Values
+are unit-agnostic; the latency feeds are in milliseconds.
 """
 
 from __future__ import annotations

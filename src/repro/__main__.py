@@ -3,18 +3,17 @@
 Subcommands:
 
 * ``info``                      -- package + reproduction summary
-* ``point SERVER RATE LOAD``    -- run one benchmark point
-* ``profile SERVER RATE LOAD`` -- run one point and print where the
-                                   server CPU went
-* ``flame SERVER RATE LOAD``    -- run one point, print an ASCII flame
-                                   view, optionally export folded stacks
+* ``point SERVER RATE LOAD``    -- run one benchmark point; ``--trace F``
+                                   writes a Chrome trace-event JSON
+                                   (load it in Perfetto / about:tracing),
+                                   ``--profile-out F`` prints and writes
+                                   where the server CPU went, ``--flame
+                                   F`` writes folded stacks and prints
+                                   an ASCII flame view
 * ``figures [ids...]``          -- regenerate paper figures (like
                                    examples/paper_figures.py)
 * ``bench --suite NAME``        -- run a named suite, write the
                                    canonical ``BENCH_<suite>.json``
-* ``trace SERVER RATE LOAD``    -- run one point with the causal ledger
-                                   on; export a Chrome trace-event JSON
-                                   (load it in Perfetto / about:tracing)
 * ``diff OLD NEW``              -- attributed diff of two BENCH, two
                                    CAPACITY or two CALIBRATION
                                    artifacts: what moved, and which
@@ -30,6 +29,8 @@ Subcommands:
 * ``report ARTIFACT``           -- re-render the HTML report from an
                                    existing capacity artifact
                                    (byte-identical for the same input)
+* ``calibrate``                 -- fit the simulated cost terms against
+                                   the real kernel (a live-runtime grid)
 
 ``bench`` and ``figures`` accept ``--jobs N`` to fan independent
 benchmark points across worker processes; every point is a seeded,
@@ -102,8 +103,9 @@ def cmd_info(_args) -> int:
     print(f"servers : {', '.join(sorted(SERVER_KINDS))}")
     print(f"figures : {', '.join(sorted(ALL_FIGURES))}")
     print(f"suites  : {', '.join(sorted(SUITES))}")
-    print("profile : `repro profile SERVER RATE LOAD` attributes server "
-          "CPU to (subsystem, operation)")
+    print("point   : `repro point SERVER RATE LOAD --profile-out F` "
+          "attributes server CPU to (subsystem, operation); --trace F and "
+          "--flame F write a Chrome trace and folded stacks")
     print("bench   : `repro bench --suite smoke --out BENCH_smoke.json`, "
           "then `repro diff OLD NEW` gates on regressions")
     print("capacity: `repro capacity --backends select,epoll --inactive "
@@ -115,19 +117,22 @@ def cmd_info(_args) -> int:
 
 
 def cmd_point(args) -> int:
-    """Run one benchmark point and print its headline numbers."""
+    """Run one benchmark point; print its headline numbers and the views
+    its --trace, --profile-out and --flame files hold."""
     from repro.bench import BenchmarkPoint, run_point
+    from repro.bench.harness import resolve_kind
 
     if not _check_server(args.server) or not _check_backend(args.backend):
         return 2
-    runtime = getattr(args, "runtime", "sim")
+    runtime = args.runtime
     live_backend = (args.backend is not None
                     and args.backend.startswith("live-"))
     if runtime == "live":
-        if args.trace is not None or args.profile_out is not None:
-            print("repro: --trace/--profile-out are simulation-only "
-                  "(the live runtime has no span exporter or profiler)",
-                  file=sys.stderr)
+        if (args.trace is not None or args.profile_out is not None
+                or args.flame is not None or args.no_hints):
+            print("repro: --trace/--profile-out/--flame/--no-hints are "
+                  "simulation-only (the live runtime has no span exporter "
+                  "or profiler)", file=sys.stderr)
             return 2
         if args.cpus != 1 or args.workers != 1:
             print("repro: --cpus/--workers are simulation-only axes",
@@ -142,21 +147,45 @@ def cmd_point(args) -> int:
         print(f"repro: backend {args.backend!r} needs --runtime live",
               file=sys.stderr)
         return 2
-    result = run_point(BenchmarkPoint(
+    point = BenchmarkPoint(
         server=args.server, backend=args.backend, runtime=runtime,
         rate=args.rate,
         inactive=args.inactive, duration=args.duration, seed=args.seed,
         cpus=args.cpus, workers=args.workers, dispatch=args.dispatch,
-        trace=args.trace is not None, profile=args.profile_out is not None))
+        trace=args.trace is not None or args.flame is not None,
+        profile=args.profile_out is not None or args.flame is not None)
+    if args.no_hints:
+        if resolve_kind(point) != "thttpd-devpoll":
+            print("repro: --no-hints only applies to thttpd-devpoll",
+                  file=sys.stderr)
+            return 2
+        from repro.core.devpoll import DevPollConfig
+
+        point.server_opts["devpoll"] = DevPollConfig(use_hints=False)
+    result = run_point(point)
+    status = 0
+    if args.flame is not None:
+        from repro.obs.flame import ascii_flame, folded_stacks, write_folded
+
+        stacks = folded_stacks(result.testbed.tracer,
+                               result.profiler.report().as_dict())
+        # Write the file before printing: `repro point ... --flame F |
+        # head` must not lose F to a broken pipe.
+        try:
+            write_folded(stacks, args.flame)
+        except OSError as err:
+            print(f"repro: cannot write {args.flame}: {err.strerror}",
+                  file=sys.stderr)
+            return 1
     rr = result.reply_rate
     shown = (f"{args.server} [{args.backend}]" if args.backend
              else args.server)
     if runtime == "live":
         shown += " (live)"
+    where = f"{shown} @ {args.rate:.0f}/s, {args.inactive} inactive"
     smp = (f", {args.cpus} cpus x {args.workers} workers"
            if args.cpus != 1 or args.workers != 1 else "")
-    print(f"{shown} @ {args.rate:.0f}/s, {args.inactive} inactive, "
-          f"{args.duration:.0f}s{smp}:")
+    print(f"{where}, {args.duration:.0f}s{smp}:")
     print(f"  replies/s avg {rr.avg:.1f}  min {rr.min:.1f}  max {rr.max:.1f}"
           f"  stddev {rr.stddev:.1f}")
     median = (f"{result.median_conn_ms:.2f} ms"
@@ -168,7 +197,6 @@ def cmd_point(args) -> int:
     if pct is not None:
         print(f"  latency ms p50 {pct['p50']:.2f}  p90 {pct['p90']:.2f}  "
               f"p99 {pct['p99']:.2f}  p99.9 {pct['p99.9']:.2f}")
-    status = 0
     if runtime == "live":
         rt = result.runtime
         port = rt.listen_address[1] if rt.listen_address else "?"
@@ -178,7 +206,7 @@ def cmd_point(args) -> int:
         print(f"  live: port {port}, {calls} real syscalls, "
               f"{wall_us:.0f} us measured wall vs "
               f"{modeled_us:.0f} us modeled cpu")
-    if getattr(args, "record_out", None) is not None:
+    if args.record_out is not None:
         from repro.bench.records import RECORD_VERSION, point_record
 
         record = {"record_version": RECORD_VERSION, **point_record(result)}
@@ -186,96 +214,67 @@ def cmd_point(args) -> int:
             print(f"  record -> {args.record_out}")
         else:
             status = 1
-    if args.trace is not None:
-        try:
-            result.testbed.tracer.export_jsonl(args.trace)
-            print(f"  trace -> {args.trace} "
-                  f"({len(result.testbed.tracer.records())} records)")
-        except OSError as err:
-            print(f"repro: cannot write {args.trace}: {err.strerror}",
-                  file=sys.stderr)
-            status = 1
+    if args.trace is not None and not _print_trace(result, args.trace):
+        status = 1
     if args.profile_out is not None:
+        from repro.bench.reporting import attribution_table
+
         report = result.profiler.report()
         if _write_json(args.profile_out, report.as_dict()):
             print(f"  profile -> {args.profile_out} "
                   f"({len(report.rows)} rows)")
         else:
             status = 1
+        print(attribution_table(report, title=(
+            f"{where}{smp}{', hints off' if args.no_hints else ''}: "
+            f"{rr.avg:.1f} replies/s, cpu "
+            f"{100 * result.cpu_utilization:.0f}%")))
+    if args.flame is not None:
+        print(f"  folded stacks -> {args.flame} ({len(stacks)} lines; feed "
+              f"to flamegraph.pl or speedscope)")
+        print(ascii_flame(stacks, title=(
+            f"{where}: {rr.avg:.1f} replies/s -- flame (self time)")))
+        if result.testbed.tracer.dropped:
+            print(f"note: span ring dropped {result.testbed.tracer.dropped} "
+                  f"record(s); span-derived stacks undercount",
+                  file=sys.stderr)
     return status
 
 
-def cmd_profile(args) -> int:
-    """Run one point with the CPU profiler on and print the attribution."""
-    from repro.bench import BenchmarkPoint, run_point
-    from repro.bench.reporting import attribution_table
+def _print_trace(result, path: str) -> bool:
+    """Write a traced point's Chrome trace JSON to ``path`` and print
+    its wakeup and pathology lines; False if the file cannot be
+    written."""
+    from repro.obs.causal import export_chrome_trace
 
-    if not _check_server(args.server) or not _check_sim_backend(args.backend):
-        return 2
-    server_opts = {}
-    if args.no_hints:
-        if args.server != "thttpd-devpoll":
-            print("repro: --no-hints only applies to thttpd-devpoll",
-                  file=sys.stderr)
-            return 2
-        from repro.core.devpoll import DevPollConfig
-
-        server_opts["devpoll"] = DevPollConfig(use_hints=False)
-    result = run_point(BenchmarkPoint(
-        server=args.server, backend=args.backend, rate=args.rate,
-        inactive=args.inactive, duration=args.duration, seed=args.seed,
-        cpus=args.cpus, workers=args.workers,
-        profile=True, server_opts=server_opts))
-    report = result.profiler.report()
-    rr = result.reply_rate
-    shown = (f"{args.server} [{args.backend}]" if args.backend
-             else args.server)
-    smp = (f", {args.cpus} cpus x {args.workers} workers"
-           if args.cpus != 1 or args.workers != 1 else "")
-    title = (f"{shown} @ {args.rate:.0f}/s, {args.inactive} inactive{smp}"
-             f"{', hints off' if args.no_hints else ''}: "
-             f"{rr.avg:.1f} replies/s, cpu "
-             f"{100 * result.cpu_utilization:.0f}%")
-    print(attribution_table(report, top=args.top, title=title))
-    if args.json is not None:
-        if not _write_json(args.json, report.as_dict()):
-            return 1
-        print(f"profile -> {args.json}")
-    return 0
-
-
-def cmd_flame(args) -> int:
-    """Run one traced+profiled point and print the ASCII flame view."""
-    from repro.bench import BenchmarkPoint, run_point
-    from repro.obs.flame import ascii_flame, folded_stacks, write_folded
-
-    if not _check_server(args.server) or not _check_sim_backend(args.backend):
-        return 2
-    result = run_point(BenchmarkPoint(
-        server=args.server, backend=args.backend, rate=args.rate,
-        inactive=args.inactive, duration=args.duration, seed=args.seed,
-        trace=True, profile=True))
-    lines = folded_stacks(result.testbed.tracer, result.profiler)
-    # Write the file before printing: `repro flame ... --out F | head`
-    # must not lose F to a broken pipe.
-    if args.out is not None:
-        try:
-            count = write_folded(lines, args.out)
-        except OSError as err:
-            print(f"repro: cannot write {args.out}: {err.strerror}",
-                  file=sys.stderr)
-            return 1
-        print(f"folded stacks -> {args.out} ({count} lines; feed to "
-              f"flamegraph.pl or speedscope)")
-    rr = result.reply_rate
-    print(ascii_flame(
-        lines, width=args.width,
-        title=(f"{args.server} @ {args.rate:.0f}/s, {args.inactive} "
-               f"inactive: {rr.avg:.1f} replies/s -- flame (self time)")))
-    if result.testbed.tracer.dropped:
-        print(f"note: span ring dropped {result.testbed.tracer.dropped} "
-              f"record(s); span-derived stacks undercount", file=sys.stderr)
-    return 0
+    ledger = result.testbed.causal
+    try:
+        count = export_chrome_trace(path, ledger,
+                                    tracer=result.testbed.tracer)
+    except OSError as err:
+        print(f"repro: cannot write {path}: {err.strerror}", file=sys.stderr)
+        return False
+    print(f"  trace -> {path} ({count} events; open in Perfetto or "
+          "chrome://tracing)")
+    summary = ledger.summary()
+    wakeup = summary["wakeup_latency"]
+    if wakeup is None:
+        print("  wakeups: none harvested")
+    else:
+        print(f"  wakeups: {wakeup['count']} harvested, ready->harvest "
+              f"mean {wakeup['mean']:.3f} ms, max {wakeup['max']:.3f} ms")
+    counters = summary["counters"]
+    interesting = [
+        (key, counters[key]) for key in (
+            "spurious_waits", "stale_dispatches", "rtsig_overflows",
+            "sigio_recovery_episodes", "harvest_unmatched")
+        if counters.get(key)]
+    if interesting:
+        print("  pathologies: " + ", ".join(
+            f"{key}={value}" for key, value in interesting))
+    else:
+        print("  pathologies: none observed")
+    return True
 
 
 def cmd_bench(args) -> int:
@@ -305,8 +304,8 @@ def cmd_bench(args) -> int:
     # they complete, so lines never interleave mid-write.
     def progress(entry):
         if entry.get("failed"):
-            print(f"  {entry['label']}: FAILED after {entry['attempts']} "
-                  f"attempt(s): {entry['error']}", flush=True)
+            print(f"  {entry['label']}: FAILED: {entry['error']}",
+                  flush=True)
             return
         pct = entry.get("latency_percentiles") or {}
         p99 = pct.get("p99")
@@ -341,56 +340,6 @@ def cmd_bench(args) -> int:
         print(f"repro: {failed} point(s) failed; see the artifact",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Run one traced point; export the causal Chrome trace JSON."""
-    from repro.bench import BenchmarkPoint, run_point
-    from repro.obs.causal import export_chrome_trace
-
-    if not _check_server(args.server) or not _check_sim_backend(args.backend):
-        return 2
-    result = run_point(BenchmarkPoint(
-        server=args.server, backend=args.backend, rate=args.rate,
-        inactive=args.inactive, duration=args.duration, seed=args.seed,
-        trace=True))
-    rr = result.reply_rate
-    shown = (f"{args.server} [{args.backend}]" if args.backend
-             else args.server)
-    print(f"{shown} @ {args.rate:.0f}/s, {args.inactive} inactive, "
-          f"{args.duration:.0f}s (traced):")
-    print(f"  replies/s avg {rr.avg:.1f}  errors "
-          f"{result.error_percent:.2f}%  cpu "
-          f"{100 * result.cpu_utilization:.0f}%")
-    ledger = result.testbed.causal
-    try:
-        count = export_chrome_trace(args.out, ledger,
-                                    tracer=result.testbed.tracer)
-    except OSError as err:
-        print(f"repro: cannot write {args.out}: {err.strerror}",
-              file=sys.stderr)
-        return 1
-    print(f"  trace -> {args.out} ({count} events; open in Perfetto or "
-          "chrome://tracing)")
-    summary = ledger.summary()
-    wakeup = summary["wakeup_latency"]
-    if wakeup is None:
-        print("  wakeups: none harvested")
-    else:
-        print(f"  wakeups: {wakeup['count']} harvested, ready->harvest "
-              f"mean {wakeup['mean']:.3f} ms, max {wakeup['max']:.3f} ms")
-    counters = summary["counters"]
-    interesting = [
-        (key, counters[key]) for key in (
-            "spurious_waits", "stale_dispatches", "rtsig_overflows",
-            "sigio_recovery_episodes", "harvest_unmatched")
-        if counters.get(key)]
-    if interesting:
-        print("  pathologies: " + ", ".join(
-            f"{key}={value}" for key, value in interesting))
-    else:
-        print("  pathologies: none observed")
     return 0
 
 
@@ -674,44 +623,18 @@ def main(argv=None) -> int:
                          default="hash",
                          help="accept-sharding policy when --workers > 1")
     p_point.add_argument("--trace", metavar="FILE",
-                         help="export the run's span trace as JSONL")
+                         help="trace the run; write causal chains, spans "
+                              "and point events as Chrome trace-event "
+                              "JSON (Perfetto-loadable)")
     p_point.add_argument("--profile-out", metavar="FILE",
-                         help="export server-CPU attribution as JSON")
-
-    p_prof = sub.add_parser(
-        "profile", help="run one point, print server-CPU attribution")
-    p_prof.add_argument("server")
-    p_prof.add_argument("rate", type=float)
-    p_prof.add_argument("inactive", type=int)
-    p_prof.add_argument("--duration", type=float, default=5.0)
-    p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--backend", metavar="NAME",
-                        help="pin an event backend; overrides SERVER")
-    p_prof.add_argument("--cpus", type=int, default=1, metavar="N",
-                        help="simulated server CPUs (default 1)")
-    p_prof.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="prefork workers via SO_REUSEPORT (default 1)")
-    p_prof.add_argument("--top", type=int, default=0,
-                        help="show only the top N rows (0 = all)")
-    p_prof.add_argument("--no-hints", action="store_true",
-                        help="disable /dev/poll hints (thttpd-devpoll only)")
-    p_prof.add_argument("--json", metavar="FILE",
-                        help="also write the report as JSON")
-
-    p_flame = sub.add_parser(
-        "flame", help="run one point, print an ASCII flame view")
-    p_flame.add_argument("server")
-    p_flame.add_argument("rate", type=float)
-    p_flame.add_argument("inactive", type=int)
-    p_flame.add_argument("--duration", type=float, default=5.0)
-    p_flame.add_argument("--seed", type=int, default=0)
-    p_flame.add_argument("--backend", metavar="NAME",
-                         help="pin an event backend; overrides SERVER")
-    p_flame.add_argument("--width", type=int, default=40,
-                         help="bar width of the ASCII view")
-    p_flame.add_argument("--out", metavar="FILE",
-                         help="also write folded stacks (flamegraph.pl "
-                              "input)")
+                         help="profile the run; print where the server "
+                              "CPU went and write it as JSON")
+    p_point.add_argument("--flame", metavar="FILE",
+                         help="trace and profile the run; write folded "
+                              "stacks (flamegraph.pl input) and print an "
+                              "ASCII flame view")
+    p_point.add_argument("--no-hints", action="store_true",
+                         help="disable /dev/poll hints (thttpd-devpoll only)")
 
     p_bench = sub.add_parser(
         "bench", help="run a named suite, write BENCH_<suite>.json")
@@ -734,20 +657,6 @@ def main(argv=None) -> int:
                               "(default 1: serial, in-process)")
     p_bench.add_argument("--list", action="store_true",
                          help="list available suites and exit")
-
-    p_trace = sub.add_parser(
-        "trace", help="run one traced point; export Chrome trace JSON "
-                      "(causal wakeup chains + spans, Perfetto-loadable)")
-    p_trace.add_argument("server")
-    p_trace.add_argument("rate", type=float)
-    p_trace.add_argument("inactive", type=int)
-    p_trace.add_argument("--duration", type=float, default=2.0)
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--backend", metavar="NAME",
-                         help="pin an event backend; overrides SERVER")
-    p_trace.add_argument("--out", metavar="FILE", default="trace.json",
-                         help="Chrome trace-event JSON path "
-                              "(default trace.json)")
 
     p_diff = sub.add_parser(
         "diff", help="attributed diff of two artifacts; exit 1 when two "
@@ -864,14 +773,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "point":
         return cmd_point(args)
-    if args.command == "profile":
-        return cmd_profile(args)
-    if args.command == "flame":
-        return cmd_flame(args)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "trace":
-        return cmd_trace(args)
     if args.command == "diff":
         return cmd_diff(args)
     if args.command == "calibrate":

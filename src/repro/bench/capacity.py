@@ -469,6 +469,8 @@ def _verify_knees(searches: List[_CellSearch], search: CapacitySearch,
 
 def _knee_record(outcome: PointOutcome) -> Dict[str, Any]:
     """Flatten one verification run into the cell's ``knee`` block."""
+    from ..obs.flame import folded_stacks
+
     result = outcome.result
     record = point_record(result)
     profile = None
@@ -491,27 +493,10 @@ def _knee_record(outcome: PointOutcome) -> Dict[str, Any]:
         rows = profile.get("rows", [])[:PROFILE_TOP_ROWS]
         knee["profile_top"] = rows
         knee["profile_total_cpu_seconds"] = profile.get("total_cpu_seconds")
-        knee["folded_stacks"] = folded_from_profile(profile)
+        knee["folded_stacks"] = folded_stacks(profile=profile)
         if "cpu_seconds" in profile:
             knee["cpu_seconds"] = profile["cpu_seconds"]
     return knee
-
-
-def folded_from_profile(profile: Dict[str, Any]) -> List[str]:
-    """Speedscope-ready folded-stack lines from a profile report dict.
-
-    Same convention as :func:`repro.obs.flame.collapse_profile` -- every
-    attribution row folds under a synthetic ``cpu`` root with a weight
-    in whole microseconds -- but computed from the plain-data report, so
-    it works for runs whose profiler lives in a worker process.
-    """
-    folded = {}
-    for row in profile.get("rows", []):
-        usec = round(float(row["cpu_seconds"]) * 1e6)
-        if usec > 0:
-            key = f"cpu;{row['subsystem']};{row['operation']}"
-            folded[key] = folded.get(key, 0) + usec
-    return [f"{path} {weight}" for path, weight in sorted(folded.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -102,18 +102,18 @@ def reply_rate_table(rates: List[float], avg: List[float], mins: List[float],
         ["req rate", "avg reply", "min", "max", "stddev"], rows, title)
 
 
-def attribution_table(report, top: int = 0, title: str = "") -> str:
+def attribution_table(report, title: str = "") -> str:
     """Where the server CPU went: one row per (subsystem, operation).
 
     ``report`` is an :class:`repro.obs.profiler.ProfileReport` (from a
-    ``run_point(...)`` with ``profile=True`` or the ``repro profile``
-    command); rows sum to the run's total charged CPU time.  When the
-    run charged any lock-contention wait (the ``smp`` subsystem's
-    ``bkl_wait`` / ``rwlock_wait_rd`` / ``rwlock_wait_wr`` rows), a
-    contention top-line follows the table so SMP serialization is
-    visible without scanning for the rows.
+    ``run_point(...)`` with ``profile=True`` or the ``repro point
+    --profile-out`` command); rows sum to the run's total charged CPU
+    time.  When the run charged any lock-contention wait (the ``smp``
+    subsystem's ``bkl_wait`` / ``rwlock_wait_rd`` / ``rwlock_wait_wr``
+    rows), a contention top-line follows the table so SMP serialization
+    is visible without scanning for the rows.
     """
-    text = report.render(top=top, title=title or "server CPU attribution")
+    text = report.render(title=title or "server CPU attribution")
     contention = {
         r.operation: r.seconds for r in report.rows
         if r.subsystem == "smp" and r.operation in (

@@ -6,8 +6,7 @@ so the reproduction carries a first-class observability stack that any
 benchmark or test can turn on to see inside the simulator:
 
 * :mod:`repro.obs.spans` -- nested begin/end spans and point events in a
-  bounded ring buffer that counts (rather than hides) drops, with JSONL
-  export.
+  bounded ring buffer that counts (rather than hides) drops.
 * :mod:`repro.obs.metrics` -- a registry of named counters, gauges, and
   log-bucket histograms (:class:`~repro.obs.latency.LatencyHistogram`).
   The kernel's and network stack's tallies all live in one per-host
@@ -32,8 +31,8 @@ benchmark or test can turn on to see inside the simulator:
 * :mod:`repro.obs.causal` -- the event-causality ledger: stamps every
   readiness notification's path (packet -> enqueue -> ``wait()`` return
   -> dispatch -> reply), keeps wakeup-latency histograms and per-backend
-  pathology counters, and exports Chrome trace-event JSON
-  (``repro trace``).
+  pathology counters, and exports Chrome trace-event JSON with the
+  span ring alongside (``repro point --trace``).
 
 Everything is off by default and costs one attribute check per call site
 when disabled, so benchmark numbers are unaffected.  Each exported name

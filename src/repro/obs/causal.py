@@ -31,6 +31,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from .latency import LatencyHistogram
+from .spans import TraceRecord
 
 # Canonical hop order of a completed causality chain.  Chains may skip
 # hops (select/poll have no kernel enqueue stage; a listener fd never
@@ -42,6 +43,10 @@ HOP_ORDER = ("ready", "enqueue", "harvest", "dispatch", "reply")
 # histograms cover the whole run.
 CHAIN_CAPACITY = 4096
 MARK_CAPACITY = 1024
+
+#: Chrome trace track (tid) of the span tracer's point events; chains
+#: and marks use tid 1, spans tids from 10 up
+POINT_EVENT_TID = 2
 
 
 class CausalLedger:
@@ -350,7 +355,9 @@ def chrome_trace_events(ledger: CausalLedger,
     chrome://tracing and Perfetto expect.  Causality chains render as
     'X' complete events on the ``causal`` track; ledger marks render as
     'i' instants; optional SpanTracer spans ride along on per-track
-    threads numbered by first appearance (deterministic).
+    threads numbered by first appearance (deterministic), and the
+    tracer's point events (``kernel.trace(...)`` lines) follow as 'i'
+    instants on a ``point events`` track of their own.
     """
     events: List[Dict[str, Any]] = [
         {"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
@@ -395,6 +402,18 @@ def chrome_trace_events(ledger: CausalLedger,
                 "dur": round((span.end - span.start) * 1e6, 3),
                 "args": args,
             })
+        points = [r for r in tracer.records() if isinstance(r, TraceRecord)]
+        if points:
+            events.append({
+                "ph": "M", "name": "thread_name", "pid": 0,
+                "tid": POINT_EVENT_TID, "args": {"name": "point events"}})
+        for record in points:
+            events.append({
+                "ph": "i", "name": record.subsystem, "cat": "event",
+                "pid": 0, "tid": POINT_EVENT_TID, "s": "t",
+                "ts": round(record.time * 1e6, 3),
+                "args": {"message": record.message},
+            })
     return events
 
 
@@ -404,13 +423,15 @@ def export_chrome_trace(path: str, ledger: CausalLedger,
 
     The output is byte-deterministic for a given run: sorted keys,
     two-space indent, trailing newline, and no wall-clock anywhere --
-    identical seeds produce identical files.
+    identical seeds produce identical files.  ``metadata.dropped`` is
+    the number of records the tracer's ring evicted (0 without one).
     """
     events = chrome_trace_events(ledger, tracer)
     payload = {
         "displayTimeUnit": "ms",
-        "metadata": {"tool": "repro trace",
-                     "summary": ledger.summary()},
+        "metadata": {"tool": "repro point --trace",
+                     "summary": ledger.summary(),
+                     "dropped": tracer.dropped if tracer is not None else 0},
         "traceEvents": events,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,11 +1,10 @@
 """Flamegraph export: folded stacks from spans and CPU attribution.
 
-PR 2 left two complementary views of a run -- the :class:`SpanTracer`
-ring (who was doing what, when, nested) and the :class:`CpuProfiler`
-table (where every charged CPU microsecond went) -- but both die with
-the process.  This module collapses either (or both) into the *folded
-stack* format every flamegraph renderer understands, one line per
-unique stack::
+A run leaves two complementary views -- the :class:`SpanTracer` ring
+(who was doing what, when, nested) and the CPU profile (where every
+charged CPU microsecond went) -- but both die with the process.  This
+module collapses either (or both) into the *folded stack* format every
+flamegraph renderer understands, one line per unique stack::
 
     bench;measure;dp_poll 1234
 
@@ -26,14 +25,16 @@ even when a span's begin/end calls raced a timeout.  Spans that outlive
 every candidate parent (a request aborted after the measure window
 closes) degrade gracefully to new roots instead of corrupting stacks.
 Profiler attribution has no caller context, so it folds under a
-synthetic ``cpu`` root: ``cpu;devpoll;driver_callback 4567``.
+synthetic ``cpu`` root: ``cpu;devpoll;driver_callback 4567``.  The
+profile is read as plain data (:meth:`ProfileReport.as_dict`), so the
+same fold serves ``repro point --flame`` and a capacity knee whose
+profiler ran in a worker process.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .profiler import CpuProfiler
 from .spans import Span, SpanTracer
 
 #: folded-stack weights are microseconds
@@ -88,17 +89,19 @@ def _collapse_track(spans: List[Span], folded: Dict[str, float]) -> None:
         folded[key] = folded.get(key, 0.0) + self_time * USEC
 
 
-def collapse_profile(profiler: CpuProfiler,
-                     root: str = "cpu") -> Dict[str, float]:
-    """Fold CPU attribution into {``root;subsystem;operation``: usec}."""
-    return {f"{root};{sub};{op}": seconds * USEC
-            for (sub, op), seconds in profiler.times.items() if seconds > 0}
+def collapse_profile(profile: Dict[str, Any]) -> Dict[str, float]:
+    """Fold a profile report dict (:meth:`ProfileReport.as_dict`) into
+    {``cpu;subsystem;operation``: usec}."""
+    return {f"cpu;{row['subsystem']};{row['operation']}":
+            float(row["cpu_seconds"]) * USEC
+            for row in profile.get("rows", []) if row["cpu_seconds"] > 0}
 
 
 def folded_stacks(tracer: Optional[SpanTracer] = None,
-                  profiler: Optional[CpuProfiler] = None) -> List[str]:
+                  profile: Optional[Dict[str, Any]] = None) -> List[str]:
     """Folded-stack lines from whichever sources are available.
 
+    ``profile`` is a profile report dict (:meth:`ProfileReport.as_dict`).
     Weights are rounded to whole microseconds; stacks rounding to zero
     are dropped (flamegraph.pl ignores them anyway).  Lines are sorted
     by path so output is diff-stable.
@@ -106,8 +109,8 @@ def folded_stacks(tracer: Optional[SpanTracer] = None,
     folded: Dict[str, float] = {}
     if tracer is not None:
         folded.update(collapse_spans(tracer.spans()))
-    if profiler is not None:
-        folded.update(collapse_profile(profiler))
+    if profile is not None:
+        folded.update(collapse_profile(profile))
     return [f"{path} {round(weight)}"
             for path, weight in sorted(folded.items()) if round(weight) > 0]
 

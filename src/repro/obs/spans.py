@@ -17,8 +17,10 @@ the ``None`` track, which behaves exactly like the old global stack.
 
 Unlike the old tracer, a full ring does not lose records silently: the
 oldest entry is still evicted (memory stays bounded) but
-:attr:`SpanTracer.dropped` counts every eviction and :meth:`dump`
-reports it.
+:attr:`SpanTracer.dropped` counts every eviction; :meth:`dump` reports
+it, and the Chrome trace export
+(:func:`repro.obs.causal.export_chrome_trace`) writes the ring and the
+count to one file.
 
 Tracing is off by default and costs a single attribute check per call
 site, so it stays wired through the kernel and servers without affecting
@@ -27,10 +29,9 @@ benchmark numbers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional, TextIO, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Union
 
 
 class TraceRecord(NamedTuple):
@@ -178,53 +179,6 @@ class SpanTracer:
             lines.append(f"... {self.dropped} older record(s) dropped "
                          f"(ring capacity {self.capacity})")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def export_jsonl(self, out: Union[str, TextIO]) -> int:
-        """Write every record as one JSON object per line.
-
-        ``out`` is a path or a writable file object.  Returns the number
-        of records written (excluding the leading meta line).
-        """
-        close = False
-        if isinstance(out, str):
-            out = open(out, "w", encoding="utf-8")
-            close = True
-        try:
-            out.write(json.dumps({
-                "type": "meta", "records": len(self._ring),
-                "dropped": self.dropped, "capacity": self.capacity,
-            }) + "\n")
-            for r in self._ring:
-                if isinstance(r, Span):
-                    # SMP kernels track spans by (process, cpu); name
-                    # the process and let "cpu" carry the CPU index
-                    track = r.track
-                    if isinstance(track, tuple) and track:
-                        track = track[0]
-                    out.write(json.dumps({
-                        "type": "span", "subsystem": r.subsystem,
-                        "name": r.name, "start": r.start, "end": r.end,
-                        "depth": r.depth,
-                        "track": (None if track is None
-                                  else getattr(track, "name",
-                                               repr(track))),
-                        "cpu": r.cpu,
-                        "attrs": {k: repr(v) if not isinstance(
-                            v, (int, float, str, bool, type(None))) else v
-                            for k, v in r.attrs.items()},
-                    }) + "\n")
-                else:
-                    out.write(json.dumps({
-                        "type": "event", "time": r.time,
-                        "subsystem": r.subsystem, "message": r.message,
-                    }) + "\n")
-            return len(self._ring)
-        finally:
-            if close:
-                out.close()
 
 
 #: Shared no-op tracer for components created without an explicit one.

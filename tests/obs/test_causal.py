@@ -13,6 +13,7 @@ from repro.obs.causal import (
     export_chrome_trace,
 )
 from repro.obs.latency import REPORT_QUANTILES
+from repro.obs.spans import SpanTracer
 
 
 def _run(trace, backend=None, **kwargs):
@@ -160,6 +161,32 @@ def test_chrome_events_include_spans_on_named_tracks():
     thread_names = [e for e in events
                     if e["ph"] == "M" and e["name"] == "thread_name"]
     assert span_tids <= {e["tid"] for e in thread_names}
+
+
+def test_chrome_export_carries_point_events_and_drops(tmp_path):
+    tracer = SpanTracer(enabled=True, capacity=3)
+    tracer.trace(0.001, "poll", "scan n=1 ready=0")
+    span = tracer.begin(0.002, "bench", "measure")
+    tracer.end(0.003, span)
+    tracer.trace(0.004, "rtsig", "queue overflow")
+    tracer.trace(0.005, "poll", "scan n=2 ready=1")  # evicts the first
+    path = tmp_path / "trace.json"
+    export_chrome_trace(str(path), CausalLedger(enabled=True), tracer=tracer)
+    trace = json.loads(path.read_text())
+    assert trace["metadata"]["dropped"] == 1
+    events = trace["traceEvents"]
+    instants = [e for e in events if e.get("cat") == "event"]
+    assert [(e["ph"], e["name"], e["ts"], e["args"]["message"])
+            for e in instants] == [
+        ("i", "rtsig", 4000.0, "queue overflow"),
+        ("i", "poll", 5000.0, "scan n=2 ready=1")]
+    # the instants sit on a named track of their own
+    (tid,) = {e["tid"] for e in instants}
+    tracks = {e["tid"]: e["args"]["name"] for e in events
+              if e["ph"] == "M" and e["name"] == "thread_name"}
+    assert tracks[tid] == "point events"
+    assert tid not in {e["tid"] for e in events
+                       if e.get("cat") in ("span", "causal")}
 
 
 # ---------------------------------------------------------------------------

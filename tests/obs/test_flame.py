@@ -73,7 +73,7 @@ def test_collapse_profile_synthetic_root():
     profiler = CpuProfiler()
     profiler.record("devpoll.scan", 0.002)
     profiler.record("close", 0.001)
-    folded = collapse_profile(profiler)
+    folded = collapse_profile(profiler.report().as_dict())
     assert folded["cpu;devpoll;scan"] == pytest.approx(2000.0)
     assert folded["cpu;syscall;close"] == pytest.approx(1000.0)
 
@@ -83,7 +83,7 @@ def test_folded_stacks_combines_sources_and_rounds():
     profiler = CpuProfiler()
     profiler.record("net.rx", 0.0005)
     profiler.record("net.zero", 1e-9)  # rounds to 0 usec -> dropped
-    lines = folded_stacks(tracer, profiler)
+    lines = folded_stacks(tracer, profiler.report().as_dict())
     assert "bench;measure 1000000" in lines
     assert "cpu;net;rx 500" in lines
     assert not any("zero" in line for line in lines)
@@ -127,7 +127,8 @@ def test_end_to_end_point_flame():
     result = run_point(BenchmarkPoint(
         server="thttpd-devpoll", rate=100, inactive=5, duration=1.0,
         trace=True, profile=True))
-    lines = folded_stacks(result.testbed.tracer, result.profiler)
+    lines = folded_stacks(result.testbed.tracer,
+                          result.profiler.report().as_dict())
     paths = {line.rpartition(" ")[0] for line in lines}
     # dp_poll runs on the *server process* track, the measure span on
     # the trackless harness: per-track nesting keeps them apart, so the

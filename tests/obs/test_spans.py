@@ -1,6 +1,4 @@
-"""Span tracer: nesting, bounded ring with counted drops, JSONL export."""
-
-import json
+"""Span tracer: nesting, bounded ring with counted drops."""
 
 from repro.obs.spans import Span, SpanTracer, TraceRecord
 
@@ -78,24 +76,6 @@ def test_spans_share_the_ring_with_events():
     assert t.dropped == 1  # the finished span record was evicted
 
 
-def test_export_jsonl(tmp_path):
-    t = SpanTracer(enabled=True)
-    t.trace(0.5, "net", "packet")
-    s = t.begin(1.0, "http", "request", fd=7, obj=object())
-    t.end(2.0, s, outcome="responded")
-    path = tmp_path / "trace.jsonl"
-    t.export_jsonl(str(path))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert lines[0]["type"] == "meta"
-    assert lines[0]["dropped"] == 0
-    events = [l for l in lines if l["type"] == "event"]
-    spans = [l for l in lines if l["type"] == "span"]
-    assert events[0]["subsystem"] == "net"
-    assert spans[0]["name"] == "request"
-    assert spans[0]["attrs"]["fd"] == 7
-    assert isinstance(spans[0]["attrs"]["obj"], str)  # repr'd, not raw
-
-
 def test_span_message_property():
     s = Span(subsystem="x", name="op", start=1.0, end=2.5,
              attrs={"fd": 3})
@@ -162,20 +142,3 @@ def test_concurrent_processes_nest_on_their_own_tracks():
     assert spans["a.outer"].track is proc_a
     assert spans["b.outer"].track is proc_b
     assert spans["a.inner"].track is spans["a.outer"].track
-
-
-def test_export_jsonl_records_track_name(tmp_path):
-    class Proc:
-        name = "server-loop"
-
-    t = SpanTracer(enabled=True)
-    tracked = t.begin(0.0, "s", "tracked", track=Proc())
-    t.end(1.0, tracked)
-    bare = t.begin(2.0, "s", "bare")
-    t.end(3.0, bare)
-    path = tmp_path / "trace.jsonl"
-    t.export_jsonl(str(path))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    spans = {l["name"]: l for l in lines if l["type"] == "span"}
-    assert spans["tracked"]["track"] == "server-loop"
-    assert spans["bare"]["track"] is None

@@ -37,38 +37,44 @@ def test_point_unknown_server_exits_2(capsys):
 
 
 def test_point_trace_and_profile_out(tmp_path, capsys):
-    import json
-
-    trace = tmp_path / "trace.jsonl"
+    trace = tmp_path / "trace.json"
     profile = tmp_path / "profile.json"
     assert main(["point", "thttpd", "150", "5", "--duration", "1.5",
                  "--trace", str(trace),
                  "--profile-out", str(profile)]) == 0
     out = capsys.readouterr().out
     assert f"trace -> {trace}" in out
+    assert "wakeups:" in out and "pathologies:" in out
     assert f"profile -> {profile}" in out
-    assert json.loads(trace.read_text().splitlines()[0])["type"] == "meta"
+    chrome = json.loads(trace.read_text())
+    phases = {e["ph"] for e in chrome["traceEvents"]}
+    assert phases <= {"X", "i", "M"} and "X" in phases
+    assert chrome["metadata"]["summary"]["counters"]["waits"] > 0
     report = json.loads(profile.read_text())
     assert report["total_cpu_seconds"] > 0
     assert report["rows"]
 
 
-def test_profile_command(capsys):
-    assert main(["profile", "thttpd-devpoll", "200", "10",
-                 "--duration", "1.5"]) == 0
+def test_profile_command(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    assert main(["point", "thttpd-devpoll", "200", "10",
+                 "--duration", "1.5", "--profile-out", str(profile)]) == 0
     out = capsys.readouterr().out
     assert "subsystem" in out
     assert "total charged CPU" in out
     assert "devpoll" in out
-
-
-def test_profile_unknown_server_exits_2(capsys):
-    assert main(["profile", "nope", "100", "1"]) == 2
-    assert "unknown server" in capsys.readouterr().err
+    # the table prints every row of the written report
+    printed = {tuple(line.split()[:2]) for line in out.splitlines()}
+    for row in json.loads(profile.read_text())["rows"]:
+        assert (row["subsystem"], row["operation"]) in printed
 
 
 def test_profile_no_hints_requires_devpoll(capsys):
-    assert main(["profile", "thttpd", "100", "1", "--no-hints"]) == 2
+    assert main(["point", "thttpd", "100", "1", "--no-hints"]) == 2
+    assert "--no-hints" in capsys.readouterr().err
+    # --backend picks the server that runs, so it decides too
+    assert main(["point", "thttpd-devpoll", "100", "1", "--no-hints",
+                 "--backend", "epoll"]) == 2
     assert "--no-hints" in capsys.readouterr().err
 
 
@@ -87,8 +93,8 @@ def test_figures_single(capsys):
 
 def test_flame_command(tmp_path, capsys):
     folded = tmp_path / "stacks.folded"
-    assert main(["flame", "thttpd-devpoll", "120", "5",
-                 "--duration", "1.0", "--out", str(folded)]) == 0
+    assert main(["point", "thttpd-devpoll", "120", "5",
+                 "--duration", "1.0", "--flame", str(folded)]) == 0
     out = capsys.readouterr().out
     assert "flame (self time)" in out
     assert "measure" in out
@@ -98,11 +104,6 @@ def test_flame_command(tmp_path, capsys):
     for line in lines:
         path, _, weight = line.rpartition(" ")
         assert path and int(weight) > 0
-
-
-def test_flame_unknown_server_exits_2(capsys):
-    assert main(["flame", "nope", "100", "1"]) == 2
-    assert "unknown server" in capsys.readouterr().err
 
 
 def test_bench_list(capsys):
@@ -234,9 +235,11 @@ def test_point_live_runtime(tmp_path, capsys):
 
 
 def test_point_live_rejects_sim_only_flags(tmp_path, capsys):
-    assert main(["point", "thttpd", "40", "2", "--runtime", "live",
-                 "--trace", str(tmp_path / "t.jsonl")]) == 2
-    assert "simulation-only" in capsys.readouterr().err
+    for flag in (["--trace", str(tmp_path / "t.json")],
+                 ["--flame", str(tmp_path / "f.folded")], ["--no-hints"]):
+        assert main(["point", "thttpd", "40", "2", "--runtime", "live",
+                     *flag]) == 2
+        assert "simulation-only" in capsys.readouterr().err
     assert main(["point", "thttpd", "40", "2", "--runtime", "live",
                  "--cpus", "2"]) == 2
     assert "simulation-only" in capsys.readouterr().err
@@ -252,9 +255,6 @@ def test_point_live_backend_needs_live_runtime(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["profile", "thttpd", "100", "1", "--backend", "live-epoll"],
-    ["flame", "thttpd", "100", "1", "--backend", "live-epoll"],
-    ["trace", "thttpd", "100", "1", "--backend", "live-select"],
     ["bench", "--suite", "smoke", "--backend", "live-epoll"],
     ["capacity", "--backends", "live-epoll", "--inactive", "0"],
     ["figures", "fig05", "--backend", "live-select"],

@@ -14,11 +14,12 @@ reassembles results **in input order**, with three guarantees:
   ship back plain data (the canonical point record, the row a figure
   plots, the profiler report as a dict) rather than live simulators.
 
-* **Crash isolation.**  A point whose server raises is retried once
-  (``max_retries``) and then reported as a failed
-  :class:`PointOutcome` -- it cannot kill the sweep or take other
-  points down with it.  A broken pool (worker killed by a signal)
-  degrades to in-process execution for the remaining points.
+* **Crash isolation.**  A point whose server raises is reported as a
+  failed :class:`PointOutcome` -- it cannot kill the sweep or take
+  other points down with it.  It is not retried: a point is a seeded
+  simulation with no I/O, so it would raise the same way again.  A
+  broken pool (worker killed by a signal) degrades to in-process
+  execution for the remaining points.
 
 * **Parent-only progress.**  The optional ``on_result`` callback runs
   only in the parent process, as outcomes complete, so progress lines
@@ -39,11 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs.profiler import ProfileReport
-from .harness import BenchmarkPoint, PointResult, run_point
+from .harness import BenchmarkPoint, run_point
 from .records import point_record
-
-#: retries per crashed point before it is reported as failed
-DEFAULT_MAX_RETRIES = 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,6 @@ class PointOutcome:
     point: BenchmarkPoint
     result: Optional[Any] = None        # PointResult | PortablePointResult
     error: Optional[str] = None
-    attempts: int = 1
     wall_clock_s: float = 0.0           # host seconds, submit -> done
     sim_events: int = 0
     sim_wall_seconds: float = 0.0       # host seconds inside run_point
@@ -168,7 +165,7 @@ class PointOutcome:
 
 
 def failed_point_result(outcome: "PointOutcome") -> PortablePointResult:
-    """A NaN-measurement placeholder for a point that kept crashing.
+    """A NaN-measurement placeholder for a point that crashed.
 
     Sweeps and figures keep their x-axis shape (series show NaN at the
     failed rate); the record carries ``failed``/``error`` so artifacts
@@ -184,7 +181,6 @@ def failed_point_result(outcome: "PointOutcome") -> PortablePointResult:
         "seed": point.seed,
         "failed": True,
         "error": outcome.error or "unknown error",
-        "attempts": outcome.attempts,
         "reply_rate": {"avg": nan, "min": nan, "max": nan,
                        "stddev": nan, "samples": 0},
         "error_percent": nan,
@@ -199,7 +195,7 @@ def failed_point_result(outcome: "PointOutcome") -> PortablePointResult:
 
 
 def _outcome_from_payload(point: BenchmarkPoint, payload: PointPayload,
-                          attempts: int, wall: float) -> PointOutcome:
+                          wall: float) -> PointOutcome:
     result = PortablePointResult(
         point=point,
         record=payload.record,
@@ -210,8 +206,8 @@ def _outcome_from_payload(point: BenchmarkPoint, payload: PointPayload,
         _row=payload.row,
     )
     return PointOutcome(
-        index=payload.index, point=point, result=result, attempts=attempts,
-        wall_clock_s=wall, sim_events=payload.sim_events,
+        index=payload.index, point=point, result=result, wall_clock_s=wall,
+        sim_events=payload.sim_events,
         sim_wall_seconds=payload.sim_wall_seconds)
 
 
@@ -219,28 +215,20 @@ def _outcome_from_payload(point: BenchmarkPoint, payload: PointPayload,
 # in-process execution (jobs=1 and the fallback path)
 # ---------------------------------------------------------------------------
 
-def _run_inprocess(index: int, point: BenchmarkPoint,
-                   max_retries: int) -> PointOutcome:
-    """Execute one point in this process with the same retry contract."""
-    attempts = 0
-    last_error = ""
+def _run_inprocess(index: int, point: BenchmarkPoint) -> PointOutcome:
+    """Execute one point in this process; a raise becomes a failure."""
     t0 = time.perf_counter()
-    while attempts <= max_retries:
-        attempts += 1
-        try:
-            run_t0 = time.perf_counter()
-            result = run_point(point)
-            sim_wall = time.perf_counter() - run_t0
-            return PointOutcome(
-                index=index, point=point, result=result, attempts=attempts,
-                wall_clock_s=time.perf_counter() - t0,
-                sim_events=result.testbed.sim.events_processed,
-                sim_wall_seconds=sim_wall)
-        except Exception as err:  # noqa: BLE001 -- crash isolation
-            last_error = f"{type(err).__name__}: {err}"
+    try:
+        result = run_point(point)
+    except Exception as err:  # noqa: BLE001 -- crash isolation
+        return PointOutcome(
+            index=index, point=point, error=f"{type(err).__name__}: {err}",
+            wall_clock_s=time.perf_counter() - t0)
+    wall = time.perf_counter() - t0
     return PointOutcome(
-        index=index, point=point, error=last_error, attempts=attempts,
-        wall_clock_s=time.perf_counter() - t0)
+        index=index, point=point, result=result, wall_clock_s=wall,
+        sim_events=result.testbed.sim.events_processed,
+        sim_wall_seconds=wall)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +236,6 @@ def _run_inprocess(index: int, point: BenchmarkPoint,
 # ---------------------------------------------------------------------------
 
 def run_points(points: Sequence[BenchmarkPoint], jobs: int = 1,
-               max_retries: int = DEFAULT_MAX_RETRIES,
                on_result: Optional[Callable[[PointOutcome], None]] = None,
                ) -> List[PointOutcome]:
     """Execute every point; return outcomes in input order.
@@ -256,23 +243,23 @@ def run_points(points: Sequence[BenchmarkPoint], jobs: int = 1,
     ``jobs <= 1`` runs serially in-process (real ``PointResult``
     objects, no pickling).  ``jobs > 1`` fans points across a process
     pool and returns :class:`PortablePointResult` stand-ins.  Either
-    way a raising point is retried ``max_retries`` times and then
-    reported as a failed outcome instead of propagating, and
-    ``on_result`` fires in the parent as each outcome settles.
+    way a raising point is reported as a failed outcome instead of
+    propagating, and ``on_result`` fires in the parent as each outcome
+    settles.
     """
     points = list(points)
     if jobs <= 1 or len(points) <= 1:
         outcomes = []
         for index, point in enumerate(points):
-            outcome = _run_inprocess(index, point, max_retries)
+            outcome = _run_inprocess(index, point)
             outcomes.append(outcome)
             if on_result is not None:
                 on_result(outcome)
         return outcomes
-    return _run_pooled(points, jobs, max_retries, on_result)
+    return _run_pooled(points, jobs, on_result)
 
 
-def _run_pooled(points: List[BenchmarkPoint], jobs: int, max_retries: int,
+def _run_pooled(points: List[BenchmarkPoint], jobs: int,
                 on_result: Optional[Callable[[PointOutcome], None]]
                 ) -> List[PointOutcome]:
     outcomes: List[Optional[PointOutcome]] = [None] * len(points)
@@ -285,7 +272,6 @@ def _run_pooled(points: List[BenchmarkPoint], jobs: int, max_retries: int,
             on_result(outcome)
 
     started = {i: time.perf_counter() for i in range(len(points))}
-    attempts: Dict[int, int] = {i: 0 for i in range(len(points))}
     try:
         pool = ProcessPoolExecutor(max_workers=jobs)
     except (OSError, ValueError):
@@ -295,23 +281,13 @@ def _run_pooled(points: List[BenchmarkPoint], jobs: int, max_retries: int,
     if pool is not None:
         try:
             pending: Dict[Future, int] = {}
-
-            def submit(index: int) -> bool:
-                attempts[index] += 1
+            for index in range(len(points)):
                 try:
                     fut = pool.submit(_execute_payload, index, points[index])
                 except Exception:  # pool broken or point unpicklable
-                    attempts[index] -= 1
-                    return False
-                pending[fut] = index
-                return True
-
-            broken = False
-            for index in range(len(points)):
-                if not submit(index):
-                    broken = True
                     break
-            while pending and not broken:
+                pending[fut] = index
+            while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
                     index = pending.pop(fut)
@@ -319,31 +295,23 @@ def _run_pooled(points: List[BenchmarkPoint], jobs: int, max_retries: int,
                         payload = fut.result()
                     except BrokenProcessPool:
                         # the pool is gone; re-run survivors in-process
-                        attempts[index] -= 1
-                        broken = True
                         continue
                     except Exception as err:  # noqa: BLE001
-                        if attempts[index] <= max_retries and not broken:
-                            if submit(index):
-                                continue
-                            broken = True
                         settle(PointOutcome(
                             index=index, point=points[index],
                             error=_describe_error(err),
-                            attempts=attempts[index],
                             wall_clock_s=(time.perf_counter()
                                           - started[index])))
                         continue
                     settle(_outcome_from_payload(
-                        points[index], payload, attempts[index],
+                        points[index], payload,
                         time.perf_counter() - started[index]))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
     # anything not settled (pool never started, broke mid-flight, or a
     # point would not pickle) falls back to in-process execution
     for index in sorted(remaining):
-        retries_left = max(0, max_retries - max(0, attempts[index] - 1))
-        settle(_run_inprocess(index, points[index], retries_left))
+        settle(_run_inprocess(index, points[index]))
     return [o for o in outcomes if o is not None]
 
 

@@ -179,7 +179,6 @@ def _outcome_entry(outcome: PointOutcome) -> Dict[str, Any]:
         entry = {
             "failed": True,
             "error": outcome.error or "unknown error",
-            "attempts": outcome.attempts,
             "server": outcome.point.server,
             "rate": outcome.point.rate,
             "inactive": outcome.point.inactive,
@@ -204,8 +203,8 @@ def run_suite(suite: Union[str, BenchSuite], trace: bool = False,
     as it completes -- the CLI uses it for progress lines.  It runs
     only in the parent process; under ``jobs > 1`` entries arrive in
     completion order while the artifact's ``points`` list stays in
-    suite order.  A point that crashes (after one retry) becomes a
-    ``{"failed": true}`` entry instead of aborting the suite.
+    suite order.  A point that crashes becomes a ``{"failed": true}``
+    entry instead of aborting the suite.
 
     ``selfperf`` appends the harness-speed micro-benchmark block (see
     :mod:`repro.bench.selfperf`); disable it for tests that only need

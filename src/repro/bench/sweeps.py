@@ -50,9 +50,9 @@ def run_rate_sweep(server: str, inactive: int,
 
     ``jobs > 1`` fans the points across worker processes (each point is
     a self-contained seeded simulation, so results are byte-identical
-    to the serial path).  A point that crashes is retried once and then
-    kept as a *failed placeholder* (NaN measurements, the error in its
-    record) so one bad point cannot kill the whole sweep.  ``on_point``
+    to the serial path).  A point that crashes is kept as a *failed
+    placeholder* (NaN measurements, the error in its record) so one bad
+    point cannot kill the whole sweep.  ``on_point``
     fires in the parent as each point settles (completion order under
     parallelism).
     """

@@ -37,7 +37,7 @@ def test_serial_outcomes_in_input_order():
     outcomes = run_points(points, jobs=1)
     assert [o.index for o in outcomes] == [0, 1, 2]
     assert [o.point.rate for o in outcomes] == [100.0, 130.0, 160.0]
-    assert all(o.ok and o.attempts == 1 for o in outcomes)
+    assert all(o.ok for o in outcomes)
     assert all(o.sim_events > 0 and o.sim_wall_seconds > 0 for o in outcomes)
 
 
@@ -93,13 +93,30 @@ def test_progress_callback_runs_in_parent_only():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_crashing_point_is_retried_then_reported(jobs):
+def test_crashing_point_is_reported(jobs):
     outcomes = run_points([FAST, BROKEN], jobs=jobs)
     good, bad = outcomes
     assert good.ok
     assert not bad.ok
-    assert bad.attempts == 2  # one retry, then reported
     assert "no_such_config_field" in bad.error or "TypeError" in bad.error
+
+
+def test_raising_point_runs_once(monkeypatch):
+    """A point is a seeded simulation with no I/O: a retry would raise
+    the same way, so the runner reports the first failure."""
+    import repro.bench.parallel as parallel
+
+    calls = []
+
+    def raising(point):
+        calls.append(point)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(parallel, "run_point", raising)
+    (outcome,) = run_points([FAST], jobs=1)
+    assert not outcome.ok
+    assert outcome.error == "RuntimeError: boom"
+    assert calls == [FAST]
 
 
 def test_failed_point_does_not_kill_sweep():
@@ -109,7 +126,6 @@ def test_failed_point_does_not_kill_sweep():
     (placeholder,) = sweep.points
     record = point_record(placeholder)
     assert record["failed"] is True
-    assert record["attempts"] == 2
     row = placeholder.row()
     assert row["rate"] == 120.0
     assert row["avg"] != row["avg"]  # NaN
@@ -134,7 +150,6 @@ def test_suite_survives_failed_point():
     good, bad = artifact["points"]
     assert not good.get("failed")
     assert bad["failed"] is True
-    assert bad["attempts"] == 2
     assert bad["label"] == "thttpd@120/2"
     json.dumps(artifact)
 

@@ -5,8 +5,7 @@ from importlib import import_module
 #: exported name -> the submodule that defines it; a simulated point
 #: never imports the live runtime
 _EXPORTS = {
-    "LIVE": "base", "RUNTIMES": "base", "SIM": "base", "Runtime": "base",
-    "ensure_runtime": "base", "register_runtime": "base",
+    "Runtime": "base", "ensure_runtime": "base",
     "LiveKernel": "live", "LiveRuntime": "live",
     "LiveSyscallInterface": "live", "SimRuntime": "sim",
 }

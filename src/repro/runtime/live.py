@@ -23,8 +23,8 @@ are what ``repro calibrate`` fits the cost model against:
 * **wall-clock spans** -- when tracing is requested the
   :class:`LiveKernel` routes ``kernel.span()`` to a real
   :class:`~repro.obs.spans.SpanTracer` stamped with the monotonic
-  clock, so live request spans export through the same JSONL path as
-  simulated ones.
+  clock, so live request spans are the same records as simulated ones
+  and fold and export through the same :mod:`repro.obs` functions.
 
 The clock starts at 0 at runtime construction (monotonic since), so
 deadlines computed by the server loop (idle sweeps) work unchanged.
@@ -53,7 +53,7 @@ from ..kernel.costs import DEFAULT_COSTS, CostModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.causal import NULL_LEDGER
 from ..obs.spans import NULL_TRACER, SpanTracer
-from .base import LIVE, Runtime, register_runtime
+from .base import Runtime
 
 #: listener ports below this are remapped to an ephemeral port -- the
 #: benchmark configs say "port 80" but live runs must not need root
@@ -326,11 +326,8 @@ class LiveSyscallInterface:
         return result
 
 
-@register_runtime
 class LiveRuntime(Runtime):
     """Real localhost sockets, one driver thread per server loop."""
-
-    mode = LIVE
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
                  host: str = "127.0.0.1", trace: bool = False) -> None:
@@ -388,9 +385,6 @@ class LiveRuntime(Runtime):
         return out
 
     # -- Runtime protocol ----------------------------------------------
-    def now(self) -> float:
-        return self.clock.now
-
     def new_task(self, name: str, fd_limit: int = 1024, rtsig_max=None):
         return self.kernel.new_task(name, fd_limit=fd_limit)
 
@@ -445,10 +439,3 @@ class LiveRuntime(Runtime):
             poke.close()
         except OSError:
             pass
-
-    def default_backend(self) -> str:
-        return ("live-epoll" if hasattr(__import__("select"), "epoll")
-                else "live-select")
-
-    def supports_backend(self, name: str) -> bool:
-        return name.startswith("live-")

@@ -16,18 +16,12 @@ from typing import Optional
 
 from ..kernel.syscalls import SyscallInterface
 from ..sim.process import spawn
-from .base import SIM, Runtime, register_runtime
+from .base import Runtime
 
 
-@register_runtime
 class SimRuntime(Runtime):
-    mode = SIM
-
     def __init__(self, kernel) -> None:
         self.kernel = kernel
-
-    def now(self) -> float:
-        return self.kernel.sim.now
 
     def new_task(self, name: str, fd_limit: int = 1024,
                  rtsig_max: Optional[int] = None):
@@ -39,9 +33,3 @@ class SimRuntime(Runtime):
 
     def start_server(self, server):
         return spawn(self.kernel.sim, server.run(), name=server.name)
-
-    def default_backend(self) -> str:
-        return "poll"
-
-    def supports_backend(self, name: str) -> bool:
-        return not name.startswith("live-")

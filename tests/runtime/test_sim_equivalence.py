@@ -17,7 +17,7 @@ import repro.bench.harness as harness
 from repro.bench.harness import BACKEND_TO_KIND, BenchmarkPoint, run_point
 from repro.bench.records import WALL_CLOCK_FIELDS, point_record
 from repro.kernel.kernel import Kernel
-from repro.runtime import LiveRuntime, SimRuntime, ensure_runtime
+from repro.runtime import SimRuntime, ensure_runtime
 from repro.sim.engine import Simulator
 
 
@@ -52,18 +52,6 @@ def test_ensure_runtime_wraps_bare_kernels():
 def test_ensure_runtime_passes_runtimes_through():
     runtime = SimRuntime(_kernel())
     assert ensure_runtime(runtime) is runtime
-
-
-def test_sim_runtime_rejects_live_backends():
-    runtime = SimRuntime(_kernel())
-    assert runtime.supports_backend("poll")
-    assert not runtime.supports_backend("live-epoll")
-
-
-def test_live_runtime_rejects_sim_backends():
-    runtime = LiveRuntime()
-    assert runtime.supports_backend("live-select")
-    assert not runtime.supports_backend("poll")
 
 
 @pytest.mark.parametrize("backend", SIM_BACKENDS)

@@ -15,7 +15,6 @@ Run:  python examples/overflow_anatomy.py [--rate 1000]
 import argparse
 
 from repro.bench import BenchmarkPoint, ascii_histogram, run_point
-from repro.bench.testbed import TestbedConfig
 
 
 def main() -> None:
@@ -27,8 +26,7 @@ def main() -> None:
 
     result = run_point(BenchmarkPoint(
         server="phhttpd", rate=args.rate, inactive=args.inactive,
-        duration=args.duration, seed=7,
-        testbed=TestbedConfig(seed=7, trace=True)))
+        duration=args.duration, seed=7, trace=True))
     server = result.server
 
     print(f"phhttpd @ {args.rate:.0f} req/s, {args.inactive} inactive, "

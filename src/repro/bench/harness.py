@@ -96,7 +96,6 @@ class BenchmarkPoint:
     #: or serve a whole size distribution; each connection requests a
     #: uniformly drawn document (section 5's size-distribution remark)
     document_sizes: Optional[list] = None
-    testbed: Optional[TestbedConfig] = None
     #: grace period after the last connection launches, letting stragglers
     #: finish or time out before results are read
     drain: float = 0.0
@@ -208,16 +207,12 @@ def run_point(point: BenchmarkPoint):
                          f"choose 'sim' or 'live'")
     if live_backend:
         raise ValueError(f"backend {point.backend!r} needs runtime='live'")
-    if point.testbed is not None:
-        tb_config = point.testbed
-    else:
-        tb_kwargs: Dict[str, Any] = {}
-        if point.bandwidth_bps is not None:
-            tb_kwargs["bandwidth_bps"] = point.bandwidth_bps
-        tb_config = TestbedConfig(
-            seed=point.seed, trace=point.trace, profile=point.profile,
-            server_cpus=point.cpus, **tb_kwargs)
-    testbed = Testbed(tb_config)
+    tb_kwargs: Dict[str, Any] = {}
+    if point.bandwidth_bps is not None:
+        tb_kwargs["bandwidth_bps"] = point.bandwidth_bps
+    testbed = Testbed(TestbedConfig(
+        seed=point.seed, trace=point.trace, profile=point.profile,
+        server_cpus=point.cpus, **tb_kwargs))
     doc_paths = None
     if point.document_sizes:
         site = StaticSite.size_distribution(point.document_sizes)

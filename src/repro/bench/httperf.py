@@ -41,6 +41,8 @@ from ..sim.stats import (RATE_WINDOW, ErrorCounter, RateSummary, quantile,
 from .testbed import Testbed
 
 READ_CHUNK = 65536
+#: the document every connection requests unless ``doc_paths`` is set
+DOC_PATH = "/index.html"
 
 
 @dataclass
@@ -55,11 +57,10 @@ class HttperfConfig:
     num_conns: Optional[int] = None
     #: httperf --timeout equivalent: connect + reply deadline
     timeout: float = 5.0
-    doc_path: str = "/index.html"
     #: optional multi-document workload: each connection requests a path
-    #: drawn uniformly from this list (section 5 notes that "a web
-    #: server's static performance depends on the size distribution of
-    #: requested documents")
+    #: drawn uniformly from this list instead of :data:`DOC_PATH`
+    #: (section 5 notes that "a web server's static performance depends
+    #: on the size distribution of requested documents")
     doc_paths: Optional[list] = None
     #: client descriptor budget ("modified to cope dynamically")
     fd_limit: int = 16384
@@ -248,7 +249,7 @@ class HttperfClient:
         if cfg.doc_paths:
             path = self._rng.choice(cfg.doc_paths)
         else:
-            path = cfg.doc_path
+            path = DOC_PATH
         try:
             yield from sys.connect(fd, self.testbed.server_addr,
                                    timeout=cfg.timeout)

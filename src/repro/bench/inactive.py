@@ -28,6 +28,12 @@ from .testbed import Testbed
 #: fragment is a separate readiness event at the server.
 PARTIAL_FRAGMENTS = (b"GET /i", b"ndex", b".html HTT",
                      b"P/1.0\r\nUser-Agent: slow-modem")
+#: modem-speed gap between successive request fragments, seconds
+FRAGMENT_GAP = 0.03
+#: pause before reopening after the server drops us, seconds
+RECONNECT_BACKOFF = 0.1
+#: connect() deadline of one slot, seconds
+CONNECT_TIMEOUT = 10.0
 
 
 @dataclass
@@ -37,11 +43,6 @@ class InactivePoolConfig:
     count: int = 1
     #: stagger initial connects over this many seconds
     ramp_time: float = 1.0
-    #: pause before reopening after the server drops us
-    reconnect_backoff: float = 0.1
-    connect_timeout: float = 10.0
-    #: modem-speed gap between successive request fragments
-    fragment_gap: float = 0.03
 
 
 class InactiveConnectionPool:
@@ -93,10 +94,10 @@ class InactiveConnectionPool:
             try:
                 fd = yield from sys.socket()
                 yield from sys.connect(fd, self.testbed.server_addr,
-                                       timeout=cfg.connect_timeout)
+                                       timeout=CONNECT_TIMEOUT)
                 for i, fragment in enumerate(PARTIAL_FRAGMENTS):
                     if i:
-                        yield cfg.fragment_gap * (1 + self._rng.random())
+                        yield FRAGMENT_GAP * (1 + self._rng.random())
                     yield from sys.write(fd, fragment)
             except SyscallError:
                 self.connect_failures += 1
@@ -105,7 +106,7 @@ class InactiveConnectionPool:
                         yield from sys.close(fd)
                     except SyscallError:
                         pass
-                yield cfg.reconnect_backoff * (1 + self._rng.random())
+                yield RECONNECT_BACKOFF * (1 + self._rng.random())
                 continue
             self.connected += 1
             if (self.connected >= cfg.count
@@ -127,4 +128,4 @@ class InactiveConnectionPool:
             if not self.running:
                 return
             self.reconnects += 1
-            yield cfg.reconnect_backoff * (1 + self._rng.random())
+            yield RECONNECT_BACKOFF * (1 + self._rng.random())

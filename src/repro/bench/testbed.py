@@ -34,8 +34,6 @@ class TestbedConfig:
     __test__ = False  # not a pytest test class, despite the name
 
     seed: int = 0
-    server_cpu_speed: float = SERVER_CPU_SPEED
-    client_cpu_speed: float = CLIENT_CPU_SPEED
     #: simulated CPUs in the *server* host (the client stays an
     #: unconstrained single CPU); >1 builds an SMP domain (repro.smp)
     server_cpus: int = 1
@@ -66,11 +64,11 @@ class Testbed:
         self.causal = CausalLedger(enabled=cfg.trace)
         self.network = Network(self.sim, cfg.bandwidth_bps, cfg.latency)
         self.server_kernel = Kernel(
-            self.sim, SERVER_HOST, cpu_speed=cfg.server_cpu_speed,
+            self.sim, SERVER_HOST, cpu_speed=SERVER_CPU_SPEED,
             costs=cfg.costs, tracer=self.tracer, profiler=self.profiler,
             num_cpus=cfg.server_cpus, causal=self.causal)
         self.client_kernel = Kernel(
-            self.sim, CLIENT_HOST, cpu_speed=cfg.client_cpu_speed,
+            self.sim, CLIENT_HOST, cpu_speed=CLIENT_CPU_SPEED,
             costs=cfg.costs, tracer=self.tracer)
         self.server_stack = NetStack(self.server_kernel, self.network)
         self.client_stack = NetStack(self.client_kernel, self.network)

@@ -43,8 +43,7 @@ class RtsigBackend(EventBackend):
         super().__init__(server)
         cfg = server.config
         self.allocator = SignalNumberAllocator(
-            avoid_linuxthreads=getattr(cfg, "avoid_linuxthreads", True),
-            per_fd_unique=getattr(cfg, "per_fd_unique_signals", True))
+            avoid_linuxthreads=getattr(cfg, "avoid_linuxthreads", True))
         self.listen_signo = 0
 
     @property

@@ -37,7 +37,6 @@ from .constants import (
     F_SETOWN,
     F_SETSIG,
     NSIG,
-    SIGRTMIN,
     SyscallError,
 )
 from .file import File

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..kernel.constants import (
     EAGAIN,
-    ECONNRESET,
     EINVAL,
     ENOPROTOOPT,
     ENOTSOCK,

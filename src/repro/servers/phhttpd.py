@@ -46,8 +46,6 @@ class PhhttpdConfig(ServerConfig):
     signal_batch: int = 1
     #: avoid signal 32, which glibc's LinuxThreads claims (section 6)
     avoid_linuxthreads: bool = True
-    #: unique signal number per fd (phhttpd's scheme) vs one shared number
-    per_fd_unique_signals: bool = True
 
 
 class _PollSibling(BaseServer):

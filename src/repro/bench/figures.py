@@ -14,7 +14,8 @@ dataclasses in :mod:`repro.core.pollfd` and :mod:`repro.kernel.signals`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .harness import BACKEND_TO_KIND, BenchmarkPoint
 from .reporting import ascii_plot, format_table, reply_rate_table
@@ -39,15 +40,31 @@ class FigureResult:
         return f"{plot}\n\n{self.table}"
 
 
-def _reply_rate_figure(figure_id: str, title: str, server: str,
-                       inactive: int, rates: Sequence[float],
-                       duration: float, seed: int,
-                       server_opts: Optional[dict] = None,
-                       base_point: Optional[BenchmarkPoint] = None,
-                       jobs: int = 1) -> FigureResult:
+#: figures 4-9 (thttpd vs thttpd+/dev/poll) and 11-13 (phhttpd): one
+#: reply-rate sweep each.  figure id -> (title, server kind, inactive)
+REPLY_RATE_FIGURES: Dict[str, Tuple[str, str, int]] = {
+    "fig04": ("stock thttpd, normal poll(), load 1", "thttpd", 1),
+    "fig05": ("thttpd using /dev/poll, load 1", "thttpd-devpoll", 1),
+    "fig06": ("stock thttpd, normal poll(), load 251", "thttpd", 251),
+    "fig07": ("thttpd using /dev/poll, load 251", "thttpd-devpoll", 251),
+    "fig08": ("stock thttpd, normal poll(), load 501", "thttpd", 501),
+    "fig09": ("thttpd using /dev/poll, load 501", "thttpd-devpoll", 501),
+    "fig11": ("phhttpd (RT signals), load 1", "phhttpd", 1),
+    "fig12": ("phhttpd (RT signals), load 251", "phhttpd", 251),
+    "fig13": ("phhttpd (RT signals), load 501", "phhttpd", 501),
+}
+
+
+def reply_rate_figure(figure_id: str,
+                      rates: Sequence[float] = PAPER_RATES,
+                      duration: float = 10.0, seed: int = 0,
+                      base_point: Optional[BenchmarkPoint] = None,
+                      jobs: int = 1) -> FigureResult:
+    """One of :data:`REPLY_RATE_FIGURES`: average, min and max reply
+    rate against request rate for one server at one inactive load."""
+    title, server, inactive = REPLY_RATE_FIGURES[figure_id]
     sweep = run_rate_sweep(server, inactive, rates=rates, duration=duration,
-                           seed=seed, server_opts=server_opts,
-                           base_point=base_point, jobs=jobs)
+                           seed=seed, base_point=base_point, jobs=jobs)
     xs = sweep.rates()
     series = {
         "Average": sweep.series("avg"),
@@ -61,68 +78,15 @@ def _reply_rate_figure(figure_id: str, title: str, server: str,
                         sweeps={server: sweep}, table=table)
 
 
-# ---------------------------------------------------------------------------
-# figures 4-9: thttpd vs thttpd+/dev/poll reply rates at 3 inactive loads
-# ---------------------------------------------------------------------------
-
-def fig04(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 4: stock thttpd with normal poll(), 1 inactive connection."""
-    return _reply_rate_figure(
-        "fig04", "stock thttpd, normal poll(), load 1",
-        "thttpd", 1, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig05(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 5: thttpd using /dev/poll, 1 inactive connection."""
-    return _reply_rate_figure(
-        "fig05", "thttpd using /dev/poll, load 1",
-        "thttpd-devpoll", 1, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig06(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 6: stock thttpd with normal poll(), 251 inactive."""
-    return _reply_rate_figure(
-        "fig06", "stock thttpd, normal poll(), load 251",
-        "thttpd", 251, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig07(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 7: thttpd using /dev/poll, 251 inactive."""
-    return _reply_rate_figure(
-        "fig07", "thttpd using /dev/poll, load 251",
-        "thttpd-devpoll", 251, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig08(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 8: stock thttpd with normal poll(), 501 inactive."""
-    return _reply_rate_figure(
-        "fig08", "stock thttpd, normal poll(), load 501",
-        "thttpd", 501, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig09(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 9: thttpd using /dev/poll, 501 inactive."""
-    return _reply_rate_figure(
-        "fig09", "thttpd using /dev/poll, load 501",
-        "thttpd-devpoll", 501, rates, duration, seed, base_point=base_point, jobs=jobs)
+fig04 = partial(reply_rate_figure, "fig04")
+fig05 = partial(reply_rate_figure, "fig05")
+fig06 = partial(reply_rate_figure, "fig06")
+fig07 = partial(reply_rate_figure, "fig07")
+fig08 = partial(reply_rate_figure, "fig08")
+fig09 = partial(reply_rate_figure, "fig09")
+fig11 = partial(reply_rate_figure, "fig11")
+fig12 = partial(reply_rate_figure, "fig12")
+fig13 = partial(reply_rate_figure, "fig13")
 
 
 # ---------------------------------------------------------------------------
@@ -153,40 +117,6 @@ def fig10(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
                          "fig10: connection error percentage")
     return FigureResult("fig10", "error rate, poll vs /dev/poll",
                         xs, series, sweeps=sweeps, table=table)
-
-
-# ---------------------------------------------------------------------------
-# figures 11-13: phhttpd reply rates at 3 inactive loads
-# ---------------------------------------------------------------------------
-
-def fig11(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 11: phhttpd (RT signals), 1 inactive connection."""
-    return _reply_rate_figure(
-        "fig11", "phhttpd (RT signals), load 1",
-        "phhttpd", 1, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig12(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 12: phhttpd (RT signals), 251 inactive."""
-    return _reply_rate_figure(
-        "fig12", "phhttpd (RT signals), load 251",
-        "phhttpd", 251, rates, duration, seed, base_point=base_point, jobs=jobs)
-
-
-def fig13(rates: Sequence[float] = PAPER_RATES, duration: float = 10.0,
-          seed: int = 0,
-          base_point: Optional[BenchmarkPoint] = None,
-          jobs: int = 1) -> FigureResult:
-    """Figure 13: phhttpd (RT signals), 501 inactive."""
-    return _reply_rate_figure(
-        "fig13", "phhttpd (RT signals), load 501",
-        "phhttpd", 501, rates, duration, seed, base_point=base_point, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line front door."""
 
 import json
+import os
 
 import pytest
 
@@ -255,6 +256,13 @@ def test_point_live_backend_needs_live_runtime(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # the observations of a point (profile, flame, trace) run simulated
+    ["point", "thttpd", "100", "1", "--runtime", "live",
+     "--backend", "live-epoll", "--profile-out", os.devnull],
+    ["point", "thttpd", "100", "1", "--runtime", "live",
+     "--backend", "live-epoll", "--flame", os.devnull],
+    ["point", "thttpd", "100", "1", "--runtime", "live",
+     "--backend", "live-select", "--trace", os.devnull],
     ["bench", "--suite", "smoke", "--backend", "live-epoll"],
     ["capacity", "--backends", "live-epoll", "--inactive", "0"],
     ["figures", "fig05", "--backend", "live-select"],

@@ -6,6 +6,11 @@ lingering in TIME-WAIT for sixty seconds after close.  The benchmark
 harness reads :attr:`time_wait_count` to honour the paper's "wait for all
 sockets to leave TIME-WAIT between runs" discipline without simulating
 dead time.
+
+A TIME-WAIT entry holds only its port (none for a server-side end, which
+shares the listener's), as Linux's ``tcp_tw_bucket`` replaces the closed
+socket: the finished connection's endpoints are freed when it finalizes,
+not sixty seconds later.
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ class NetStack:
         #: "hash" (client-port hash, the kernel's behaviour) or
         #: "round-robin"
         self.reuseport_dispatch = "hash"
-        self._free_ports: Deque[int] = deque(range(EPHEMERAL_LOW, EPHEMERAL_HIGH))
-        self._ports_in_use = 0
+        #: ports never handed out are ``[_next_port, EPHEMERAL_HIGH)``;
+        #: released ones queue behind that range, in release order
+        self._next_port = EPHEMERAL_LOW
+        self._released_ports: Deque[int] = deque()
         self.time_wait_count = 0
         # per-unit softirq charges, summed once here instead of per packet
         fused = kernel.fused
@@ -61,19 +68,21 @@ class NetStack:
     # ports
     # ------------------------------------------------------------------
     def alloc_ephemeral_port(self) -> int:
-        if not self._free_ports:
+        port = self._next_port
+        if port < EPHEMERAL_HIGH:
+            self._next_port = port + 1
+            return port
+        if not self._released_ports:
             raise SyscallError(EADDRINUSE, "ephemeral ports exhausted")
-        self._ports_in_use += 1
-        return self._free_ports.popleft()
+        return self._released_ports.popleft()
 
     def release_port(self, port: int) -> None:
         if EPHEMERAL_LOW <= port < EPHEMERAL_HIGH:
-            self._ports_in_use -= 1
-            self._free_ports.append(port)
+            self._released_ports.append(port)
 
     @property
     def ports_available(self) -> int:
-        return len(self._free_ports)
+        return EPHEMERAL_HIGH - self._next_port + len(self._released_ports)
 
     # ------------------------------------------------------------------
     # listeners
@@ -142,18 +151,21 @@ class NetStack:
 
     def connection_closed(self, endpoint: TcpEndpoint, time_wait: bool) -> None:
         self._open_gauge.set(max(0, self._open_gauge.value - 1))
+        port = endpoint.local_port if endpoint.owns_port else None
         if time_wait:
             self.time_wait_count += 1
             self.counters["tcp.time_wait_entered"] += 1
+            # the timer holds the port, never the endpoint: a closed
+            # connection's memory goes when the connection does
             self.sim.schedule(
-                self.time_wait_seconds, self._leave_time_wait, endpoint)
-        elif endpoint.owns_port:
-            self.release_port(endpoint.local_port)
+                self.time_wait_seconds, self._leave_time_wait, port)
+        elif port is not None:
+            self.release_port(port)
 
-    def _leave_time_wait(self, endpoint: TcpEndpoint) -> None:
+    def _leave_time_wait(self, port: Optional[int]) -> None:
         self.time_wait_count -= 1
-        if endpoint.owns_port:
-            self.release_port(endpoint.local_port)
+        if port is not None:
+            self.release_port(port)
 
     # ------------------------------------------------------------------
     # CPU charging (softirq context at this host)

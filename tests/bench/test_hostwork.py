@@ -13,21 +13,34 @@ changed.  The second must stay within the budget checked in beside this
 test (``hostwork_budget.json``); when a change lowers it, lower the
 budget with it.  A change that raises it fails until it raises the
 budget and says why.
+
+The same run then checks the end state a finished connection must
+reach: its endpoints are freed, and a TIME-WAIT entry holds no more
+than its port.
 """
 
+import gc
 import json
 import os
+
+import pytest
 
 from repro.bench.harness import run_point
 from repro.kernel.file import File
 from repro.net.socket import SocketFile
+from repro.net.stack import EPHEMERAL_HIGH, EPHEMERAL_LOW
+from repro.net.tcp import TcpEndpoint
+from repro.sim.engine import Timer
 
 from .test_golden_digests import GOLDEN
 
 BUDGET = os.path.join(os.path.dirname(__file__), "hostwork_budget.json")
 
 
-def test_smp_overload_host_work_within_budget(monkeypatch):
+@pytest.fixture(scope="module")
+def smp_overload():
+    """Run the point once; returns its result, the simulated callbacks
+    and the host socket-mask evaluations."""
     files = []
     masks = 0
     file_init = File.__init__
@@ -42,13 +55,40 @@ def test_smp_overload_host_work_within_budget(monkeypatch):
         masks += 1
         return poll_mask(self)
 
-    monkeypatch.setattr(File, "__init__", recording_init)
-    monkeypatch.setattr(SocketFile, "poll_mask", counting_poll_mask)
-    run_point(GOLDEN["smp_overload"][0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(File, "__init__", recording_init)
+        patch.setattr(SocketFile, "poll_mask", counting_poll_mask)
+        result = run_point(GOLDEN["smp_overload"][0])
+    # summed here so that no list of every file outlives the run
+    return result, sum(f.poll_callback_count for f in files), masks
+
+
+def test_smp_overload_host_work_within_budget(smp_overload):
+    _, simulated, masks = smp_overload
     with open(BUDGET) as fh:
         budget = json.load(fh)["smp_overload"]
-    simulated = sum(f.poll_callback_count for f in files)
     assert simulated == budget["simulated_callbacks"], (
         "the simulated scans made a different number of callbacks")
     assert masks <= budget["host_socket_masks"], (
         f"{masks} host socket-mask evaluations exceed the budget")
+
+
+def test_smp_overload_frees_finished_connections(smp_overload):
+    result = smp_overload[0]
+    server = result.testbed.server_stack
+    client = result.testbed.client_stack
+    gc.collect()
+    objects = gc.get_objects()
+    endpoints = [o for o in objects
+                 if type(o) is TcpEndpoint and o.stack in (server, client)]
+    # only open connections keep their endpoints
+    assert len(endpoints) == (server.open_connections
+                              + client.open_connections) == 256
+    assert server.time_wait_count == 1690
+    # every client port in use is held by an endpoint or a TIME-WAIT entry
+    tw_ports = [o.args[0] for o in objects
+                if type(o) is Timer and o.sim is not None and not o.cancelled
+                and o.fn == client._leave_time_wait and o.args[0] is not None]
+    owning = [e for e in endpoints if e.stack is client and e.owns_port]
+    in_use = EPHEMERAL_HIGH - EPHEMERAL_LOW - client.ports_available
+    assert in_use == len(owning) + len(tw_ports) == 128

@@ -1,5 +1,7 @@
 """NetStack tests: port pool, listener registry, CPU charge categories."""
 
+import tracemalloc
+
 import pytest
 
 from repro.kernel.constants import EADDRINUSE, SyscallError
@@ -36,6 +38,30 @@ def test_port_alloc_release_cycle(stack):
     assert stack.ports_available == before - 1
     stack.release_port(port)
     assert stack.ports_available == before
+
+
+def test_ports_come_ascending_then_in_release_order(sim):
+    kernel = Kernel(sim, "h")
+    network = Network(sim)
+    tracemalloc.start()
+    try:
+        stack = NetStack(kernel, network)
+        built = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built < 64 * 1024  # no object per port
+    pool = EPHEMERAL_HIGH - EPHEMERAL_LOW
+    first = [stack.alloc_ephemeral_port() for _ in range(3)]
+    assert first == [EPHEMERAL_LOW, EPHEMERAL_LOW + 1, EPHEMERAL_LOW + 2]
+    stack.release_port(first[2])
+    stack.release_port(first[0])
+    assert stack.ports_available == pool - 1
+    rest = [stack.alloc_ephemeral_port() for _ in range(pool - 3)]
+    assert rest == list(range(EPHEMERAL_LOW + 3, EPHEMERAL_HIGH))
+    assert stack.ports_available == 2
+    assert [stack.alloc_ephemeral_port(),
+            stack.alloc_ephemeral_port()] == [first[2], first[0]]
+    assert stack.ports_available == 0
 
 
 def test_port_exhaustion_raises(stack):

@@ -1,6 +1,8 @@
 """TCP model tests: handshake, flow control, teardown, the paper's limits."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -259,10 +261,13 @@ def test_first_closer_enters_time_wait(sim, hosts):
     ssys = hosts.server_sys()
     csys = hosts.client_sys()
     spawn(sim, server_echo_once(ssys)(), "srv")
+    ends = []
 
     def client():
         fd = yield from csys.socket()
         yield from csys.connect(fd, ("server", 80))
+        end = csys.task.fdtable.get(fd).endpoint
+        ends.extend((weakref.ref(end), weakref.ref(end.peer)))
         yield from csys.write(fd, b"q")
         while (yield from csys.read(fd, 100)) != b"":
             pass
@@ -273,6 +278,10 @@ def test_first_closer_enters_time_wait(sim, hosts):
     # the server wrote then closed first -> its side holds TIME-WAIT
     assert hosts.server_stack.time_wait_count == 1
     assert hosts.client_stack.time_wait_count == 0
+    # ... and it holds only the port: both ends of the finished
+    # connection can be collected
+    gc.collect()
+    assert [end() for end in ends] == [None, None]
     sim.run(until=5 + TIME_WAIT_SECONDS + 1)
     assert hosts.server_stack.time_wait_count == 0
 

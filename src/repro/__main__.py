@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -185,7 +186,7 @@ def cmd_point(args) -> int:
     where = f"{shown} @ {args.rate:.0f}/s, {args.inactive} inactive"
     smp = (f", {args.cpus} cpus x {args.workers} workers"
            if args.cpus != 1 or args.workers != 1 else "")
-    print(f"{where}, {args.duration:.0f}s{smp}:")
+    print(f"{where}, {args.duration:g}s{smp}:")
     print(f"  replies/s avg {rr.avg:.1f}  min {rr.min:.1f}  max {rr.max:.1f}"
           f"  stddev {rr.stddev:.1f}")
     median = (f"{result.median_conn_ms:.2f} ms"
@@ -791,4 +792,15 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        # flush here, inside the try, so a reader that went away (`| head`)
+        # is met below rather than at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the idiom from Python's signal documentation: point stdout at
+        # devnull so the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def test_info(capsys):
@@ -25,8 +30,32 @@ def test_point(capsys):
     assert main(["point", "thttpd-devpoll", "200", "10",
                  "--duration", "1.5"]) == 0
     out = capsys.readouterr().out
+    # the header gives the duration run, not a rounded one
+    assert out.startswith("thttpd-devpoll @ 200/s, 10 inactive, 1.5s:\n")
     assert "replies/s avg" in out
     assert "errors 0.00%" in out
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_point_into_a_closed_pipe_exits_quietly(unbuffered):
+    """`repro point ... | head` whose reader has gone: exit 1, and no
+    traceback on stderr, whether a print or the last flush meets the
+    broken pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "point", "thttpd", "100", "1",
+         "--duration", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # Closed before the first line: a reader that closes after one line
+    # races the rest of the output into the pipe's buffer.
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err.decode()
+    assert b"BrokenPipeError" not in err, err.decode()
 
 
 def test_point_unknown_server_exits_2(capsys):

@@ -66,12 +66,20 @@ class CausalLedger:
         self.path_latency = LatencyHistogram()
         self.chains: deque = deque(maxlen=CHAIN_CAPACITY)
         self.marks: deque = deque(maxlen=MARK_CAPACITY)
+        #: chains and marks the full rings pushed out, oldest first
+        self.chains_evicted = 0
+        self.marks_evicted = 0
         self._pending_ready: Dict[Any, Tuple[float, int]] = {}
         self._enqueued: Dict[Any, Tuple[float, str]] = {}
         self._harvested: Dict[int, Dict[str, Any]] = {}
 
     def _bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
+
+    def _mark(self, mark: Dict[str, Any]) -> None:
+        if len(self.marks) == MARK_CAPACITY:
+            self.marks_evicted += 1
+        self.marks.append(mark)
 
     # -- hooks, in causal order ------------------------------------
 
@@ -101,7 +109,7 @@ class CausalLedger:
         if not self.enabled:
             return
         self._bump("rtsig_overflows")
-        self.marks.append({"t": now, "name": "rtsig_overflow", "fd": fd})
+        self._mark({"t": now, "name": "rtsig_overflow", "fd": fd})
 
     def harvest(self, now: float, backend: str, events: List[Tuple[int, int]],
                 task: Any, registered: int) -> None:
@@ -158,6 +166,8 @@ class CausalLedger:
         chain["reply"] = now
         if "ready" in chain:
             self.path_latency.record((now - chain["ready"]) * 1000.0)
+        if len(self.chains) == CHAIN_CAPACITY:
+            self.chains_evicted += 1
         self.chains.append(chain)
 
     def stale(self, now: float, fd: int) -> None:
@@ -166,15 +176,14 @@ class CausalLedger:
             return
         self._bump("stale_dispatches")
         self._harvested.pop(fd, None)
-        self.marks.append({"t": now, "name": "stale_event", "fd": fd})
+        self._mark({"t": now, "name": "stale_event", "fd": fd})
 
     def recovery(self, now: float, conns: int = 0) -> None:
         """SIGIO forced the rtsig server into poll()-based recovery."""
         if not self.enabled:
             return
         self._bump("sigio_recovery_episodes")
-        self.marks.append({"t": now, "name": "sigio_recovery",
-                           "conns": conns})
+        self._mark({"t": now, "name": "sigio_recovery", "conns": conns})
 
     # -- export ----------------------------------------------------
 
@@ -424,14 +433,19 @@ def export_chrome_trace(path: str, ledger: CausalLedger,
     The output is byte-deterministic for a given run: sorted keys,
     two-space indent, trailing newline, and no wall-clock anywhere --
     identical seeds produce identical files.  ``metadata.dropped`` is
-    the number of records the tracer's ring evicted (0 without one).
+    the number of records the tracer's ring evicted (0 without one);
+    ``evicted_chains`` and ``evicted_marks`` count what the ledger's
+    rings evicted.  They stay out of :meth:`CausalLedger.summary`, which
+    point records embed.
     """
     events = chrome_trace_events(ledger, tracer)
     payload = {
         "displayTimeUnit": "ms",
         "metadata": {"tool": "repro point --trace",
                      "summary": ledger.summary(),
-                     "dropped": tracer.dropped if tracer is not None else 0},
+                     "dropped": tracer.dropped if tracer is not None else 0,
+                     "evicted_chains": ledger.chains_evicted,
+                     "evicted_marks": ledger.marks_evicted},
         "traceEvents": events,
     }
     with open(path, "w", encoding="utf-8") as fh:

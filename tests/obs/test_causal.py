@@ -8,6 +8,8 @@ from repro.bench.harness import BACKEND_TO_KIND, BenchmarkPoint, run_point
 from repro.bench.records import point_record
 from repro.kernel.constants import POLLIN
 from repro.obs.causal import (
+    CHAIN_CAPACITY,
+    MARK_CAPACITY,
     CausalLedger,
     chrome_trace_events,
     export_chrome_trace,
@@ -93,6 +95,24 @@ def test_stale_drops_the_chain():
     assert ledger.counters["stale_dispatches"] == 1
     assert len(ledger.chains) == 0
     assert ledger.marks[-1]["name"] == "stale_event"
+
+
+def test_export_counts_what_the_ledger_rings_evict(tmp_path):
+    ledger = CausalLedger(enabled=True)
+    for i in range(CHAIN_CAPACITY + 5):
+        ledger.harvest(i, "poll", [(7, POLLIN)], None, 1)
+        ledger.reply(i, 7)
+    for i in range(MARK_CAPACITY + 5):
+        ledger.stale(i, 7)
+    assert len(ledger.chains) == CHAIN_CAPACITY
+    assert ledger.chains[0]["reply"] == 5  # the five oldest went
+    path = tmp_path / "trace.json"
+    export_chrome_trace(str(path), ledger)
+    metadata = json.loads(path.read_text())["metadata"]
+    assert metadata["evicted_chains"] == 5
+    assert metadata["evicted_marks"] == 5
+    # the summary, which point records embed, leaves them out
+    assert "evicted" not in json.dumps(metadata["summary"])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Host seconds on a shared machine are noisy; call counts repeat exactly.
 This test runs the golden ``smp_overload`` point (select() on 4 CPUs x 4
-workers, past the knee, 128 idle connections) once and counts
+workers, past the knee, 128 idle connections) and three golden points
+that scan a hinted ready list -- ``overload_devpoll``, ``overload_epoll``
+and ``devpoll_nohints`` -- once each and counts
 
 * the simulated driver poll callbacks: the sum of every file's
   ``poll_callback_count``, which the simulated scan cost is made of;
@@ -14,9 +16,9 @@ test (``hostwork_budget.json``); when a change lowers it, lower the
 budget with it.  A change that raises it fails until it raises the
 budget and says why.
 
-The same run then checks the end state a finished connection must
-reach: its endpoints are freed, and a TIME-WAIT entry holds no more
-than its port.
+The ``smp_overload`` run then checks the end state a finished
+connection must reach: its endpoints are freed, and a TIME-WAIT entry
+holds no more than its port.
 """
 
 import gc
@@ -37,10 +39,9 @@ from .test_golden_digests import GOLDEN
 BUDGET = os.path.join(os.path.dirname(__file__), "hostwork_budget.json")
 
 
-@pytest.fixture(scope="module")
-def smp_overload():
-    """Run the point once; returns its result, the simulated callbacks
-    and the host socket-mask evaluations."""
+def run_counted(name):
+    """Run the golden point ``name`` once; returns its result, the
+    simulated callbacks and the host socket-mask evaluations."""
     files = []
     masks = 0
     file_init = File.__init__
@@ -58,19 +59,33 @@ def smp_overload():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(File, "__init__", recording_init)
         patch.setattr(SocketFile, "poll_mask", counting_poll_mask)
-        result = run_point(GOLDEN["smp_overload"][0])
+        result = run_point(GOLDEN[name][0])
     # summed here so that no list of every file outlives the run
     return result, sum(f.poll_callback_count for f in files), masks
 
 
-def test_smp_overload_host_work_within_budget(smp_overload):
-    _, simulated, masks = smp_overload
+def check_budget(name, simulated, masks):
     with open(BUDGET) as fh:
-        budget = json.load(fh)["smp_overload"]
+        budget = json.load(fh)[name]
     assert simulated == budget["simulated_callbacks"], (
-        "the simulated scans made a different number of callbacks")
+        f"{name}: the simulated scans made a different number of callbacks")
     assert masks <= budget["host_socket_masks"], (
-        f"{masks} host socket-mask evaluations exceed the budget")
+        f"{name}: {masks} host socket-mask evaluations exceed the budget")
+
+
+@pytest.fixture(scope="module")
+def smp_overload():
+    return run_counted("smp_overload")
+
+
+def test_smp_overload_host_work_within_budget(smp_overload):
+    check_budget("smp_overload", *smp_overload[1:])
+
+
+@pytest.mark.parametrize("name", ["overload_devpoll", "overload_epoll",
+                                  "devpoll_nohints"])
+def test_ready_list_host_work_within_budget(name):
+    check_budget(name, *run_counted(name)[1:])
 
 
 def test_smp_overload_frees_finished_connections(smp_overload):

@@ -1,11 +1,12 @@
 """``select()`` backend: FD_SETSIZE-bounded bitmap readiness.
 
-Same userspace structure as the ``poll`` backend (rebuild, wait, scan,
-per-event fdwatch re-check) but through ``select()``'s two fd sets, so
-it inherits the hard ``FD_SETSIZE`` ceiling the paper calls out as the
-reason thttpd moved to ``poll()`` in the first place.  Readiness comes
-back as separate readable/writable lists; the backend flattens them to
-``(fd, POLLIN)`` / ``(fd, POLLOUT)`` pairs in that order.
+A ``poll`` backend (rebuild, wait, scan, per-event fdwatch re-check)
+that waits through ``select()``'s two fd sets instead, so it hits the
+hard ``FD_SETSIZE`` ceiling the paper calls out as the reason thttpd
+moved to ``poll()`` in the first place; only ``wait`` is its own.
+Readiness comes back as separate readable/writable lists; the backend
+flattens them to ``(fd, POLLIN)`` / ``(fd, POLLOUT)`` pairs in that
+order.
 
 A reported fd whose connection has since changed state cannot be
 re-checked against a revents mask here (there is none), so the unified
@@ -14,43 +15,19 @@ server loop counts such events stale -- ``strict_state_stale``.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from ..core.select_syscall import FD_SETSIZE
 from ..kernel.constants import POLLIN, POLLOUT
-from .base import EventBackend, register_backend
+from .base import register_backend
+from .poll_backend import PollBackend
 
 
 @register_backend
-class SelectBackend(EventBackend):
+class SelectBackend(PollBackend):
     name = "select"
     strict_state_stale = True
     fd_capacity = FD_SETSIZE
-
-    def __init__(self, server) -> None:
-        super().__init__(server)
-        #: connection fd -> event mask, in registration order; the
-        #: listener is prepended to ``readfds`` at build time
-        self._interests: Dict[int, int] = {}
-        self._nwatched = 0
-
-    def register(self, fd: int, mask: int) -> Generator:
-        self.stats.registers += 1
-        self._counts[self._registers_key] += 1
-        self._interests[fd] = mask
-        return
-        yield  # pragma: no cover - marks this as a generator
-
-    def modify(self, fd: int, mask: int) -> Generator:
-        self.stats.modifies += 1
-        self._counts[self._modifies_key] += 1
-        if fd in self._interests:
-            self._interests[fd] = mask
-        return
-        yield  # pragma: no cover - marks this as a generator
-
-    def interest_forget(self, fd: int) -> None:
-        self._interests.pop(fd, None)
 
     def wait(self, max_events: Optional[int] = None,
              timeout: Optional[float] = None,
@@ -72,8 +49,3 @@ class SelectBackend(EventBackend):
                  + [(fd, POLLOUT) for fd in writable])
         self._note_wait(ready, nwatched)
         return ready
-
-    def dispatch_parts(self) -> tuple:
-        return (("app.fdwatch",
-                 self.costs.user_fdwatch_check_per_fd * self._nwatched,
-                 None),)

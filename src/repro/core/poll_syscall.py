@@ -47,7 +47,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     absolute wakeup deadline pinned after the copyin.
     """
     kernel = task.kernel
-    fused = kernel.fused
+    costs = kernel.costs
     cpu = kernel.cpu
     sim = kernel.sim
     n = len(interests)
@@ -71,10 +71,10 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     # 1. copy in the whole interest set; 2. one driver callback per
     # descriptor -- under the big kernel lock, so on SMP the whole O(n)
     # walk serializes against every other CPU's scan
-    scan_cost = fused.poll_scan_per_fd * n
+    scan_cost = costs.poll_driver_callback * n
     scan_part = ("poll.scan", scan_cost, (("driver_callback", scan_cost),))
-    head = (fused.entry_part,
-            ("poll.copyin", fused.poll_copyin_per_fd * n, None))
+    head = (kernel.fused.entry_part,
+            ("poll.copyin", costs.poll_copyin_per_fd * n, None))
     if build_part is not None:
         head = (build_part,) + head
     issued_at = sim.now
@@ -86,7 +86,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
         built_at = stamps[0] if build_part is not None else issued_at
         timeout = max(0.0, deadline_abs - built_at)
     deadline = None if timeout is None else stamps[len(head) - 1] + timeout
-    waitqueue_cost = fused.poll_waitqueue_per_fd * n
+    waitqueue_cost = costs.poll_waitqueue_per_fd * n
 
     while True:
         ready = scan()
@@ -95,7 +95,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
         if ready or timeout == 0:
             # 4. copy out the results
             yield cpu.consume_parts(
-                (("poll.copyout", fused.poll_copyout_per_ready * len(ready),
+                (("poll.copyout", costs.poll_copyout_per_ready * len(ready),
                   None),) + tuple(tail_parts), PRIO_USER)
             return ready
         remaining: Optional[float] = None

@@ -59,7 +59,7 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
     boundary stamps supply the timeout clock reads.
     """
     kernel = task.kernel
-    fused = kernel.fused
+    costs = kernel.costs
     cpu = kernel.cpu
     sim = kernel.sim
     rset = set(readfds)
@@ -90,11 +90,13 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
 
     # three bitmaps (read/write/except) copied in, three copied out --
     # proportional to maxfd, not to the number of watched fds
-    bitmaps = ("select.bitmaps", 6 * words * fused.select_word_cost, None)
+    bitmaps = ("select.bitmaps", 6 * words * costs.poll_copyin_per_fd,
+               None)
     # the O(watched) driver scan ran under the big kernel lock in 2.2,
     # so on SMP it serializes against every other CPU's scan
-    scan_part = ("select.scan", fused.poll_scan_per_fd * len(watched), None)
-    head = (fused.entry_part, bitmaps)
+    scan_part = ("select.scan", costs.poll_driver_callback * len(watched),
+                 None)
+    head = (kernel.fused.entry_part, bitmaps)
     if build_part is not None:
         head = (build_part,) + head
     issued_at = sim.now
@@ -106,7 +108,7 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
         built_at = stamps[0] if build_part is not None else issued_at
         timeout = max(0.0, deadline_abs - built_at)
     deadline = None if timeout is None else stamps[len(head) - 1] + timeout
-    waitqueue_cost = fused.poll_waitqueue_per_fd * len(watched)
+    waitqueue_cost = costs.poll_waitqueue_per_fd * len(watched)
 
     while True:
         readable, writable = scan()

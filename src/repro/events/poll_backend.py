@@ -70,11 +70,12 @@ class PollBackend(EventBackend):
         # copyout + app.scan another; the timeout is derived from the
         # deadline after the array build, which advanced simulated time
         # (sys_poll reads that instant off the grant's boundary stamps)
-        fused = kernel.fused
+        costs = kernel.costs
         ready = yield from self.sys.poll(
             interests, timeout, deadline=deadline,
-            build_part=("app.build", fused.user_build_per_fd * n, None),
-            tail_parts=(("app.scan", fused.user_scan_per_fd * n, None),))
+            build_part=("app.build", costs.user_pollfd_build_per_fd * n,
+                        None),
+            tail_parts=(("app.scan", costs.user_scan_per_fd * n, None),))
         if kernel.tracer.enabled:
             server = self.server
             kernel.trace(

@@ -40,11 +40,13 @@ class SelectBackend(PollBackend):
         nwatched = len(readfds) + len(writefds)
         self._nwatched = nwatched
         # fused exactly as in PollBackend.wait
-        fused = self.kernel.fused
+        costs = self.costs
         readable, writable = yield from self.sys.select(
             readfds, writefds, timeout, deadline=deadline,
-            build_part=("app.build", fused.user_build_per_fd * nwatched, None),
-            tail_parts=(("app.scan", fused.user_scan_per_fd * nwatched, None),))
+            build_part=("app.build",
+                        costs.user_pollfd_build_per_fd * nwatched, None),
+            tail_parts=(("app.scan", costs.user_scan_per_fd * nwatched,
+                         None),))
         ready = ([(fd, POLLIN) for fd in readable]
                  + [(fd, POLLOUT) for fd in writable])
         self._note_wait(ready, nwatched)

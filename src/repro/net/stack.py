@@ -59,7 +59,7 @@ class NetStack:
         fused = kernel.fused
         self._rx_per_segment = fused.net_rx_per_segment
         self._tx_per_segment = fused.net_tx_per_segment
-        self._ack_tx_per_ack = fused.net_ack_tx_per_ack
+        self._ack_tx_per_ack = kernel.costs.tcp_tx_packet
         self._ack_rx_per_ack = fused.net_ack_rx_per_ack
         kernel.net = self
         network.attach(self)

@@ -164,3 +164,8 @@ class DevpollBackend(EventBackend):
         events = [(pfd.fd, pfd.revents) for pfd in ready]
         self._note_wait(events, len(self._updates.in_kernel))
         return events
+
+    @property
+    def devpoll_file(self):
+        """The kernel-side /dev/poll object (for stats in tests/benches)."""
+        return self.server.task.fdtable.lookup(self.dp_fd)

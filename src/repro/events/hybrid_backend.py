@@ -113,3 +113,8 @@ class HybridBackend(EventBackend):
         else:
             self._calm = 0
         return events
+
+    @property
+    def devpoll_file(self):
+        """The /dev/poll object behind polling mode."""
+        return self.devpoll.devpoll_file

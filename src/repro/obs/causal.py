@@ -241,12 +241,22 @@ def _iter_servers(server: Any):
         yield sibling
 
 
+def _add_counts(block: Dict[str, Any], key: str,
+                counts: Dict[str, int]) -> None:
+    """Sum one server's ``counts`` into ``block[key]``."""
+    total = block.setdefault(key, dict.fromkeys(counts, 0))
+    for name, value in counts.items():
+        total[name] += value
+
+
 def collect_pathologies(server: Any, kernel: Any) -> Dict[str, Any]:
     """Assemble the per-point pathology block for records and reports.
 
     Everything here is read-only introspection of simulation state
     after the run ended; all lookups are guarded so every server shape
-    (plain, phhttpd + sibling, WorkerPool) produces a block.
+    (plain, phhttpd + sibling, WorkerPool) produces a block.  The
+    ``devpoll`` and ``epoll`` counts sum over every server that has
+    such a file, the hybrid's included.
     """
     block: Dict[str, Any] = {"causal": kernel.causal.summary()}
 
@@ -285,29 +295,26 @@ def collect_pathologies(server: Any, kernel: Any) -> Dict[str, Any]:
                 "takeover_at": getattr(srv, "takeover_at", None),
                 "handoffs": getattr(srv, "handoffs", 0),
             })
-        epoll_file = getattr(backend, "epoll_file", None)
-        estats = getattr(epoll_file, "stats", None)
+        estats = getattr(getattr(backend, "epoll_file", None), "stats", None)
         if estats is not None:
-            block["epoll"] = {
+            _add_counts(block, "epoll", {
                 "ready_checks_cached": estats.ready_checks_cached,
                 "ready_checks_hinted": estats.ready_checks_hinted,
                 "ready_checks_nohint": estats.ready_checks_nohint,
                 "auto_removed_closed": estats.auto_removed_closed,
                 "events_returned": estats.events_returned,
-            }
-        dp_fd = getattr(backend, "dp_fd", None)
-        if dp_fd is not None and task is not None:
-            dp_file = task.fdtable.lookup(dp_fd)
-            dstats = getattr(dp_file, "stats", None)
-            if dstats is not None:
-                block["devpoll"] = {
-                    "callbacks_ready_recheck":
-                        dstats.driver_callbacks_ready_recheck,
-                    "callbacks_hinted": dstats.driver_callbacks_hinted,
-                    "callbacks_full": dstats.driver_callbacks_full,
-                    "results_returned": dstats.results_returned,
-                    "results_via_mmap": dstats.results_via_mmap,
-                }
+            })
+        dstats = getattr(getattr(backend, "devpoll_file", None), "stats",
+                         None)
+        if dstats is not None:
+            _add_counts(block, "devpoll", {
+                "callbacks_ready_recheck":
+                    dstats.driver_callbacks_ready_recheck,
+                "callbacks_hinted": dstats.driver_callbacks_hinted,
+                "callbacks_full": dstats.driver_callbacks_full,
+                "results_returned": dstats.results_returned,
+                "results_via_mmap": dstats.results_via_mmap,
+            })
 
     if backends:
         block["backends"] = backends

@@ -98,7 +98,7 @@ class ThttpdDevpollServer(ThttpdServer):
     @property
     def devpoll_file(self):
         """The kernel-side /dev/poll object (for stats in tests/benches)."""
-        return self.task.fdtable.lookup(self.backend.dp_fd)
+        return self.backend.devpoll_file
 
 
 @dataclass
@@ -131,4 +131,4 @@ class ThttpdEpollServer(ThttpdServer):
     @property
     def epoll_file(self):
         """The kernel-side epoll object (for stats in tests/benches)."""
-        return self.task.fdtable.lookup(self.backend.ep_fd)
+        return self.backend.epoll_file

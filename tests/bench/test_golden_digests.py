@@ -96,13 +96,13 @@ GOLDEN = {
         "34712ef6b42ae0f217b2d695c50aee3ccd2b4d00070a1619824f667c27b5d9e1"),
     "smp_overload_devpoll_traced": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-devpoll", trace=True),
-        "5a2b6f1dc95df6ae93e86bfd47b13e2bcd9d2a0a9915467565d63ea0ff982065"),
+        "f494ba131c389eae1a48dab1e20c4f7390c66744cb00e647842ba8cd3eb937d2"),
     "smp_overload_epoll": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll"),
         "97bce3620d31bb85b52a6a70b035bf4d62f8c74513c1bf3e4ad01a836fa049bc"),
     "smp_overload_epoll_traced": (
         replace(SMP_OVERLOAD_SHORT, server="thttpd-epoll", trace=True),
-        "2431c3372f170a6f883b572dd30ca1583f0bd00e97682476092e32fd2a75a654"),
+        "3cdb8fae1b74b7fa58bd9eb9bacc4888357302a962973ec8b0458ba2b55972b0"),
     "smp2_unpinned": (
         BenchmarkPoint(server="thttpd", rate=1500.0, inactive=64,
                        duration=0.3, timeout=1.0, cpus=2),
@@ -187,7 +187,7 @@ GOLDEN = {
         "a495e7798f971e694ac55f1cee65d8a302557813b77a07f63f0b710f481772ee"),
     "hybrid_rtsig_overflow_traced": (
         replace(RTSIG_OVERFLOW, server="hybrid", trace=True),
-        "be6e86f42d15c8819547c85ee89af01b8771cd475782b86d8d0e975aa3febe16"),
+        "976fa2fbe8decf4f75d4dd2df162e7ad1b9fb3770af4751c309258f11506ef9a"),
     "hybrid_parked": (
         replace(RTSIG_OVERFLOW, server="hybrid",
                 server_opts={"rtsig_max": 32, "calm_loops": 10**9}),

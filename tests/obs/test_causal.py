@@ -12,6 +12,7 @@ from repro.obs.causal import (
     MARK_CAPACITY,
     CausalLedger,
     chrome_trace_events,
+    collect_pathologies,
     export_chrome_trace,
 )
 from repro.obs.latency import REPORT_QUANTILES
@@ -243,6 +244,39 @@ def test_record_carries_pathologies_only_when_traced():
     traced = point_record(_run(trace=True))
     assert traced["pathologies"]["causal"]["counters"]["waits"] > 0
     assert "pathologies" not in point_record(_run(trace=False))
+
+
+# ---------------------------------------------------------------------------
+# the devpoll and epoll blocks cover every server
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("server,key,returned", [
+    ("thttpd-devpoll", "devpoll", "results_returned"),
+    ("thttpd-epoll", "epoll", "events_returned")])
+def test_ready_list_block_sums_a_worker_pool(server, key, returned):
+    result = run_point(BenchmarkPoint(
+        server=server, rate=800.0, inactive=8, duration=0.5, seed=3,
+        cpus=2, workers=2, trace=True))
+    kernel = result.testbed.server_kernel
+    per_worker = [collect_pathologies(worker, kernel)[key]
+                  for worker in result.server.workers]
+    assert len(per_worker) == 2
+    assert all(block[returned] > 0 for block in per_worker)
+    assert result.pathologies[key] == {
+        name: sum(block[name] for block in per_worker)
+        for name in per_worker[0]}
+
+
+def test_hybrid_reports_its_devpoll_block():
+    """The hybrid's /dev/poll interest set serves its polling mode."""
+    result = run_point(BenchmarkPoint(
+        server="hybrid", rate=400.0, inactive=12, duration=2.0, seed=3,
+        trace=True, server_opts={"rtsig_max": 4}))
+    server = result.server
+    stats = server.task.fdtable.lookup(server.dp_fd).stats
+    devpoll = result.pathologies["devpoll"]
+    assert devpoll["callbacks_hinted"] == stats.driver_callbacks_hinted > 0
+    assert devpoll["results_returned"] == stats.results_returned > 0
 
 
 # ---------------------------------------------------------------------------

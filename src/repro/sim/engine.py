@@ -32,7 +32,8 @@ Hot-path layout (see docs/performance.md, "hot-path anatomy"):
 * Timers whose handles never escape (event-callback dispatch, internal
   unref schedules) are recycled through a freelist instead of being
   allocated per event, and each CPU re-arms one resident completion
-  timer (:meth:`Simulator._arm`) instead of scheduling one per grant.
+  timer in place (:class:`~repro.sim.resources.CPU`) instead of
+  scheduling one per grant.
 """
 
 from __future__ import annotations
@@ -195,7 +196,6 @@ class Simulator:
         #: ``_call_soon_unref`` / ``_schedule_unref`` fast paths
         self._pool: List[Timer] = []
         self._seq: int = 0
-        self._running = False
         self.events_processed: int = 0
         #: the Process whose generator is being resumed right now (None
         #: outside process context, e.g. plain timer callbacks).  Span
@@ -279,23 +279,6 @@ class Simulator:
         else:
             timer = Timer(time, self._seq, fn, args, None)
             timer.pooled = True
-        if delay < self.FAR_DELAY:
-            _heappush(self._heap, (time, self._seq, timer))
-        else:
-            self._push_far(timer)
-
-    def _arm(self, timer: Timer, delay: float) -> None:
-        """Schedule a resident internal timer ``delay`` seconds from now.
-
-        Resident timers (one completion timer per CPU) are owned by their
-        caller and re-armed after each firing: never pooled, never
-        cancelled, and their callback takes no arguments, so a re-arm
-        allocates nothing but the heap entry.
-        """
-        time = self.now + delay
-        self._seq += 1
-        timer.time = time
-        timer.seq = self._seq
         if delay < self.FAR_DELAY:
             _heappush(self._heap, (time, self._seq, timer))
         else:
@@ -431,28 +414,41 @@ class Simulator:
         """Run until the calendar drains, ``until`` is reached, or
         ``max_events`` timers have fired (whichever comes first).
 
-        The loop body is :meth:`_pop_next` + :meth:`_fire` inlined for
-        the common cases -- this is the engine's innermost loop, and the
-        two calls plus repeated attribute loads are measurable at
-        millions of events.  With no ready work pending, the hot head
-        pops directly while it is due before the far tier, and
-        otherwise the far timers that could be next migrate first; with
-        ready work pending, a live ready entry due before the hot head
-        pops directly (horizon loop only) and everything else takes
-        :meth:`_pop_next`.  Both heaps and the ready list only ever
-        change in place, so they are bound once.
+        A run bounded by ``max_events`` (only tests ask for one) takes
+        :meth:`step` once per timer.  Otherwise the loop body is
+        :meth:`_pop_next` + :meth:`_fire` inlined for the common cases
+        -- this is the engine's innermost loop, and the two calls plus
+        repeated attribute loads are measurable at millions of events.
+        With no ready work pending, the hot head pops directly while it
+        is due before the far tier, and otherwise the far timers that
+        could be next migrate first; with ready work pending, a live
+        ready entry due before the hot head pops directly (horizon loop
+        only) and everything else takes :meth:`_pop_next`.  Both heaps
+        and the ready list only ever change in place, so they are bound
+        once.
         """
-        self._running = True
+        if max_events is not None:
+            for _ in range(max_events):
+                if until is not None:
+                    due = self.peek()
+                    if due is None or due > until:
+                        break
+                if not self.step():
+                    break
+            else:
+                return  # the budget ran out: the clock stays
+            if until is not None and until > self.now:
+                self.now = until
+            return
         fired = 0
-        bounded = max_events is not None
         pool = self._pool
         ready = self._ready
         heap = self._heap
         heappop = _heappop
         try:
-            if until is None and not bounded:
-                # -- dedicated full-drain loop: no horizon or event-budget
-                # check per iteration
+            if until is None:
+                # -- dedicated full-drain loop: no horizon check per
+                # iteration
                 while True:
                     if self._ready_head < len(ready):
                         # same-timestamp ready work pending: rare on this
@@ -486,8 +482,6 @@ class Simulator:
                     fn(*args)
                 return
             while True:
-                if bounded and fired >= max_events:
-                    return
                 head = self._ready_head
                 if head < len(ready):
                     # ready entries are due at ``now`` and far timers
@@ -523,7 +517,7 @@ class Simulator:
                         break
                 # -- inline _fire
                 time = timer.time
-                if until is not None and time > until:
+                if time > until:
                     self._requeue(timer)
                     if until > self.now:  # a past horizon keeps the clock
                         self.now = until
@@ -540,13 +534,12 @@ class Simulator:
                 else:
                     timer.sim = None
                 fn(*args)
-            if until is not None and until > self.now:
+            if until > self.now:
                 self.now = until
         finally:
             # flushed as a delta so nested run() calls stay correct; no
             # caller reads the counter mid-run
             self.events_processed += fired
-            self._running = False
 
     def peek(self) -> Optional[float]:
         """Time of the next armed timer, or None if the calendar is empty."""

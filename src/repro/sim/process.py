@@ -10,7 +10,10 @@ yielding one of:
   evaluates to ``(event, value)`` for the winner;
 * a :class:`TimedWait` (built by :func:`wait_with_timeout`) -- suspend
   until an event triggers or a timeout expires; evaluates to
-  ``(timed_out, value)``.
+  ``(timed_out, value)``;
+* :data:`GRANT` -- what :meth:`CPU.consume <repro.sim.resources.CPU.consume>`
+  and ``consume_parts`` return to the process that issued the grant;
+  suspend until the grant completes; evaluates to None.
 
 Sub-steps compose with ``yield from``, so a syscall implemented as a
 generator can be called from server code naturally::
@@ -32,6 +35,26 @@ from .engine import Event, SimulationError, Simulator
 
 class ProcessCrashed(SimulationError):
     """An uncaught exception escaped a process body."""
+
+
+class _Grant:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "GRANT"
+
+
+#: The marker a CPU grant issued by a running process returns.  The CPU
+#: records the process as the grant's one waiter and resumes it itself
+#: when the grant completes, so no Event or callback is built per grant.
+#: The process must yield the marker at once: yielding anything else
+#: while the grant is pending, or issuing a second grant first, raises
+#: :class:`SimulationError`.
+GRANT = _Grant()
+#: a process's ``_grant`` while it has no grant pending: nothing a
+#: process body can yield, so ``yielded is self._grant`` holds only for
+#: the marker of a pending grant
+_NO_GRANT = object()
 
 
 class AnyOf:
@@ -94,10 +117,18 @@ class TimedWait:
 
 
 class Process:
-    """A running simulated process wrapping a generator body."""
+    """A running simulated process wrapping a generator body.
+
+    A CPU grant the process issues (``yield cpu.consume(dt)``) returns
+    :data:`GRANT`, and the process waits on it as the grant's one
+    waiter: the CPU resumes it directly, inline when nothing else is due
+    at the completion instant and otherwise through one ready-queue
+    bounce, exactly where an Event's callback bounce would have been
+    queued.  ``_grant`` is :data:`GRANT` while such a grant is pending.
+    """
 
     __slots__ = ("sim", "name", "gen", "done", "_waiting_on", "crashed",
-                 "_resume_cb", "_on_event_cb")
+                 "_resume_cb", "_on_event_cb", "_grant")
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "proc"):
         self.sim = sim
@@ -111,6 +142,7 @@ class Process:
         # once per simulated step, so cache them
         self._resume_cb = self._resume
         self._on_event_cb = self._on_event
+        self._grant = _NO_GRANT
         sim._call_soon_unref(self._resume_cb, (None, None))
 
     # ------------------------------------------------------------------
@@ -149,6 +181,14 @@ class Process:
                     raise ProcessCrashed(
                         f"process {self.name!r} crashed at t={sim.now:.6f}: {err!r}"
                     ) from err
+                if yielded is self._grant:
+                    return  # the CPU resumes it when the grant completes
+                if self._grant is GRANT:
+                    exc = SimulationError(
+                        f"process {self.name!r} yielded {yielded!r} while "
+                        f"its CPU grant is pending")
+                    send_value = None
+                    continue
                 if isinstance(yielded, Event):
                     if yielded.triggered:
                         # resume immediately with the value; no calendar

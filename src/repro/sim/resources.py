@@ -19,10 +19,14 @@ kernel-mode execution either.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from .engine import Event, SimulationError, Simulator, Timer
+from .process import GRANT, _NO_GRANT, Process
+
+_heappush = heapq.heappush
 
 PRIO_SOFTIRQ = 0
 PRIO_USER = 1
@@ -30,17 +34,30 @@ PRIO_USER = 1
 _PRIORITIES = (PRIO_SOFTIRQ, PRIO_USER)
 
 
+def _pending(proc: Process) -> SimulationError:
+    return SimulationError(
+        f"process {proc.name!r} issued a CPU grant while waiting on one")
+
+
 class CPU:
     """A single processor shared by interrupt and process work.
 
-    ``consume()`` returns an Event that triggers when the requested slice
-    has been executed; process code does ``yield cpu.consume(dt)`` or the
-    ``yield from cpu.run(dt)`` sugar.
+    A grant has at most one waiter.  Issued by a running process,
+    ``consume()`` makes that process the waiter and returns the
+    :data:`~repro.sim.process.GRANT` marker, which the process must
+    yield at once (``yield cpu.consume(dt)``, or the ``yield from
+    cpu.run(dt)`` sugar); the CPU resumes it when the slice has been
+    executed.  Issued outside a process (plain callbacks, tests, the
+    harness), it returns an Event that triggers then.  A charge that no
+    process waits on -- softirq work, a lock wait charged beside the
+    grant the process does wait on -- passes ``nowait=True`` and gets
+    None.
 
     One resident completion timer per CPU ends every grant: the running
     grant's state lives on the CPU (``_done``, plus ``_parts``/``_idx``/
     ``_prio``/``_stamps`` for a fused grant) and the timer is re-armed
-    for each grant or part, so no timer or args tuple is built per grant.
+    in place for each grant or part, so no timer or args tuple is built
+    per grant.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
@@ -54,7 +71,7 @@ class CPU:
         #: position within an SMP domain (0 for uniprocessor kernels);
         #: stamped by the domain so profiler charges carry their CPU
         self.index = 0
-        self._queues: Dict[int, Deque[Tuple[Event, float, Optional[str],
+        self._queues: Dict[int, Deque[Tuple[Any, float, Optional[str],
                                             Any]]] = {
             p: deque() for p in _PRIORITIES
         }
@@ -77,10 +94,11 @@ class CPU:
         self._grant_done = self._finish
         self._part_done = self._part_finish
         self._timer = Timer(0.0, 0, self._grant_done, ())
-        #: the running grant: its completion Event (None for nowait) and,
-        #: for a fused grant, its parts, running part, priority and stamps
-        #: (read only while that grant runs)
-        self._done: Optional[Event] = None
+        #: the running grant: its waiting Process, its completion Event
+        #: (issued outside a process) or None (nowait) and, for a fused
+        #: grant, its parts, running part, priority and stamps (read only
+        #: while that grant runs)
+        self._done: Any = None
         self._parts = None
         self._idx = 0
         self._prio = PRIO_USER
@@ -90,16 +108,21 @@ class CPU:
     def consume(self, duration: float, priority: int = PRIO_USER,
                 category: str = "other",
                 breakdown: Optional[Tuple[Tuple[str, float], ...]] = None,
-                nowait: bool = False) -> Optional[Event]:
-        """Request ``duration`` seconds of CPU; returns the completion Event.
+                nowait: bool = False):
+        """Request ``duration`` seconds of CPU.
+
+        Returns :data:`~repro.sim.process.GRANT` to a running process,
+        which must yield it at once and is resumed when the slice has
+        been executed; outside a process, the completion Event.
 
         ``breakdown`` optionally itemizes the charge for an attached
         profiler as (operation, seconds) parts summing to ``duration``;
         it does not affect scheduling or ``busy_by_category``.
 
-        ``nowait`` marks a fire-and-forget charge (softirq work): no
-        completion Event is allocated and None is returned; scheduling
-        and accounting are otherwise identical.
+        ``nowait`` marks a charge no one waits on (softirq work, a lock
+        wait charged beside the grant the process waits on): it has no
+        waiter and None is returned; scheduling and accounting are
+        otherwise identical.
         """
         if duration < 0:
             raise SimulationError(f"negative CPU charge: {duration}")
@@ -107,7 +130,16 @@ class CPU:
         if priority not in queues:
             raise SimulationError(f"unknown CPU priority {priority}")
         sim = self.sim
-        done = None if nowait else Event(sim, self._grant_name)
+        if nowait:
+            done = result = None
+        else:
+            done = sim.current_process
+            if done is None:
+                done = result = Event(sim, self._grant_name)
+            elif done._grant is GRANT:
+                raise _pending(done)
+            else:
+                done._grant = result = GRANT
         speed = self.speed
         # Fast path: with no profiler attached the breakdown can never
         # be read, so drop it here instead of speed-scaling and carrying
@@ -124,7 +156,7 @@ class CPU:
         else:
             # Idle fast path: the grant starts now, so skip the queue
             # tuple and dispatch inline.  (Not busy implies both queues
-            # are empty -- _dispatch only clears _busy once they are.)
+            # are empty -- _finish only clears _busy once they are.)
             self._busy = True
             self.busy_time += duration
             by_cat = self.busy_by_category
@@ -135,13 +167,21 @@ class CPU:
             self._done = done
             timer = self._timer
             timer.fn = self._grant_done
-            sim._arm(timer, duration)
-        return done
+            # re-arm the resident timer in place (no Simulator call)
+            time = sim.now + duration
+            sim._seq = seq = sim._seq + 1
+            timer.time = time
+            timer.seq = seq
+            if duration < sim.FAR_DELAY:
+                _heappush(sim._heap, (time, seq, timer))
+            else:
+                sim._push_far(timer)
+        return result
 
     def consume_parts(self, parts,
                       priority: int = PRIO_USER,
                       stamps: Optional[list] = None,
-                      nowait: bool = False) -> Optional[Event]:
+                      nowait: bool = False):
         """One externally-visible grant covering several sequential parts.
 
         Fused-charge API: ``parts`` is a sequence of ``(category,
@@ -151,9 +191,13 @@ class CPU:
         slice, so softirq work enqueued mid-part still interposes at
         the same boundaries, and ``busy_by_category``/the profiler see
         each part individually at its own start time.  What fusion
-        removes is the k-1 intermediate completion Events and process
-        suspend/resume round-trips: only the final part triggers the
-        returned Event.
+        removes is the k-1 intermediate completions and process
+        suspend/resume round-trips: only the final part resumes the
+        waiting process (or triggers the returned Event).  What is
+        returned, and ``nowait``, are as for :meth:`consume`; a grant
+        whose parts all come to zero is over at issue and returns a
+        triggered Event (None with ``nowait``), which a process yielding
+        it continues past at once.
 
         ``stamps``, when given, receives ``sim.now`` once per part (in
         order, including zero-length parts) as each completes, so a
@@ -187,7 +231,6 @@ class CPU:
             if not callable(seconds) and seconds < 0:
                 raise SimulationError(f"negative CPU charge: {seconds}")
         sim = self.sim
-        done = None if nowait else Event(sim, self._grant_name)
         # skip leading zero parts now, evaluating lazy ones (a caller
         # charging part by part would do both at issue time)
         idx = 0
@@ -195,9 +238,21 @@ class CPU:
         if not seconds or callable(seconds):
             idx = self._next_part(parts, 0, stamps)
         if idx >= len(parts):
-            if done is not None:
-                done.trigger(None)
+            if nowait:
+                return None
+            done = Event(sim, self._grant_name)
+            done.trigger(None)
             return done
+        if nowait:
+            done = result = None
+        else:
+            done = sim.current_process
+            if done is None:
+                done = result = Event(sim, self._grant_name)
+            elif done._grant is GRANT:
+                raise _pending(done)
+            else:
+                done._grant = result = GRANT
         if self._busy:
             # category=None marks a fused entry; the payload carries the
             # remaining (unscaled) parts and the resume index
@@ -205,7 +260,7 @@ class CPU:
         else:
             self._busy = True
             self._run_part(done, parts, idx, priority, stamps)
-        return done
+        return result
 
     def run(self, duration: float, priority: int = PRIO_USER,
             category: str = "other"):
@@ -234,7 +289,7 @@ class CPU:
             idx += 1
         return idx
 
-    def _run_part(self, done: Optional[Event], parts, idx: int,
+    def _run_part(self, done, parts, idx: int,
                   priority: int, stamps: Optional[list]) -> None:
         """Start the (non-zero) part at ``idx`` of a fused grant.
 
@@ -265,7 +320,15 @@ class CPU:
         self._stamps = stamps
         timer = self._timer
         timer.fn = self._part_done
-        self.sim._arm(timer, seconds)
+        sim = self.sim
+        time = sim.now + seconds
+        sim._seq = seq = sim._seq + 1
+        timer.time = time
+        timer.seq = seq
+        if seconds < sim.FAR_DELAY:
+            _heappush(sim._heap, (time, seq, timer))
+        else:
+            sim._push_far(timer)
 
     def _part_finish(self) -> None:
         """A fused grant's part completed; continue or finish the grant.
@@ -305,16 +368,13 @@ class CPU:
         self._dispatch()
 
     def _dispatch(self) -> None:
+        """Start the next queued grant (a queue is not empty)."""
         queue = self._q_softirq
         prio = PRIO_SOFTIRQ
         if not queue:
             queue = self._q_user
             prio = PRIO_USER
-            if not queue:
-                self._busy = False
-                return
         done, duration, category, payload = queue.popleft()
-        self._busy = True
         if category is None:
             parts, idx, stamps = payload
             self._run_part(done, parts, idx, prio, stamps)
@@ -328,40 +388,52 @@ class CPU:
         self._done = done
         timer = self._timer
         timer.fn = self._grant_done
-        self.sim._arm(timer, duration)
+        sim = self.sim
+        time = sim.now + duration
+        sim._seq = seq = sim._seq + 1
+        timer.time = time
+        timer.seq = seq
+        if duration < sim.FAR_DELAY:
+            _heappush(sim._heap, (time, seq, timer))
+        else:
+            sim._push_far(timer)
 
     def _finish(self) -> None:
         """The running grant is over: wake its waiter, start the next grant.
 
-        Triggering ``done`` would queue one bounce per waiter on the
-        ready queue.  With a single waiter, no ready entry pending and
-        nothing else due at this instant, that bounce is provably the
-        next entry to fire -- dispatching the next grant only adds a
-        later one -- so the waiter runs inline, right after the dispatch,
-        and the engine skips the event.  Otherwise (several waiters,
-        ready work pending, another entry due now such as a second CPU
-        completing at the same instant) the trigger queues the bounces
-        as usual.
+        A waiting process is resumed through one ready-queue bounce,
+        queued where an Event's callback bounce would be.  With no ready
+        entry pending and nothing else due at this instant, that bounce
+        is provably the next entry to fire -- dispatching the next grant
+        only adds a later one -- so the process runs inline instead,
+        right after the dispatch.  Otherwise (ready work pending, or
+        another entry due now, such as a second CPU completing at the
+        same instant) the bounce is queued.  An Event (a grant issued
+        outside a process) is triggered.
         """
         done = self._done
+        resume = None
         if done is not None:
             self._done = None
-            callbacks = done._callbacks
-            # nothing else due now: no ready entry pending, no hot entry
-            # at ``now`` (far timers are always due after ``now``)
-            sim = self.sim
-            heap = sim._heap
-            if (callbacks is not None and len(callbacks) == 1
-                    and sim._ready_head >= len(sim._ready)
-                    and (not heap or heap[0][0] > sim.now)):
-                done.triggered = True
-                done._callbacks = None
-                self._dispatch()
-                (waiter,) = callbacks
-                waiter(done)
-                return
-            done.trigger(None)
-        self._dispatch()
+            if done.__class__ is Event:
+                done.trigger(None)
+            else:
+                done._grant = _NO_GRANT
+                # nothing else due now: no ready entry pending, no hot
+                # entry at ``now`` (far timers are always due after it)
+                sim = self.sim
+                heap = sim._heap
+                if (sim._ready_head >= len(sim._ready)
+                        and (not heap or heap[0][0] > sim.now)):
+                    resume = done
+                else:
+                    sim._call_soon_unref(Process._resume, (done, None, None))
+        if self._q_softirq or self._q_user:
+            self._dispatch()
+        else:
+            self._busy = False
+        if resume is not None:
+            resume._resume(None, None)
 
     # ------------------------------------------------------------------
     @property

@@ -96,7 +96,8 @@ class SmpDomain:
                 ) / cpu.speed
         wait = self.backmap_rwlock.read_acquire(self.kernel.sim.now, hold, 0)
         if wait > 0:
-            cpu.consume(wait * cpu.speed, PRIO_SOFTIRQ, "smp.rwlock_wait_rd")
+            cpu.consume(wait * cpu.speed, PRIO_SOFTIRQ, "smp.rwlock_wait_rd",
+                        nowait=True)
         return wait
 
     def backmap_write(self) -> float:
@@ -114,7 +115,8 @@ class SmpDomain:
         wait = self.backmap_rwlock.write_acquire(self.kernel.sim.now, hold,
                                                  idx)
         if wait > 0:
-            cpu.consume(wait * cpu.speed, PRIO_USER, "smp.rwlock_wait_wr")
+            cpu.consume(wait * cpu.speed, PRIO_USER, "smp.rwlock_wait_wr",
+                        nowait=True)
         return wait
 
 
@@ -155,7 +157,7 @@ class MultiCPU:
         if migrated:
             cost = d.kernel.costs.smp_migration_cost
             if cost > 0:
-                cpu.consume(cost, priority, "smp.migration")
+                cpu.consume(cost, priority, "smp.migration", nowait=True)
         return cpu.consume(duration, priority, category, breakdown,
                            nowait=nowait)
 
@@ -182,7 +184,7 @@ class MultiCPU:
         if migrated:
             cost = d.kernel.costs.smp_migration_cost
             if cost > 0:
-                cpu.consume(cost, priority, "smp.migration")
+                cpu.consume(cost, priority, "smp.migration", nowait=True)
         return cpu.consume_parts(parts, priority, stamps=stamps,
                                  nowait=nowait)
 

@@ -19,14 +19,24 @@ budget and says why.
 The ``smp_overload`` run then checks the end state a finished
 connection must reach: its endpoints are freed, and a TIME-WAIT entry
 holds no more than its port.
+
+The last test budgets Python calls by layer.  It counts the profiler's
+``call`` events (a function entered or a generator resumed) per
+``repro`` package over one ``thttpd-devpoll`` point, and each package's
+count must stay within its ``layer_calls`` entry.  When a change lowers
+a count, lower the entry with it; a change that raises one fails until
+it raises the entry and says why.
 """
 
 import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench.harness import run_point
 from repro.kernel.file import File
 from repro.net.socket import SocketFile
@@ -107,3 +117,60 @@ def test_smp_overload_frees_finished_connections(smp_overload):
     owning = [e for e in endpoints if e.stack is client and e.owns_port]
     in_use = EPHEMERAL_HIGH - EPHEMERAL_LOW - client.ports_available
     assert in_use == len(owning) + len(tw_ports) == 128
+
+
+#: Counts the profiler's ``call`` events per ``repro`` package over one
+#: point (thttpd-devpoll, 800 req/s, 64 idle connections, 0.5 s, seed
+#: 0) and prints them as JSON.  Comprehension code objects are left out:
+#: Python 3.12 inlines them (PEP 709), so they are calls on 3.10 and
+#: 3.11 only.
+COUNT_LAYER_CALLS = r"""
+import json, re, sys
+from repro.bench.harness import BenchmarkPoint, run_point
+
+PACKAGE = re.compile(r"[/\\]repro[/\\](\w+)[/\\]")
+INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+layer_of = {}
+counts = {}
+
+def profile(frame, event, arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    layer = layer_of.get(code)
+    if layer is None:
+        match = PACKAGE.search(code.co_filename)
+        layer = layer_of[code] = (match.group(1) if match is not None
+                                  and code.co_name not in INLINED else "")
+    if layer:
+        counts[layer] = counts.get(layer, 0) + 1
+
+point = BenchmarkPoint(server="thttpd-devpoll", rate=800.0, inactive=64,
+                       duration=0.5)
+sys.setprofile(profile)
+try:
+    run_point(point)
+finally:
+    sys.setprofile(None)
+print(json.dumps(counts))
+"""
+
+
+def test_python_calls_per_layer_within_budget():
+    """A fresh interpreter runs the count, so it does not depend on what
+    earlier tests imported: a module's first import runs code that a
+    later run skips."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", COUNT_LAYER_CALLS],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    with open(BUDGET) as fh:
+        budget = json.load(fh)["layer_calls"]
+    over = {layer: (calls, budget.get(layer, 0))
+            for layer, calls in counts.items()
+            if calls > budget.get(layer, 0)}
+    assert not over, f"calls over budget (counted, budget): {over}"

@@ -148,6 +148,12 @@ class DevPollFile(ReadyListFile):
         if file is None:
             raise SyscallError(EBADF, f"/dev/poll write: fd {pfd.fd} not open")
         existing = self.interests.lookup(pfd.fd)
+        if existing is not None and existing.file is not file:
+            # the descriptor was closed and reused without a POLLREMOVE:
+            # the stale entry leaves the old file, as a POLLREMOVE would
+            # have taken it, and the new file gets an entry of its own
+            self._remove(pfd.fd)
+            existing = None
         entry = self.interests.update(
             pfd.fd, pfd.events, file, or_mode=self.config.solaris_compat)
         if existing is None:

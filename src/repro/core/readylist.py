@@ -152,13 +152,14 @@ class ReadyListFile(File):
         # 2. consume hints
         hinted, self._hinted = self._hinted, []
         live_hinted = [e for e in hinted if e.active]
-        for entry in live_hinted:
-            entry.hinted = False
-            self._evaluate(entry)
-        # 3. drivers without hint support are always scanned
+        # 3. drivers without hint support are always scanned, but not
+        # twice: picked while pass 2's hints still mark what it evaluates
         self._nohint = [e for e in self._nohint if e.active]
         nohint = [e for e in self._nohint
                   if not e.in_ready_cache and not e.hinted]
+        for entry in live_hinted:
+            entry.hinted = False
+            self._evaluate(entry)
         for entry in nohint:
             self._evaluate(entry)
         ready = [e for e in recheck + live_hinted + nohint if e.cached_revents]

@@ -109,6 +109,28 @@ def test_batch_remove_then_add_handles_fd_reuse(kernel, task, sys_iface):
     assert len(f2._status_listeners) == 1
 
 
+def test_readd_of_a_reused_fd_without_pollremove_gets_hints(kernel, task,
+                                                           sys_iface):
+    """A write that re-adds a descriptor number closed and reused without
+    a POLLREMOVE wires the new file's backmap, so its hints reach the
+    set."""
+    dp = open_dp(sys_iface)
+    f1, fd = add_file(kernel, task)
+    write_dp(sys_iface, dp, [PollFd(fd, POLLIN)])
+    task.fdtable.close(fd)
+    f2 = FakeDriverFile(kernel, "new")
+    assert task.fdtable.alloc(f2) == fd
+    write_dp(sys_iface, dp, [PollFd(fd, POLLIN)])
+    dpf = task.fdtable.get(dp)
+    assert len(dpf.interests) == 1
+    assert dpf.interests.lookup(fd).file is f2
+    assert len(f2._status_listeners) == 1
+    dp_poll(sys_iface, dp)  # consumes the write's hint: nothing ready yet
+    f2.set_ready(POLLIN)
+    assert [(p.fd, p.revents) for p in dp_poll(sys_iface, dp)] == [
+        (fd, POLLIN)]
+
+
 # ---------------------------------------------------------------------------
 # DP_POLL semantics
 # ---------------------------------------------------------------------------
@@ -266,6 +288,23 @@ def test_nonhinting_driver_events_still_detected(kernel, task, sys_iface):
     f._mask = POLLIN  # no hint marked (driver unmodified)
     ready = dp_poll(sys_iface, dp)
     assert [(p.fd, p.revents) for p in ready] == [(fd, POLLIN)]
+
+
+def test_new_interest_on_a_nonhinting_driver_is_scanned_once(kernel, task,
+                                                             sys_iface):
+    """The first DP_POLL after a write evaluates a hint-less interest for
+    the write's hint and not again as hint-less: one callback, one
+    result."""
+    dp = open_dp(sys_iface)
+    f, fd = add_file(kernel, task, hints=False)
+    f._mask = POLLIN
+    write_dp(sys_iface, dp, [PollFd(fd, POLLIN)])
+    ready = dp_poll(sys_iface, dp)
+    assert [(p.fd, p.revents) for p in ready] == [(fd, POLLIN)]
+    stats = task.fdtable.get(dp).stats
+    assert (stats.driver_callbacks_hinted, stats.driver_callbacks_full) == (
+        1, 0)
+    assert f.poll_callback_count == 1
 
 
 def test_hints_disabled_scans_everything(kernel, task, sys_iface):

@@ -249,6 +249,20 @@ def test_hintless_drivers_are_always_rechecked(kernel, task, sys_iface):
     assert ep_wait(sys_iface, ep) == [(fd, POLLIN)]
 
 
+def test_new_interest_on_a_hintless_driver_is_checked_once(kernel, task,
+                                                           sys_iface):
+    """The first wait after EPOLL_CTL_ADD checks a hint-less interest for
+    the add's hint and not again as hint-less: one check, one event."""
+    ep = ep_create(sys_iface)
+    f, fd = add_file(kernel, task, hints=False)
+    f._mask = POLLIN
+    ep_ctl(sys_iface, ep, EPOLL_CTL_ADD, fd, POLLIN)
+    assert ep_wait(sys_iface, ep) == [(fd, POLLIN)]
+    stats = task.fdtable.get(ep).stats
+    assert (stats.ready_checks_hinted, stats.ready_checks_nohint) == (1, 0)
+    assert f.poll_callback_count == 1
+
+
 # ---------------------------------------------------------------------------
 # blocking wait
 # ---------------------------------------------------------------------------

@@ -119,8 +119,8 @@ class Event:
         self.name = name
         self.triggered = False
         self.value: Any = None
-        # lazily allocated: most events (CPU grants) get exactly one
-        # callback or none, so the common case skips the dict entirely
+        # lazily allocated: most events get exactly one callback or
+        # none, so the common case skips the dict entirely
         self._callbacks: Optional[Dict[Callable[["Event"], None], None]] = None
 
     def trigger(self, value: Any = None) -> None:

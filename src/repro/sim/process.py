@@ -51,10 +51,10 @@ class _Grant:
 #: while the grant is pending, or issuing a second grant first, raises
 #: :class:`SimulationError`.
 GRANT = _Grant()
-#: a process's ``_grant`` while it has no grant pending: nothing a
-#: process body can yield, so ``yielded is self._grant`` holds only for
+#: a process's ``_waiting_on`` while it waits on nothing: no process
+#: body can yield it, so ``yielded is self._waiting_on`` holds only for
 #: the marker of a pending grant
-_NO_GRANT = object()
+_NOTHING = object()
 
 
 class AnyOf:
@@ -124,11 +124,12 @@ class Process:
     waiter: the CPU resumes it directly, inline when nothing else is due
     at the completion instant and otherwise through one ready-queue
     bounce, exactly where an Event's callback bounce would have been
-    queued.  ``_grant`` is :data:`GRANT` while such a grant is pending.
+    queued.  ``_waiting_on`` is :data:`GRANT` while such a grant is
+    pending.
     """
 
     __slots__ = ("sim", "name", "gen", "done", "_waiting_on", "crashed",
-                 "_resume_cb", "_on_event_cb", "_grant")
+                 "_resume_cb", "_on_event_cb")
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "proc"):
         self.sim = sim
@@ -136,13 +137,14 @@ class Process:
         self.gen = gen
         #: Event triggered with the generator's return value when it finishes.
         self.done: Event = sim.event(f"{name}.done")
-        self._waiting_on: Optional[List[Tuple[Event, Any]]] = None
+        #: what the process is parked on: GRANT, its AnyOf entries or
+        #: _NOTHING
+        self._waiting_on: Any = _NOTHING
         self.crashed: Optional[BaseException] = None
         # bound methods are allocated per access; the resume path runs
         # once per simulated step, so cache them
         self._resume_cb = self._resume
         self._on_event_cb = self._on_event
-        self._grant = _NO_GRANT
         sim._call_soon_unref(self._resume_cb, (None, None))
 
     # ------------------------------------------------------------------
@@ -181,9 +183,9 @@ class Process:
                     raise ProcessCrashed(
                         f"process {self.name!r} crashed at t={sim.now:.6f}: {err!r}"
                     ) from err
-                if yielded is self._grant:
+                if yielded is self._waiting_on:
                     return  # the CPU resumes it when the grant completes
-                if self._grant is GRANT:
+                if self._waiting_on is GRANT:
                     exc = SimulationError(
                         f"process {self.name!r} yielded {yielded!r} while "
                         f"its CPU grant is pending")
@@ -249,7 +251,7 @@ class Process:
     def _finish_any(self, entries: List[Tuple[Event, Any]], winner: Event) -> None:
         if self._waiting_on is not entries:
             return  # a sibling already won
-        self._waiting_on = None
+        self._waiting_on = _NOTHING
         for ev, cb in entries:
             if ev is not winner:
                 ev.remove_callback(cb)

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from .engine import Event, SimulationError, Simulator, Timer
-from .process import GRANT, _NO_GRANT, Process
+from .process import GRANT, _NOTHING, Process
 
 _heappush = heapq.heappush
 
@@ -136,10 +136,10 @@ class CPU:
             done = sim.current_process
             if done is None:
                 done = result = Event(sim, self._grant_name)
-            elif done._grant is GRANT:
+            elif done._waiting_on is GRANT:
                 raise _pending(done)
             else:
-                done._grant = result = GRANT
+                done._waiting_on = result = GRANT
         speed = self.speed
         # Fast path: with no profiler attached the breakdown can never
         # be read, so drop it here instead of speed-scaling and carrying
@@ -249,10 +249,10 @@ class CPU:
             done = sim.current_process
             if done is None:
                 done = result = Event(sim, self._grant_name)
-            elif done._grant is GRANT:
+            elif done._waiting_on is GRANT:
                 raise _pending(done)
             else:
-                done._grant = result = GRANT
+                done._waiting_on = result = GRANT
         if self._busy:
             # category=None marks a fused entry; the payload carries the
             # remaining (unscaled) parts and the resume index
@@ -418,7 +418,7 @@ class CPU:
             if done.__class__ is Event:
                 done.trigger(None)
             else:
-                done._grant = _NO_GRANT
+                done._waiting_on = _NOTHING
                 # nothing else due now: no ready entry pending, no hot
                 # entry at ``now`` (far timers are always due after it)
                 sim = self.sim

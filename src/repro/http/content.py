@@ -4,6 +4,12 @@ The benchmark requests one 6 Kbyte document (section 5: "we request a
 6 Kbyte document, a typical index.html file from the CITI web site"),
 but the store supports arbitrary synthetic site layouts so examples and
 the document-size ablation can vary the size distribution.
+
+Every response to a document is the same bytes, so the store encodes
+each document's response once, on its first request, and hands that
+one bytes object to every later request (:meth:`StaticSite.response_bytes`).
+The simulated cost of building a response is charged by the server
+(``http.build``) whether or not the bytes were cached.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from .messages import Response
 #: The paper's document size.
 DEFAULT_DOCUMENT_BYTES = 6 * 1024
 DEFAULT_DOCUMENT_PATH = "/index.html"
+NOT_FOUND_BODY = b"<html>not found</html>"
 
 
 def synthetic_document(nbytes: int, tag: str = "citi") -> bytes:
@@ -35,6 +42,8 @@ class StaticSite:
             }
         self.documents = dict(documents)
         self.hits: Dict[str, int] = {}
+        #: each requested document's encoded 200 response, by path
+        self._responses: Dict[str, bytes] = {}
 
     @classmethod
     def single_document(cls, nbytes: int,
@@ -59,7 +68,10 @@ class StaticSite:
         return sorted(self.documents)
 
     def add(self, path: str, body: bytes) -> None:
+        """Serve ``body`` at ``path`` (change documents only here, so a
+        cached response never outlives its document)."""
         self.documents[path] = body
+        self._responses.pop(path, None)
 
     def lookup(self, path: str) -> Optional[bytes]:
         if path == "/":
@@ -72,5 +84,20 @@ class StaticSite:
     def respond(self, path: str) -> Response:
         body = self.lookup(path)
         if body is None:
-            return Response(404, b"<html>not found</html>")
+            return Response(404, NOT_FOUND_BODY)
         return Response(200, body)
+
+    def response_bytes(self, path: str) -> bytes:
+        """The encoded response to a GET of ``path``: what
+        ``respond(path).encode()`` gives, counting the hit the same way,
+        but a document's response is encoded once and shared."""
+        if path == "/":
+            path = DEFAULT_DOCUMENT_PATH
+        encoded = self._responses.get(path)
+        if encoded is None:
+            body = self.documents.get(path)
+            if body is None:
+                return Response(404, NOT_FOUND_BODY).encode()
+            encoded = self._responses[path] = Response(200, body).encode()
+        self.hits[path] = self.hits.get(path, 0) + 1
+        return encoded

@@ -83,7 +83,7 @@ class SocketFile(File):
     # ------------------------------------------------------------------
     def poll_mask(self) -> int:
         if self.listener is not None:
-            return POLLIN if self.listener.pending > 0 else 0
+            return POLLIN if self.listener.queue else 0
         if self.endpoint is not None:
             return self.endpoint.poll_mask()
         return 0

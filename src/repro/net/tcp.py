@@ -61,6 +61,13 @@ def segments_for(nbytes: int) -> int:
 class TcpEndpoint:
     """One side of a connection (or a connecting client)."""
 
+    __slots__ = ("conn_id", "stack", "local_port", "remote_host",
+                 "remote_port", "owns_port", "send_buf", "recv_buf", "peer",
+                 "established", "closing", "fin_sent", "fin_received",
+                 "reset", "finalized", "sent_fin_first", "_send_queue",
+                 "send_pending", "_transmitting", "_recv_chunks",
+                 "recv_bytes", "connect_result", "notify", "__weakref__")
+
     _ids = 0
 
     def __init__(self, stack: "NetStack", local_port: int,
@@ -365,10 +372,6 @@ class Listener:
         self.syns_routed = 0
         #: hook installed by the owning SocketFile
         self.notify: Callable[[int], None] = lambda band: None
-
-    @property
-    def pending(self) -> int:
-        return len(self.queue)
 
     def handle_syn(self, client_end: TcpEndpoint) -> None:
         if self.closed:

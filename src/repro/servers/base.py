@@ -322,10 +322,10 @@ class BaseServer:
         # parse/cache-lookup/build are adjacent pure charges: one fused
         # grant (each part its own FIFO slice).  The response lookup
         # itself is a time-independent static-site read, so it commutes
-        # with the charge boundaries.
+        # with the charge boundaries; the build is charged even though
+        # the site hands back a document's response encoded once.
         yield self.kernel.cpu.consume_parts(self._http_parts, PRIO_USER)
-        response = self.site.respond(request.path)
-        conn.outbuf = response.encode()
+        conn.outbuf = self.site.response_bytes(request.path)
         conn.state = WRITING
         if self.immediate_write:
             result = yield from self.handle_writable(conn)

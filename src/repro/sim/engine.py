@@ -290,6 +290,21 @@ class Simulator:
         if timer.time < self._far_next:
             self._far_next = timer.time
 
+    def _arm_resident(self, timer: Timer, time: float, seq: int) -> None:
+        """Arm a resident timer, not in the calendar now, under the key
+        ``(time, seq)``, in the tier :meth:`schedule_at` would pick.
+
+        ``seq`` was taken from ``_seq`` when the work it stands for was
+        scheduled, so the timer fires exactly where a timer scheduled
+        then would have, ties included.  A resident timer is never
+        cancelled."""
+        timer.time = time
+        timer.seq = seq
+        if time - self.now < self.FAR_DELAY:
+            _heappush(self._heap, (time, seq, timer))
+        else:
+            self._push_far(timer)
+
     def event(self, name: str = "") -> Event:
         """Create a fresh one-shot :class:`Event` bound to this simulator."""
         return Event(self, name)

@@ -18,7 +18,9 @@ budget and says why.
 
 The ``smp_overload`` run then checks the end state a finished
 connection must reach: its endpoints are freed, and a TIME-WAIT entry
-holds no more than its port.
+holds no more than its port.  Each stack's TIME-WAIT FIFO must hold
+its count in calendar-key order, with the stack's one resident timer,
+and no other, pending under the head's key.
 
 The last test budgets Python calls by layer.  It counts the profiler's
 ``call`` events (a function entered or a generator resumed) per
@@ -42,7 +44,6 @@ from repro.kernel.file import File
 from repro.net.socket import SocketFile
 from repro.net.stack import EPHEMERAL_HIGH, EPHEMERAL_LOW
 from repro.net.tcp import TcpEndpoint
-from repro.sim.engine import Timer
 
 from .test_golden_digests import GOLDEN
 
@@ -111,12 +112,29 @@ def test_smp_overload_frees_finished_connections(smp_overload):
                               + client.open_connections) == 256
     assert server.time_wait_count == 1690
     # every client port in use is held by an endpoint or a TIME-WAIT entry
-    tw_ports = [o.args[0] for o in objects
-                if type(o) is Timer and o.sim is not None and not o.cancelled
-                and o.fn == client._leave_time_wait and o.args[0] is not None]
+    tw_ports = [port for _expiry, _seq, port in client._time_wait
+                if port is not None]
     owning = [e for e in endpoints if e.stack is client and e.owns_port]
     in_use = EPHEMERAL_HIGH - EPHEMERAL_LOW - client.ports_available
     assert in_use == len(owning) + len(tw_ports) == 128
+
+
+def test_smp_overload_time_wait_fifo_end_state(smp_overload):
+    testbed = smp_overload[0].testbed
+    sim = testbed.sim
+    pending = [entry[2] for entry in sim._heap + sim._far
+               if not entry[2].cancelled]
+    pending += [t for t in sim._ready[sim._ready_head:] if not t.cancelled]
+    for stack in (testbed.server_stack, testbed.client_stack):
+        entries = stack._time_wait
+        assert len(entries) == stack.time_wait_count
+        keys = [(expiry, seq) for expiry, seq, _port in entries]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        timer = stack._time_wait_timer
+        bound = [t for t in pending if t.fn == stack._leave_time_wait]
+        assert bound == ([timer] if entries else [])
+        if entries:
+            assert (timer.time, timer.seq) == keys[0]
 
 
 #: Counts the profiler's ``call`` events per ``repro`` package over one

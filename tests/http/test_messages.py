@@ -86,6 +86,29 @@ def test_hit_accounting():
     assert site.hits[DEFAULT_DOCUMENT_PATH] == 2
 
 
+def test_response_encoded_once_per_document():
+    site = StaticSite()
+    first = site.response_bytes(DEFAULT_DOCUMENT_PATH)
+    second = site.response_bytes("/")
+    assert first is second
+    assert first == Response(200, site.lookup(DEFAULT_DOCUMENT_PATH)).encode()
+    assert site.hits[DEFAULT_DOCUMENT_PATH] == 3  # two responses, one lookup
+
+
+def test_add_replaces_the_cached_response():
+    site = StaticSite.single_document(100, path="/doc")
+    old = site.response_bytes("/doc")
+    site.add("/doc", b"abc")
+    new = site.response_bytes("/doc")
+    assert new == Response(200, b"abc").encode() != old
+
+
+def test_unknown_path_response_is_404_and_counts_no_hit():
+    site = StaticSite()
+    assert parse_status(site.response_bytes("/missing.html")) == 404
+    assert site.hits == {}
+
+
 def test_single_document_factory_and_add():
     site = StaticSite.single_document(1000, path="/doc")
     assert len(site.lookup("/doc")) == 1000

@@ -31,8 +31,6 @@ _heappush = heapq.heappush
 PRIO_SOFTIRQ = 0
 PRIO_USER = 1
 
-_PRIORITIES = (PRIO_SOFTIRQ, PRIO_USER)
-
 
 def _pending(proc: Process) -> SimulationError:
     return SimulationError(
@@ -58,6 +56,10 @@ class CPU:
     ``_prio``/``_stamps`` for a fused grant) and the timer is re-armed
     in place for each grant or part, so no timer or args tuple is built
     per grant.
+
+    What does not change per grant is decided once: the speed, fixed at
+    construction, sets ``_scaled``, and each priority has its own queue
+    attribute.  Every argument check still runs, and raises, at issue.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):
@@ -66,19 +68,19 @@ class CPU:
         self.sim = sim
         self.name = name
         #: relative speed multiplier; charges are divided by this, so a
-        #: ``speed=2.0`` CPU does the same work in half the time.
+        #: ``speed=2.0`` CPU does the same work in half the time.  Fixed
+        #: for the CPU's life.
         self.speed = speed
+        #: whether charges are scaled at all (speed is not 1.0)
+        self._scaled = speed != 1.0
         #: position within an SMP domain (0 for uniprocessor kernels);
         #: stamped by the domain so profiler charges carry their CPU
         self.index = 0
-        self._queues: Dict[int, Deque[Tuple[Any, float, Optional[str],
-                                            Any]]] = {
-            p: deque() for p in _PRIORITIES
-        }
-        # direct queue references for the dispatch hot path (the dict
-        # lookup per grant shows up at millions of events)
-        self._q_softirq = self._queues[PRIO_SOFTIRQ]
-        self._q_user = self._queues[PRIO_USER]
+        #: one FIFO per priority of queued grants ``(waiter, seconds,
+        #: category, breakdown)``, or ``(waiter, 0.0, None, (parts, idx,
+        #: stamps))`` for a fused grant
+        self._q_softirq: Deque[Tuple[Any, float, Optional[str], Any]] = deque()
+        self._q_user: Deque[Tuple[Any, float, Optional[str], Any]] = deque()
         self._busy = False
         self.busy_time = 0.0
         self.busy_by_category: Dict[str, float] = {}
@@ -126,8 +128,11 @@ class CPU:
         """
         if duration < 0:
             raise SimulationError(f"negative CPU charge: {duration}")
-        queues = self._queues
-        if priority not in queues:
+        if priority == PRIO_USER:
+            queue = self._q_user
+        elif priority == PRIO_SOFTIRQ:
+            queue = self._q_softirq
+        else:
             raise SimulationError(f"unknown CPU priority {priority}")
         sim = self.sim
         if nowait:
@@ -140,19 +145,19 @@ class CPU:
                 raise _pending(done)
             else:
                 done._waiting_on = result = GRANT
-        speed = self.speed
         # Fast path: with no profiler attached the breakdown can never
         # be read, so drop it here instead of speed-scaling and carrying
         # it through the queue on every grant.
         if breakdown is not None:
             if self.profiler is None:
                 breakdown = None
-            elif speed != 1.0:
+            elif self._scaled:
+                speed = self.speed
                 breakdown = tuple((op, s / speed) for op, s in breakdown)
-        if speed != 1.0:
-            duration = duration / speed
+        if self._scaled:
+            duration = duration / self.speed
         if self._busy:
-            queues[priority].append((done, duration, category, breakdown))
+            queue.append((done, duration, category, breakdown))
         else:
             # Idle fast path: the grant starts now, so skip the queue
             # tuple and dispatch inline.  (Not busy implies both queues
@@ -223,13 +228,22 @@ class CPU:
                 # cheaper path (DP_POLL and epoll_wait scans, rescans)
                 return self.consume(seconds, priority, category, breakdown,
                                     nowait)
-        queues = self._queues
-        if priority not in queues:
+        if priority == PRIO_USER:
+            queue = self._q_user
+        elif priority == PRIO_SOFTIRQ:
+            queue = self._q_softirq
+        else:
             raise SimulationError(f"unknown CPU priority {priority}")
-        parts = list(parts)
+        lazy = False
         for _category, seconds, _breakdown in parts:
-            if not callable(seconds) and seconds < 0:
+            if callable(seconds):
+                lazy = True
+            elif seconds < 0:
                 raise SimulationError(f"negative CPU charge: {seconds}")
+        if lazy:
+            # a lazy part is replaced by its value when it is reached;
+            # the caller's parts are left as they were
+            parts = list(parts)
         sim = self.sim
         # skip leading zero parts now, evaluating lazy ones (a caller
         # charging part by part would do both at issue time)
@@ -256,10 +270,14 @@ class CPU:
         if self._busy:
             # category=None marks a fused entry; the payload carries the
             # remaining (unscaled) parts and the resume index
-            queues[priority].append((done, 0.0, None, (parts, idx, stamps)))
+            queue.append((done, 0.0, None, (parts, idx, stamps)))
         else:
             self._busy = True
-            self._run_part(done, parts, idx, priority, stamps)
+            self._done = done
+            self._parts = parts
+            self._prio = priority
+            self._stamps = stamps
+            self._run_part(idx)
         return result
 
     def run(self, duration: float, priority: int = PRIO_USER,
@@ -268,13 +286,14 @@ class CPU:
         yield self.consume(duration, priority, category)
 
     # ------------------------------------------------------------------
-    def _next_part(self, parts: list, idx: int,
+    def _next_part(self, parts, idx: int,
                    stamps: Optional[list]) -> int:
         """Index of the first non-zero part at or after ``idx``.
 
         Runs at a part boundary (or at issue): lazy parts met on the way
-        are evaluated now and replaced by their value, and every skipped
-        zero-length part is stamped with the boundary instant.
+        are evaluated now and replaced by their value (``parts`` is then
+        a list), and every skipped zero-length part is stamped with the
+        boundary instant.
         """
         nparts = len(parts)
         while idx < nparts:
@@ -289,35 +308,29 @@ class CPU:
             idx += 1
         return idx
 
-    def _run_part(self, done, parts, idx: int,
-                  priority: int, stamps: Optional[list]) -> None:
-        """Start the (non-zero) part at ``idx`` of a fused grant.
+    def _run_part(self, idx: int) -> None:
+        """Start the (non-zero) part at ``idx`` of the running fused grant,
+        whose waiter, parts, priority and stamps are already on the CPU
+        (a grant's next part starts in place).
 
         Accounting happens here, at part start, exactly as ``consume``
         accounts at grant start.  The invariant maintained by
         ``consume_parts``/``_part_finish`` is that ``parts[idx]`` is
         never zero-length when this runs.
         """
-        category, seconds, breakdown = parts[idx]
-        speed = self.speed
-        if speed != 1.0:
+        category, seconds, breakdown = self._parts[idx]
+        self._idx = idx
+        profiler = self.profiler
+        if self._scaled:
+            speed = self.speed
             seconds = seconds / speed
-        if breakdown is not None:
-            if self.profiler is None:
-                breakdown = None
-            elif speed != 1.0:
+            if breakdown is not None and profiler is not None:
                 breakdown = tuple((op, s / speed) for op, s in breakdown)
         self.busy_time += seconds
         by_cat = self.busy_by_category
         by_cat[category] = by_cat.get(category, 0.0) + seconds
-        if self.profiler is not None:
-            self.profiler.record(category, seconds, breakdown,
-                                 cpu=self.index)
-        self._done = done
-        self._parts = parts
-        self._idx = idx
-        self._prio = priority
-        self._stamps = stamps
+        if profiler is not None:
+            profiler.record(category, seconds, breakdown, cpu=self.index)
         timer = self._timer
         timer.fn = self._part_done
         sim = self.sim
@@ -352,19 +365,18 @@ class CPU:
         if idx >= len(parts):
             self._finish()
             return
-        done = self._done
-        priority = self._prio
         # Re-enter the FIFO exactly where a back-to-back consume() from
         # the resumed process would have landed, so softirq enqueued
         # during this part still interposes at the same boundary.  Fast
         # path: if nothing at this or higher priority is queued, the
         # dispatch would pop this continuation right back -- skip the
         # queue bounce and start the next part directly.
-        if not self._q_softirq and (priority == PRIO_SOFTIRQ
-                                    or not self._q_user):
-            self._run_part(done, parts, idx, priority, stamps)
+        softirq = self._prio == PRIO_SOFTIRQ
+        if not self._q_softirq and (softirq or not self._q_user):
+            self._run_part(idx)
             return
-        self._queues[priority].append((done, 0.0, None, (parts, idx, stamps)))
+        queue = self._q_softirq if softirq else self._q_user
+        queue.append((self._done, 0.0, None, (parts, idx, stamps)))
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -376,8 +388,10 @@ class CPU:
             prio = PRIO_USER
         done, duration, category, payload = queue.popleft()
         if category is None:
-            parts, idx, stamps = payload
-            self._run_part(done, parts, idx, prio, stamps)
+            self._done = done
+            self._parts, idx, self._stamps = payload
+            self._prio = prio
+            self._run_part(idx)
             return
         self.busy_time += duration
         by_cat = self.busy_by_category
@@ -438,7 +452,7 @@ class CPU:
     # ------------------------------------------------------------------
     @property
     def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return len(self._q_softirq) + len(self._q_user)
 
     def utilization(self, since: Optional[float] = None) -> float:
         """Fraction of wall-clock time this CPU has been busy."""

@@ -22,12 +22,14 @@ holds no more than its port.  Each stack's TIME-WAIT FIFO must hold
 its count in calendar-key order, with the stack's one resident timer,
 and no other, pending under the head's key.
 
-The last test budgets Python calls by layer.  It counts the profiler's
+The last tests budget Python calls by layer.  They count the profiler's
 ``call`` events (a function entered or a generator resumed) per
 ``repro`` package over one ``thttpd-devpoll`` point, and each package's
 count must stay within its ``layer_calls`` entry.  When a change lowers
 a count, lower the entry with it; a change that raises one fails until
-it raises the entry and says why.
+it raises the entry and says why.  Each change also appends its counts
+to the trajectory ``BENCH_hostwork.json`` at the repository root, whose
+newest entry must equal the budget.
 """
 
 import gc
@@ -48,6 +50,8 @@ from repro.net.tcp import TcpEndpoint
 from .test_golden_digests import GOLDEN
 
 BUDGET = os.path.join(os.path.dirname(__file__), "hostwork_budget.json")
+TRAJECTORY = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                          "BENCH_hostwork.json")
 
 
 def run_counted(name):
@@ -192,3 +196,12 @@ def test_python_calls_per_layer_within_budget():
             for layer, calls in counts.items()
             if calls > budget.get(layer, 0)}
     assert not over, f"calls over budget (counted, budget): {over}"
+
+
+def test_trajectory_newest_entry_is_the_budget():
+    with open(TRAJECTORY) as fh:
+        newest = json.load(fh)["entries"][-1]
+    with open(BUDGET) as fh:
+        budget = json.load(fh)["layer_calls"]
+    assert newest["layer_calls"] == budget
+    assert newest["calls"] == sum(budget.values())

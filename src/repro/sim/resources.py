@@ -59,7 +59,8 @@ class CPU:
 
     What does not change per grant is decided once: the speed, fixed at
     construction, sets ``_scaled``, and each priority has its own queue
-    attribute.  Every argument check still runs, and raises, at issue.
+    attribute.  Every argument check still runs, and raises, when the
+    grant is issued.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0):

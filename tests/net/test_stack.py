@@ -8,7 +8,7 @@ from repro.kernel.constants import EADDRINUSE, SyscallError
 from repro.kernel.kernel import Kernel
 from repro.net.link import Network
 from repro.net.stack import EPHEMERAL_HIGH, EPHEMERAL_LOW, NetStack
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -132,3 +132,8 @@ def test_custom_time_wait_duration(sim):
     assert stack.time_wait_count == 1
     sim.run(until=6.0)
     assert stack.time_wait_count == 0
+
+
+def test_negative_time_wait_period_rejected(sim):
+    with pytest.raises(SimulationError):
+        NetStack(Kernel(sim, "h3"), Network(sim), time_wait_seconds=-1.0)

@@ -73,24 +73,11 @@ class StaticSite:
         self.documents[path] = body
         self._responses.pop(path, None)
 
-    def lookup(self, path: str) -> Optional[bytes]:
-        if path == "/":
-            path = DEFAULT_DOCUMENT_PATH
-        body = self.documents.get(path)
-        if body is not None:
-            self.hits[path] = self.hits.get(path, 0) + 1
-        return body
-
-    def respond(self, path: str) -> Response:
-        body = self.lookup(path)
-        if body is None:
-            return Response(404, NOT_FOUND_BODY)
-        return Response(200, body)
-
     def response_bytes(self, path: str) -> bytes:
-        """The encoded response to a GET of ``path``: what
-        ``respond(path).encode()`` gives, counting the hit the same way,
-        but a document's response is encoded once and shared."""
+        """The encoded response to a GET of ``path`` (``/`` is the
+        default document): a document's 200 response, encoded on its
+        first request and shared after, with a hit counted per request;
+        for an unknown path, a 404 that counts no hit."""
         if path == "/":
             path = DEFAULT_DOCUMENT_PATH
         encoded = self._responses.get(path)

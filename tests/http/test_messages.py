@@ -3,6 +3,7 @@
 from repro.http.content import (
     DEFAULT_DOCUMENT_BYTES,
     DEFAULT_DOCUMENT_PATH,
+    NOT_FOUND_BODY,
     StaticSite,
     synthetic_document,
 )
@@ -56,43 +57,42 @@ def test_get_request_format():
 def test_default_site_serves_six_kilobyte_document():
     """Section 5: 'we request a 6 Kbyte document'."""
     site = StaticSite()
-    body = site.lookup(DEFAULT_DOCUMENT_PATH)
-    assert body is not None
+    body = site.documents[DEFAULT_DOCUMENT_PATH]
     assert len(body) == DEFAULT_DOCUMENT_BYTES == 6 * 1024
+    assert site.response_bytes(DEFAULT_DOCUMENT_PATH) == (
+        Response(200, body).encode())
 
 
 def test_root_path_aliases_index():
     site = StaticSite()
-    assert site.lookup("/") == site.lookup(DEFAULT_DOCUMENT_PATH)
+    assert site.response_bytes("/") is site.response_bytes(
+        DEFAULT_DOCUMENT_PATH)
 
 
 def test_unknown_path_404():
     site = StaticSite()
-    resp = site.respond("/missing.html")
-    assert resp.status == 404
+    data = site.response_bytes("/missing.html")
+    assert data == Response(404, NOT_FOUND_BODY).encode()
+    assert parse_status(data) == 404
 
 
 def test_respond_200_with_body():
     site = StaticSite()
-    resp = site.respond(DEFAULT_DOCUMENT_PATH)
-    assert resp.status == 200
-    assert len(resp.body) == DEFAULT_DOCUMENT_BYTES
+    data = site.response_bytes(DEFAULT_DOCUMENT_PATH)
+    assert parse_status(data) == 200
+    assert data.endswith(b"\r\n\r\n" + site.documents[DEFAULT_DOCUMENT_PATH])
+    assert len(data.partition(b"\r\n\r\n")[2]) == DEFAULT_DOCUMENT_BYTES
 
 
 def test_hit_accounting():
-    site = StaticSite()
-    site.respond(DEFAULT_DOCUMENT_PATH)
-    site.respond(DEFAULT_DOCUMENT_PATH)
-    assert site.hits[DEFAULT_DOCUMENT_PATH] == 2
-
-
-def test_response_encoded_once_per_document():
+    """Two requests for one path share one encoded response and count
+    two hits; an unknown path counts none."""
     site = StaticSite()
     first = site.response_bytes(DEFAULT_DOCUMENT_PATH)
     second = site.response_bytes("/")
+    site.response_bytes("/missing.html")
     assert first is second
-    assert first == Response(200, site.lookup(DEFAULT_DOCUMENT_PATH)).encode()
-    assert site.hits[DEFAULT_DOCUMENT_PATH] == 3  # two responses, one lookup
+    assert site.hits == {DEFAULT_DOCUMENT_PATH: 2}
 
 
 def test_add_replaces_the_cached_response():
@@ -103,17 +103,11 @@ def test_add_replaces_the_cached_response():
     assert new == Response(200, b"abc").encode() != old
 
 
-def test_unknown_path_response_is_404_and_counts_no_hit():
-    site = StaticSite()
-    assert parse_status(site.response_bytes("/missing.html")) == 404
-    assert site.hits == {}
-
-
 def test_single_document_factory_and_add():
     site = StaticSite.single_document(1000, path="/doc")
-    assert len(site.lookup("/doc")) == 1000
+    assert len(site.documents["/doc"]) == 1000
     site.add("/other", b"abc")
-    assert site.lookup("/other") == b"abc"
+    assert site.response_bytes("/other") == Response(200, b"abc").encode()
 
 
 def test_synthetic_document_exact_sizes():

@@ -12,23 +12,24 @@ shares the listener's), as Linux's ``tcp_tw_bucket`` replaces the closed
 socket: the finished connection's endpoints are freed when it finalizes,
 not sixty seconds later.
 
-The entries wait in one FIFO per stack behind one resident engine timer.
-Each entry keeps the calendar key ``(expiry, seq)`` a timer of its own
-would have had: its seq is taken from the engine at close, as
-``Simulator.schedule`` takes one.  Every entry lasts ``time_wait_seconds``
-and the clock never runs backwards, so the FIFO is sorted by that key;
-the resident timer always stands under the head's key, and each expiry
-fires as one engine event at the place, and in the order among ties,
-that a timer per entry would.
+The entries wait in one FIFO per stack, an engine
+:class:`~repro.sim.engine.FixedDelayQueue` behind one resident timer.
+Each entry keeps the calendar key ``(expiry, seq)`` that a timer of its
+own would have had, so each expiry fires as one engine event at the
+place, and in the order among ties, that a timer per entry would.  The
+calendar's shape differs (one entry, not one per port), which moves
+when a crowded hot heap is compacted; docs/performance.md ("Where the
+event count can move") says when that can change the engine's event
+count.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Union
 
 from ..kernel.constants import EADDRINUSE, SyscallError
-from ..sim.engine import SimulationError, Timer
+from ..sim.engine import FixedDelayQueue
 from ..sim.resources import PRIO_SOFTIRQ
 from .link import Network
 from .tcp import TIME_WAIT_SECONDS, Listener, ReusePortGroup, TcpEndpoint
@@ -44,15 +45,10 @@ class NetStack:
     def __init__(self, kernel: "Kernel", network: Network,
                  host_name: Optional[str] = None,
                  time_wait_seconds: float = TIME_WAIT_SECONDS):
-        if time_wait_seconds < 0:
-            raise SimulationError(
-                f"negative TIME-WAIT period: {time_wait_seconds}")
         self.kernel = kernel
         self.sim = kernel.sim
         self.network = network
         self.host_name = host_name if host_name is not None else kernel.name
-        #: fixed for the stack's life: the TIME-WAIT FIFO's order rests
-        #: on every entry lasting the same time
         self.time_wait_seconds = time_wait_seconds
         #: counts live in the owning kernel's metrics registry, so one
         #: snapshot shows syscall counts and TCP counters side by side
@@ -69,11 +65,10 @@ class NetStack:
         #: released ones queue behind that range, in release order
         self._next_port = EPHEMERAL_LOW
         self._released_ports: Deque[int] = deque()
-        #: TIME-WAIT entries ``(expiry, seq, port)`` in calendar-key
-        #: order; port is None for an end that owns none
-        self._time_wait: Deque[Tuple[float, int, Optional[int]]] = deque()
-        #: stands under the head entry's key while the FIFO is not empty
-        self._time_wait_timer = Timer(0.0, 0, self._leave_time_wait, ())
+        #: TIME-WAIT entries, one port each (None for an end that owns
+        #: none); raises SimulationError for a negative period
+        self._time_wait = FixedDelayQueue(self.sim, time_wait_seconds,
+                                          self._leave_time_wait)
         # per-unit softirq charges, summed once here instead of per packet
         fused = kernel.fused
         self._rx_per_segment = fused.net_rx_per_segment
@@ -178,26 +173,12 @@ class NetStack:
         if time_wait:
             self.counters["tcp.time_wait_entered"] += 1
             # the entry holds the port, never the endpoint: a closed
-            # connection's memory goes when the connection does.  Its
-            # key is the one ``sim.schedule`` would have given it.
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            expiry = sim.now + self.time_wait_seconds
-            entries = self._time_wait
-            entries.append((expiry, seq, port))
-            if len(entries) == 1:
-                sim._arm_resident(self._time_wait_timer, expiry, seq)
+            # connection's memory goes when the connection does
+            self._time_wait.append(port)
         elif port is not None:
             self.release_port(port)
 
-    def _leave_time_wait(self) -> None:
-        """The head entry expires: free its port, and stand the timer
-        under the next entry's own key (never a fresh seq)."""
-        entries = self._time_wait
-        port = entries.popleft()[2]
-        if entries:
-            expiry, seq, _port = entries[0]
-            self.sim._arm_resident(self._time_wait_timer, expiry, seq)
+    def _leave_time_wait(self, port: Optional[int]) -> None:
         if port is not None:
             self.release_port(port)
 

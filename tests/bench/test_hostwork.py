@@ -19,8 +19,8 @@ budget and says why.
 The ``smp_overload`` run then checks the end state a finished
 connection must reach: its endpoints are freed, and a TIME-WAIT entry
 holds no more than its port.  Each stack's TIME-WAIT FIFO must hold
-its count in calendar-key order, with the stack's one resident timer,
-and no other, pending under the head's key.
+every entry its counter saw enter, in calendar-key order, with the
+FIFO's one resident timer, and no other, pending under the head's key.
 
 The last tests budget Python calls by layer.  They count the profiler's
 ``call`` events (a function entered or a generator resumed) per
@@ -116,7 +116,7 @@ def test_smp_overload_frees_finished_connections(smp_overload):
                               + client.open_connections) == 256
     assert server.time_wait_count == 1690
     # every client port in use is held by an endpoint or a TIME-WAIT entry
-    tw_ports = [port for _expiry, _seq, port in client._time_wait
+    tw_ports = [port for _expiry, _seq, port in client._time_wait.entries
                 if port is not None]
     owning = [e for e in endpoints if e.stack is client and e.owns_port]
     in_use = EPHEMERAL_HIGH - EPHEMERAL_LOW - client.ports_available
@@ -130,14 +130,17 @@ def test_smp_overload_time_wait_fifo_end_state(smp_overload):
                if not entry[2].cancelled]
     pending += [t for t in sim._ready[sim._ready_head:] if not t.cancelled]
     for stack in (testbed.server_stack, testbed.client_stack):
-        entries = stack._time_wait
-        assert len(entries) == stack.time_wait_count
-        keys = [(expiry, seq) for expiry, seq, _port in entries]
+        # the run is shorter than TIME-WAIT, so the FIFO holds every
+        # entry the stack's counter saw enter
+        assert sim.now < stack.time_wait_seconds
+        queue = stack._time_wait
+        assert len(queue.entries) == stack.counters["tcp.time_wait_entered"]
+        keys = [(expiry, seq) for expiry, seq, _port in queue.entries]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        timer = stack._time_wait_timer
-        bound = [t for t in pending if t.fn == stack._leave_time_wait]
-        assert bound == ([timer] if entries else [])
-        if entries:
+        timer = queue._timer
+        bound = [t for t in pending if t.fn == queue._expire]
+        assert bound == ([timer] if keys else [])
+        if keys:
             assert (timer.time, timer.seq) == keys[0]
 
 

@@ -2,14 +2,26 @@
 
 A stack keeps its TIME-WAIT entries in one FIFO behind one resident
 engine timer, and each entry keeps the calendar key ``(expiry, seq)``
-that a timer of its own would have had.  The property below plays
+that a timer of its own would have had.  The first property plays
 random histories -- closes with and without a port, in and out of
 TIME-WAIT, port allocations, plain timers and same-instant work, many
 of them placed exactly on expiry instants -- on a FIFO stack and on a
 reference stack that schedules one engine timer per entry, and checks
 that both hand out the same ports and read the same counts after every
 engine event, and fire the same number of events.
+
+The FIFO keeps fewer entries in the hot heap than per-entry timers do,
+so once that heap holds ``Simulator.COMPACT_MIN_HEAP`` entries its
+compactions can run at other moments.  A CPU grant's waiter resumes
+inline only when no entry, live or cancelled, sits at the hot head at
+the completion instant, so a cancelled entry that one side has purged
+and the other has not turns an inline resume into a ready-queue bounce:
+one engine event more or less, with the same work in the same order.
+The second property crowds the hot heap with cancelled timers on those
+instants and checks exactly that.
 """
+
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +31,8 @@ from repro.kernel.kernel import Kernel
 from repro.net.link import Network
 from repro.net.stack import EPHEMERAL_HIGH, NetStack
 from repro.sim.engine import Simulator
+from repro.sim.process import Process
+from repro.sim.resources import CPU
 
 
 class PerEntryTimerStack(NetStack):
@@ -146,9 +160,9 @@ def armed(sim, timer):
 def check_fifo(sim, stack):
     """The FIFO's own invariants: keys strictly increase, and the
     resident timer stands under the head's key exactly when it has one."""
-    keys = [(expiry, seq) for expiry, seq, _port in stack._time_wait]
+    keys = [(expiry, seq) for expiry, seq, _port in stack._time_wait.entries]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    timer = stack._time_wait_timer
+    timer = stack._time_wait._timer
     if keys:
         assert (timer.time, timer.seq) == keys[0]
         assert armed(sim, timer) == 1
@@ -187,3 +201,162 @@ def test_ties_keep_their_order():
     assert order == [("expire", first), ("timer",), ("expire", second)]
     assert sim.now == 1.0 and sim.events_processed == 3
     assert stack.time_wait_count == 0
+
+
+class Recording(Simulator):
+    """Notes every fired timer as ``(time, what it ran)``; the two
+    stacks' expiry callbacks are both named ``_expire``.  Drive it with
+    ``step()``: ``run()`` fires timers inline."""
+
+    def __init__(self):
+        super().__init__()
+        self.fired = []
+
+    def _fire(self, timer):
+        self.fired.append((timer.time, timer.fn.__name__))
+        super()._fire(timer)
+
+
+def resumes(sim):
+    """The process's resumes through the ready queue, its start
+    included."""
+    return sum(1 for _time, name in sim.fired if name == "_resume")
+
+
+def without_resumes(sim):
+    return [entry for entry in sim.fired if entry[1] != "_resume"]
+
+
+#: the crowd's grid: every instant is a multiple of 1/64 s, as are the
+#: TIME-WAIT periods, so crowd timers, cancels, grant completions and
+#: expiries share instants
+TICK = 1 / 64
+
+
+def play_crowd(stack_class, period, closes, rnd):
+    """Close ``closes`` at the start, then arm a crowd of hot timers
+    just past ``COMPACT_MIN_HEAP`` while a process runs back-to-back
+    CPU grants, and cancel most of the crowd: at once, on its own
+    instant (before it fires) or in between.  ``rnd`` draws the crowd
+    and the grants the same way for both stacks.  Returns the simulator
+    and the work log."""
+    sim = Recording()
+    stack = stack_class(Kernel(sim, "host"), Network(sim),
+                        time_wait_seconds=period)
+    stack._next_port = EPHEMERAL_HIGH - FRESH_PORTS
+    cpu = CPU(sim)
+    log = []
+    timers = []
+
+    def note(tag):
+        log.append((sim.now, tag, stack.time_wait_count,
+                    stack.ports_available))
+
+    def close(index, owns_port, time_wait):
+        try:
+            port = stack.alloc_ephemeral_port() if owns_port else None
+        except SyscallError:
+            port = None
+        stack.connection_opened()
+        stack.connection_closed(
+            Closed(80 if port is None else port, port is not None),
+            time_wait)
+        note(("close", index, port))
+
+    for index, (at, owns_port, time_wait) in enumerate(closes):
+        sim.schedule(at * TICK, close, index, owns_port, time_wait)
+    armed_at = rnd.randrange(1, 4) * TICK
+    offsets = [rnd.randrange(1, 16) * TICK
+               for _ in range(Simulator.COMPACT_MIN_HEAP
+                              + rnd.randrange(64))]
+
+    def arm():
+        for index, offset in enumerate(offsets):
+            timers.append(sim.schedule(offset, note, ("crowd", index)))
+
+    sim.schedule(armed_at, arm)
+    for index, offset in enumerate(offsets):
+        choice = rnd.random()
+        if choice < 0.7:
+            cancel_at = armed_at
+        elif choice < 0.9:
+            cancel_at = armed_at + offset
+        elif choice < 0.95:
+            cancel_at = armed_at + rnd.randrange(round(offset / TICK)) * TICK
+        else:
+            continue
+        sim.schedule(cancel_at, lambda index=index: timers[index].cancel())
+    grants = [rnd.randrange(1, 6) * TICK for _ in range(40)]
+
+    def work():
+        for duration in grants:
+            yield cpu.consume(duration)
+            note(("grant", duration))
+
+    Process(sim, work())
+    while sim.step():
+        pass
+    return sim, log
+
+
+@settings(max_examples=100, deadline=None)
+@given(period=st.sampled_from(PERIODS),
+       closes=st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                                 st.booleans()),
+                       min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_crowded_hot_heap_moves_only_resumes(period, closes, seed):
+    fifo, fifo_log = play_crowd(NetStack, period, closes, Random(seed))
+    reference, reference_log = play_crowd(PerEntryTimerStack, period,
+                                          closes, Random(seed))
+    assert fifo_log == reference_log
+    assert without_resumes(fifo) == without_resumes(reference)
+    assert (fifo.events_processed - resumes(fifo)
+            == reference.events_processed - resumes(reference))
+
+
+def test_a_moved_compaction_moves_one_bounce():
+    """One history where it happens: three TIME-WAIT entries are three
+    hot timers on the reference side and one on the FIFO side, so the
+    hot heap is compacted one cancel apart on the two sides; the crowd
+    timer cancelled in between sits dead at the hot head on one side
+    only when the grant completes on its instant."""
+
+    def play(stack_class):
+        sim = Recording()
+        stack = stack_class(Kernel(sim, "host"), Network(sim),
+                            time_wait_seconds=0.125)
+        cpu = CPU(sim)
+        timers = []
+        log = []
+
+        def arm():
+            timers.append(sim.schedule(3 * TICK, log.append, "dead"))
+            for index in range(Simulator.COMPACT_MIN_HEAP - 1):
+                timers.append(sim.schedule(11 * TICK, log.append, index))
+
+        for _ in range(3):
+            stack.connection_closed(Closed(80, False), time_wait=True)
+        sim.schedule(TICK, arm)
+        order = list(range(1, Simulator.COMPACT_MIN_HEAP))
+        order.insert(172, 0)
+        for index in order:
+            sim.schedule(TICK, lambda index=index: timers[index].cancel())
+
+        def work():
+            yield cpu.consume(4 * TICK)
+            log.append("grant")
+
+        Process(sim, work())
+        while sim.step():
+            pass
+        return sim, log
+
+    fifo, fifo_log = play(NetStack)
+    reference, reference_log = play(PerEntryTimerStack)
+    assert fifo.compactions == reference.compactions == 1
+    assert fifo_log == reference_log
+    assert without_resumes(fifo) == without_resumes(reference)
+    # the start, and on the FIFO side one bounce
+    assert (resumes(fifo), resumes(reference)) == (2, 1)
+    assert fifo.events_processed == reference.events_processed + 1

@@ -13,7 +13,7 @@ socket: the finished connection's endpoints are freed when it finalizes,
 not sixty seconds later.
 
 The entries wait in one FIFO per stack, an engine
-:class:`~repro.sim.engine.FixedDelayQueue` behind one resident timer.
+:class:`~repro.sim.delay_queue.FixedDelayQueue` behind one resident timer.
 Each entry keeps the calendar key ``(expiry, seq)`` that a timer of its
 own would have had, so each expiry fires as one engine event at the
 place, and in the order among ties, that a timer per entry would.  The
@@ -29,7 +29,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Union
 
 from ..kernel.constants import EADDRINUSE, SyscallError
-from ..sim.engine import FixedDelayQueue
+from ..sim.delay_queue import FixedDelayQueue
 from ..sim.resources import PRIO_SOFTIRQ
 from .link import Network
 from .tcp import TIME_WAIT_SECONDS, Listener, ReusePortGroup, TcpEndpoint

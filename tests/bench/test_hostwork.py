@@ -24,14 +24,17 @@ FIFO's one resident timer, and no other, pending under the head's key.
 
 The last tests budget Python calls by layer.  They count the profiler's
 ``call`` events (a function entered or a generator resumed) per
-``repro`` package over one ``thttpd-devpoll`` point, and each package's
-count must stay within its ``layer_calls`` entry.  When a change lowers
-a count, lower the entry with it; a change that raises one fails until
-it raises the entry and says why.  Each change also appends its counts
-to the trajectory ``BENCH_hostwork.json`` at the repository root, whose
-newest entry must equal the budget.
+``repro`` package over two points -- one ``thttpd-devpoll`` point
+(``layer_calls``) and the golden ``smp_overload`` point
+(``smp_overload_layer_calls``) -- and each package's count must stay
+within its entry.  When a change lowers a count, lower the entry with
+it; a change that raises one fails until it raises the entry and says
+why.  Each change also appends its counts to the trajectory
+``BENCH_hostwork.json`` at the repository root, whose newest entry must
+equal the budget.
 """
 
+import dataclasses
 import gc
 import json
 import os
@@ -41,7 +44,7 @@ import sys
 import pytest
 
 import repro
-from repro.bench.harness import run_point
+from repro.bench.harness import BenchmarkPoint, run_point
 from repro.kernel.file import File
 from repro.net.socket import SocketFile
 from repro.net.stack import EPHEMERAL_HIGH, EPHEMERAL_LOW
@@ -144,11 +147,10 @@ def test_smp_overload_time_wait_fifo_end_state(smp_overload):
             assert (timer.time, timer.seq) == keys[0]
 
 
-#: Counts the profiler's ``call`` events per ``repro`` package over one
-#: point (thttpd-devpoll, 800 req/s, 64 idle connections, 0.5 s, seed
-#: 0) and prints them as JSON.  Comprehension code objects are left out:
-#: Python 3.12 inlines them (PEP 709), so they are calls on 3.10 and
-#: 3.11 only.
+#: Counts the profiler's ``call`` events per ``repro`` package over the
+#: point whose ``BenchmarkPoint`` fields are the JSON in ``argv[1]`` and
+#: prints them as JSON.  Comprehension code objects are left out: Python
+#: 3.12 inlines them (PEP 709), so they are calls on 3.10 and 3.11 only.
 COUNT_LAYER_CALLS = r"""
 import json, re, sys
 from repro.bench.harness import BenchmarkPoint, run_point
@@ -170,8 +172,7 @@ def profile(frame, event, arg):
     if layer:
         counts[layer] = counts.get(layer, 0) + 1
 
-point = BenchmarkPoint(server="thttpd-devpoll", rate=800.0, inactive=64,
-                       duration=0.5)
+point = BenchmarkPoint(**json.loads(sys.argv[1]))
 sys.setprofile(profile)
 try:
     run_point(point)
@@ -181,30 +182,49 @@ print(json.dumps(counts))
 """
 
 
-def test_python_calls_per_layer_within_budget():
-    """A fresh interpreter runs the count, so it does not depend on what
-    earlier tests imported: a module's first import runs code that a
-    later run skips."""
+def count_layer_calls(point):
+    """Count ``point``'s calls per layer in a fresh interpreter, so the
+    count does not depend on what earlier tests imported: a module's
+    first import runs code that a later run skips."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", COUNT_LAYER_CALLS],
+    fields = json.dumps(dataclasses.asdict(point))
+    proc = subprocess.run([sys.executable, "-c", COUNT_LAYER_CALLS, fields],
                           capture_output=True, text=True, env=env,
                           check=True)
-    counts = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def check_layer_budget(key, counts):
     with open(BUDGET) as fh:
-        budget = json.load(fh)["layer_calls"]
+        budget = json.load(fh)[key]
     over = {layer: (calls, budget.get(layer, 0))
             for layer, calls in counts.items()
             if calls > budget.get(layer, 0)}
-    assert not over, f"calls over budget (counted, budget): {over}"
+    assert not over, f"{key}: calls over budget (counted, budget): {over}"
+
+
+def test_python_calls_per_layer_within_budget():
+    """thttpd-devpoll, 800 req/s, 64 idle connections, 0.5 s, seed 0."""
+    check_layer_budget("layer_calls", count_layer_calls(BenchmarkPoint(
+        server="thttpd-devpoll", rate=800.0, inactive=64, duration=0.5)))
+
+
+def test_smp_overload_python_calls_per_layer_within_budget():
+    """The golden ``smp_overload`` point: select() on 4 CPUs x 4
+    workers, past the knee, 128 idle connections."""
+    check_layer_budget("smp_overload_layer_calls",
+                       count_layer_calls(GOLDEN["smp_overload"][0]))
 
 
 def test_trajectory_newest_entry_is_the_budget():
     with open(TRAJECTORY) as fh:
         newest = json.load(fh)["entries"][-1]
     with open(BUDGET) as fh:
-        budget = json.load(fh)["layer_calls"]
-    assert newest["layer_calls"] == budget
-    assert newest["calls"] == sum(budget.values())
+        budget = json.load(fh)
+    for key, total in (("layer_calls", "calls"),
+                       ("smp_overload_layer_calls", "smp_overload_calls")):
+        assert newest[key] == budget[key], key
+        assert newest[total] == sum(budget[key].values()), total

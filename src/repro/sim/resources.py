@@ -27,6 +27,7 @@ from .engine import Event, SimulationError, Simulator, Timer
 from .process import GRANT, _NOTHING, Process
 
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 PRIO_SOFTIRQ = 0
 PRIO_USER = 1
@@ -422,9 +423,12 @@ class CPU:
         is provably the next entry to fire -- dispatching the next grant
         only adds a later one -- so the process runs inline instead,
         right after the dispatch.  Otherwise (ready work pending, or
-        another entry due now, such as a second CPU completing at the
-        same instant) the bounce is queued.  An Event (a grant issued
-        outside a process) is triggered.
+        another live entry due now, such as a second CPU completing at
+        the same instant) the bounce is queued.  Cancelled entries at
+        the hot head due now are dropped first, as the run loop would
+        drop them, so the choice does not depend on when the hot heap
+        was last compacted.  An Event (a grant issued outside a
+        process) is triggered.
         """
         done = self._done
         resume = None
@@ -434,14 +438,22 @@ class CPU:
                 done.trigger(None)
             else:
                 done._waiting_on = _NOTHING
-                # nothing else due now: no ready entry pending, no hot
-                # entry at ``now`` (far timers are always due after it)
+                # nothing else due now: no ready entry pending, no live
+                # hot entry at ``now`` (far timers are always due after it)
                 sim = self.sim
-                heap = sim._heap
-                if (sim._ready_head >= len(sim._ready)
-                        and (not heap or heap[0][0] > sim.now)):
-                    resume = done
-                else:
+                if sim._ready_head >= len(sim._ready):
+                    heap = sim._heap
+                    now = sim.now
+                    if not heap or heap[0][0] > now:
+                        resume = done
+                    else:
+                        while heap[0][2].cancelled:
+                            _heappop(heap)
+                            sim._cancelled_pending -= 1
+                            if not heap or heap[0][0] > now:
+                                resume = done
+                                break
+                if resume is None:
                     sim._call_soon_unref(Process._resume, (done, None, None))
         if self._q_softirq or self._q_user:
             self._dispatch()

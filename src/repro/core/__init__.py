@@ -8,6 +8,7 @@ from .epoll import (EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD, EPOLLET,
                     EpollFile, EpollStats)
 from .interest_set import Interest, InterestSet
 from .poll_syscall import sys_poll
+from .poll_table import PollTable
 from .pollfd import DP_ALLOC, DP_FREE, DP_POLL, DP_POLL_WRITE, DvPoll, PollFd
 from .rtsig import SignalNumberAllocator, arm_rtsig, disarm_rtsig
 
@@ -30,6 +31,7 @@ __all__ = [
     "Interest",
     "InterestSet",
     "PollFd",
+    "PollTable",
     "ResultArea",
     "RwLockStats",
     "SignalNumberAllocator",

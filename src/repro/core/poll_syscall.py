@@ -15,25 +15,28 @@ All four terms scale with the interest-set size; /dev/poll attacks 1, 2,
 and 4, and its hints attack 2 again.  The function returns only ready
 descriptors as ``[(fd, revents), ...]``.
 
-The simulated cost stays O(n), but the host work of a scan is
-O(changed): a ``quiet`` socket (see :mod:`repro.kernel.file`) asked
-nothing of ``POLLOUT`` has nothing to report, so its callback is
-counted and charged but not made.
+The simulated cost stays O(n), but the host work behind it is not: a
+``quiet`` socket (see :mod:`repro.kernel.file`) asked nothing of
+``POLLOUT`` has nothing to report, so its callback is counted and
+charged but not made, and a caller that keeps its
+:class:`~repro.core.poll_table.PollTable` across calls pays the host
+O(changed + not quiet) per call, with its wait-queue entries left
+registered between sleeps.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..kernel.constants import POLL_ALWAYS, POLLNVAL, POLLOUT
 from ..kernel.task import Task
 from ..sim.process import wait_with_timeout
 from ..sim.resources import PRIO_USER
+from .poll_table import PollTable
 
 
 def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
              timeout: Optional[float], deadline_abs: Optional[float] = None,
-             build_part=None, tail_parts=()):
+             build_part=None, tail_parts=(), table: Optional[PollTable] = None):
     """Generator implementing poll(); called via SyscallInterface.poll.
 
     The syscall entry, the copyin and the first scan go out as one
@@ -45,28 +48,19 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     boundary stamps supply the call's two clock reads: the relative
     timeout derived from ``deadline_abs`` after the build, and the
     absolute wakeup deadline pinned after the copyin.
+
+    ``table`` is the caller's poll table, kept across its calls; without
+    one the call builds a table that lives for this call.
     """
     kernel = task.kernel
     costs = kernel.costs
     cpu = kernel.cpu
     sim = kernel.sim
     n = len(interests)
-    lookup = task.fdtable.lookup
-
-    def scan():
-        """Invoke the driver poll callback on every descriptor."""
-        ready: List[Tuple[int, int]] = []
-        for fd, events in interests:
-            file = lookup(fd)
-            if file is None or file.closed:
-                ready.append((fd, POLLNVAL))
-            elif file.quiet and not events & POLLOUT:
-                file.poll_callback_count += 1
-            else:
-                mask = file.driver_poll() & (events | POLL_ALWAYS)
-                if mask:
-                    ready.append((fd, mask))
-        return ready
+    if table is None:
+        table = PollTable(task, keep=False, interests=interests)
+    else:
+        table.watch_list(interests)
 
     # 1. copy in the whole interest set; 2. one driver callback per
     # descriptor -- under the big kernel lock, so on SMP the whole O(n)
@@ -89,7 +83,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     waitqueue_cost = costs.poll_waitqueue_per_fd * n
 
     while True:
-        ready = scan()
+        ready = table.scan_due() if table.hooked else table.scan_list()
         if kernel.tracer.enabled:
             kernel.trace("poll", f"scan n={n} ready={len(ready)}")
         if ready or timeout == 0:
@@ -105,33 +99,14 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
                 if tail_parts:
                     yield cpu.consume_parts(tuple(tail_parts), PRIO_USER)
                 return []
-        # 3. nothing ready: hang a wait-queue entry on every file
+        # 3. nothing ready: hang a wait-queue entry on every file (the
+        # table's entries, armed) and sleep
         if waitqueue_cost > 0:
             yield cpu.consume(waitqueue_cost, PRIO_USER, "poll.waitqueue")
-        yield from sleep_on_files(
-            sim, "poll.wake", (lookup(fd) for fd, _events in interests),
-            remaining)
+        wake = table.arm(sim, "poll.wake")
+        try:
+            yield from wait_with_timeout(sim, wake, remaining)
+        finally:
+            table.disarm()
         # loop around: rescan (and notice deadline expiry)
         yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)
-
-
-def sleep_on_files(sim, name: str, files, remaining: Optional[float]):
-    """The poll table of poll() and select(): sleep until one of
-    ``files`` is notified or ``remaining`` seconds pass.
-
-    Hangs one wait-queue entry on every open file, in order (a file
-    listed twice gets two), and removes them all on the way out.
-    """
-    wake = sim.event(name)
-
-    def on_wake(*_args) -> None:
-        if not wake.triggered:
-            wake.trigger(None)
-
-    entries = [file.wait_queue.add(on_wake, autoremove=False)
-               for file in files if file is not None and not file.closed]
-    try:
-        yield from wait_with_timeout(sim, wake, remaining)
-    finally:
-        for entry in entries:
-            entry.queue.remove(entry)

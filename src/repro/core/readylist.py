@@ -137,7 +137,7 @@ class ReadyListFile(File):
         if file is None or file.closed:
             self._closed(entry)
         elif file.quiet and not entry.events & POLLOUT:
-            file.poll_callback_count += 1
+            file.settled_callbacks += 1
             entry.cached_revents = 0
         else:
             entry.cached_revents = file.driver_poll() & (

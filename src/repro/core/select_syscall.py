@@ -11,29 +11,25 @@ actually watched*, then every watched fd still gets a driver poll
 callback -- so select is never cheaper than poll and its interest set is
 hard-capped at :data:`FD_SETSIZE`.
 
-The simulated cost stays O(watched), but the host work of a scan is
-O(changed): the read and write sets are Python sets, so each watched fd
-costs one membership test per set, and a ``quiet`` socket (see
-:mod:`repro.kernel.file`) outside the write set is counted and charged
-without its driver poll callback being made.
+The simulated cost stays O(watched), but the host work behind it is
+not: a ``quiet`` socket (see :mod:`repro.kernel.file`) outside the
+write set is counted and charged without its driver poll callback
+being made, and a caller that keeps its
+:class:`~repro.core.poll_table.PollTable` across calls pays the host
+O(changed + not quiet) per call: the table keeps the watched sets with
+the count and highest fd the charges need, and its wait-queue entries
+stay registered between sleeps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from ..kernel.constants import (
-    EBADF,
-    EINVAL,
-    POLLERR,
-    POLLHUP,
-    POLLIN,
-    POLLOUT,
-    SyscallError,
-)
+from ..kernel.constants import POLLERR, POLLHUP, POLLIN, POLLOUT
 from ..kernel.task import Task
+from ..sim.process import wait_with_timeout
 from ..sim.resources import PRIO_USER
-from .poll_syscall import sleep_on_files
+from .poll_table import PollTable
 
 #: the fixed fd_set size that capped 2000-era select() servers
 FD_SETSIZE = 1024
@@ -44,7 +40,8 @@ _FDS_PER_WORD = 32
 
 def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
                timeout: Optional[float], deadline_abs: Optional[float] = None,
-               build_part=None, tail_parts=()):
+               build_part=None, tail_parts=(),
+               table: Optional[PollTable] = None):
     """Generator implementing select(); returns (readable, writable).
 
     ``readfds``/``writefds`` are iterables of descriptors.  Raises
@@ -57,36 +54,21 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
     ``build_part``, the entry, the bitmap copyin and the first scan are
     one grant, the bitmap copyout and ``tail_parts`` another, and the
     boundary stamps supply the timeout clock reads.
+
+    ``table`` is the caller's poll table, kept across its calls (pass
+    sets, which it compares without copying); without one the call
+    builds a table that lives for this call.
     """
     kernel = task.kernel
     costs = kernel.costs
     cpu = kernel.cpu
     sim = kernel.sim
-    rset = set(readfds)
-    wset = set(writefds)
-    watched = sorted(rset | wset)
-    if watched and not (0 <= watched[0] and watched[-1] < FD_SETSIZE):
-        bad = watched[0] if watched[0] < 0 else watched[-1]
-        raise SyscallError(EINVAL, f"fd {bad} outside FD_SETSIZE")
-    maxfd = (watched[-1] + 1) if watched else 0
+    if table is None:
+        table = PollTable(task, keep=False)
+    table.watch_sets(readfds, writefds, FD_SETSIZE)
+    nwatched = table.nwatched
+    maxfd = table.maxfd + 1
     words = (maxfd + _FDS_PER_WORD - 1) // _FDS_PER_WORD
-    lookup = task.fdtable.lookup
-
-    def scan() -> Tuple[List[int], List[int]]:
-        readable, writable = [], []
-        for fd in watched:
-            file = lookup(fd)
-            if file is None or file.closed:
-                raise SyscallError(EBADF, f"select: fd {fd} not open")
-            if file.quiet and fd not in wset:
-                file.poll_callback_count += 1
-                continue
-            mask = file.driver_poll()
-            if fd in rset and mask & (POLLIN | POLLERR | POLLHUP):
-                readable.append(fd)
-            if fd in wset and mask & (POLLOUT | POLLERR):
-                writable.append(fd)
-        return readable, writable
 
     # three bitmaps (read/write/except) copied in, three copied out --
     # proportional to maxfd, not to the number of watched fds
@@ -94,7 +76,7 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
                None)
     # the O(watched) driver scan ran under the big kernel lock in 2.2,
     # so on SMP it serializes against every other CPU's scan
-    scan_part = ("select.scan", costs.poll_driver_callback * len(watched),
+    scan_part = ("select.scan", costs.poll_driver_callback * nwatched,
                  None)
     head = (kernel.fused.entry_part, bitmaps)
     if build_part is not None:
@@ -108,10 +90,15 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
         built_at = stamps[0] if build_part is not None else issued_at
         timeout = max(0.0, deadline_abs - built_at)
     deadline = None if timeout is None else stamps[len(head) - 1] + timeout
-    waitqueue_cost = costs.poll_waitqueue_per_fd * len(watched)
+    waitqueue_cost = costs.poll_waitqueue_per_fd * nwatched
 
     while True:
-        readable, writable = scan()
+        ready = table.scan_due() if table.hooked else table.scan_sets()
+        rset, wset = table.rset, table.wset
+        readable = [fd for fd, revents in ready
+                    if revents & (POLLIN | POLLERR | POLLHUP) and fd in rset]
+        writable = [fd for fd, revents in ready
+                    if revents & (POLLOUT | POLLERR) and fd in wset]
         if readable or writable or timeout == 0:
             yield cpu.consume_parts((bitmaps,) + tuple(tail_parts),
                                     PRIO_USER)
@@ -125,6 +112,9 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
                 return [], []
         if waitqueue_cost > 0:
             yield cpu.consume(waitqueue_cost, PRIO_USER, "select.waitqueue")
-        yield from sleep_on_files(sim, "select.wake", map(lookup, watched),
-                                  remaining)
+        wake = table.arm(sim, "select.wake")
+        try:
+            yield from wait_with_timeout(sim, wake, remaining)
+        finally:
+            table.disarm()
         yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)

@@ -10,12 +10,15 @@ The backend mirrors the server's interest in an insertion-ordered dict
 so the rebuilt array is identical, entry for entry, to what the legacy
 loop built from ``conns``: listener first, then connections in accept
 order.  Interest mutation is free here; every cost is paid in ``wait``.
+On the host, the server process keeps one poll table
+(:class:`~repro.core.poll_table.PollTable`) across its waits.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ..core.poll_table import PollTable
 from ..kernel.constants import POLLIN
 from .base import EventBackend, register_backend
 
@@ -35,6 +38,9 @@ class PollBackend(EventBackend):
         #: size of the array handed to the last ``poll()``; the
         #: per-event fdwatch re-check is charged against this snapshot
         self._nwatched = 0
+        #: the server process's poll table, kept across waits (built at
+        #: the first, on a simulated task)
+        self._table: Optional[PollTable] = None
 
     def register(self, fd: int, mask: int) -> Generator:
         self.stats.registers += 1
@@ -66,6 +72,9 @@ class PollBackend(EventBackend):
         interests = self._build()
         n = len(interests)
         self._nwatched = n
+        table = self._table
+        if table is None:
+            table = self._table = PollTable(self.server.task)
         # app.build + syscall entry + copyin + scan are one grant, and
         # copyout + app.scan another; the timeout is derived from the
         # deadline after the array build, which advanced simulated time
@@ -75,7 +84,8 @@ class PollBackend(EventBackend):
             interests, timeout, deadline=deadline,
             build_part=("app.build", costs.user_pollfd_build_per_fd * n,
                         None),
-            tail_parts=(("app.scan", costs.user_scan_per_fd * n, None),))
+            tail_parts=(("app.scan", costs.user_scan_per_fd * n, None),),
+            table=table)
         if kernel.tracer.enabled:
             server = self.server
             kernel.trace(

@@ -11,12 +11,18 @@ order.
 A reported fd whose connection has since changed state cannot be
 re-checked against a revents mask here (there is none), so the unified
 server loop counts such events stale -- ``strict_state_stale``.
+
+The backend keeps its two fd sets current as interest changes, the
+listener always in the read set, and hands the same sets to every
+``select()`` with its poll table, which compares them with the last
+call's instead of being handed a rebuilt copy.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ..core.poll_table import PollTable
 from ..core.select_syscall import FD_SETSIZE
 from ..kernel.constants import POLLIN, POLLOUT
 from .base import register_backend
@@ -29,16 +35,55 @@ class SelectBackend(PollBackend):
     strict_state_stale = True
     fd_capacity = FD_SETSIZE
 
+    def __init__(self, server) -> None:
+        super().__init__(server)
+        #: the fds whose interest includes POLLIN, and the listener
+        self._readfds = set()
+        #: the fds whose interest includes POLLOUT
+        self._writefds = set()
+        #: the listener fd in ``_readfds``
+        self._listen_fd: Optional[int] = None
+
+    def _sort(self, fd: int, mask: int) -> None:
+        if mask & POLLIN:
+            self._readfds.add(fd)
+        else:
+            self._readfds.discard(fd)
+        if mask & POLLOUT:
+            self._writefds.add(fd)
+        else:
+            self._writefds.discard(fd)
+
+    def register(self, fd: int, mask: int) -> Generator:
+        self._sort(fd, mask)
+        return super().register(fd, mask)
+
+    def modify(self, fd: int, mask: int) -> Generator:
+        if fd in self._interests:
+            self._sort(fd, mask)
+        return super().modify(fd, mask)
+
+    def interest_forget(self, fd: int) -> None:
+        super().interest_forget(fd)
+        self._readfds.discard(fd)
+        self._writefds.discard(fd)
+
     def wait(self, max_events: Optional[int] = None,
              timeout: Optional[float] = None,
              deadline: Optional[float] = None) -> Generator:
-        readfds = [self.server.listen_fd]
-        readfds.extend(fd for fd, mask in self._interests.items()
-                       if mask & POLLIN)
-        writefds = [fd for fd, mask in self._interests.items()
-                    if mask & POLLOUT]
+        readfds = self._readfds
+        writefds = self._writefds
+        listen_fd = self.server.listen_fd
+        if listen_fd != self._listen_fd:
+            if self._listen_fd not in self._interests:
+                readfds.discard(self._listen_fd)
+            readfds.add(listen_fd)
+            self._listen_fd = listen_fd
         nwatched = len(readfds) + len(writefds)
         self._nwatched = nwatched
+        table = self._table
+        if table is None:
+            table = self._table = PollTable(self.server.task)
         # fused exactly as in PollBackend.wait
         costs = self.costs
         readable, writable = yield from self.sys.select(
@@ -46,7 +91,8 @@ class SelectBackend(PollBackend):
             build_part=("app.build",
                         costs.user_pollfd_build_per_fd * nwatched, None),
             tail_parts=(("app.scan", costs.user_scan_per_fd * nwatched,
-                         None),))
+                         None),),
+            table=table)
         ready = ([(fd, POLLIN) for fd in readable]
                  + [(fd, POLLOUT) for fd in writable])
         self._note_wait(ready, nwatched)

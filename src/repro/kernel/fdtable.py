@@ -6,15 +6,24 @@ long-lived inactive connections congeal at the low end of the fd space and
 every ``poll()`` must wade through them), and the table is bounded by an
 ``RLIMIT_NOFILE``-style limit -- httperf's stock assumption of 1024 fds,
 which the authors had to lift, is modelled by the client harness.
+
+A poll table (:mod:`repro.core.poll_table`) that has resolved a
+descriptor to its file links its entry into :attr:`FDTable.polled`;
+closing the descriptor, or installing another file over it, hands each
+linked entry to its table's ``fd_closed``, so no table has to look up
+every descriptor on every call to notice.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from .constants import EBADF, EMFILE, SyscallError
 from .file import File
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .waitqueue import PollEntry
 
 
 class FDTable:
@@ -31,6 +40,9 @@ class FDTable:
         self._freed: List[int] = []
         self._high = 0  # every fd >= _high has never been allocated
         self.high_water = 0
+        #: fd -> the first poll-table entry resolved to its file; each
+        #: entry's ``next`` links the next one for the same fd
+        self.polled: Dict[int, "PollEntry"] = {}
 
     # ------------------------------------------------------------------
     def alloc(self, file: File) -> int:
@@ -59,6 +71,8 @@ class FDTable:
         self._files[fd] = file.get()
         if old is not None:
             old.put()
+            if fd in self.polled:
+                self._changed(fd)
         while self._high <= fd:
             heapq.heappush(self._freed, self._high)
             self._high += 1
@@ -77,7 +91,18 @@ class FDTable:
             raise SyscallError(EBADF, f"fd {fd} not open")
         heapq.heappush(self._freed, fd)
         file.put()
+        if fd in self.polled:
+            self._changed(fd)
         return file
+
+    def _changed(self, fd: int) -> None:
+        """``fd`` no longer names the file its poll entries resolved."""
+        entry = self.polled.pop(fd)
+        while entry is not None:
+            following = entry.next
+            entry.next = None
+            entry.owner.fd_closed(entry)
+            entry = following
 
     def close_all(self) -> None:
         for fd in list(self._files):

@@ -64,9 +64,10 @@ class File:
         #: called once, with the file, when the last reference drops;
         #: epoll uses this to collect interests on closed descriptors
         self._close_listeners: List[Callable[["File"], None]] = []
-        #: number of driver poll callbacks executed against this file;
-        #: the hints ablation asserts this drops when hinting is on.
-        self.poll_callback_count = 0
+        #: driver poll callbacks counted against this file, made or
+        #: skipped, except those a poll table still credits lazily (see
+        #: :attr:`poll_callback_count`)
+        self.settled_callbacks = 0
         #: no readiness but POLLOUT since the last callback (see above)
         self.quiet = False
 
@@ -83,8 +84,24 @@ class File:
 
     def driver_poll(self) -> int:
         """poll_mask() plus instrumentation; what poll()/DP_POLL invoke."""
-        self.poll_callback_count += 1
+        self.settled_callbacks += 1
         return self.poll_mask()
+
+    @property
+    def poll_callback_count(self) -> int:
+        """Driver poll callbacks counted against this file: every scan
+        that covered it, whether it made the host call or skipped a
+        quiet file.  The hints ablation asserts this drops when hinting
+        is on.  A poll table that skips a quiet file credits the scans
+        lazily (:mod:`repro.core.poll_table`); they are added here."""
+        count = self.settled_callbacks
+        for entry in self.wait_queue.poll_entries():
+            count += entry.owner.credit(entry)
+        return count
+
+    @poll_callback_count.setter
+    def poll_callback_count(self, value: int) -> None:
+        self.settled_callbacks += value - self.poll_callback_count
 
     def add_status_listener(self, listener: StatusListener) -> None:
         self._status_listeners.append(listener)

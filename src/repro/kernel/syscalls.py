@@ -186,7 +186,7 @@ class SyscallInterface:
     # ------------------------------------------------------------------
     def poll(self, interests: Sequence[Tuple[int, int]],
              timeout: Optional[float], deadline: Optional[float] = None,
-             build_part=None, tail_parts=()):
+             build_part=None, tail_parts=(), table=None):
         """Classic ``poll(2)``: ``interests`` is ``[(fd, events), ...]``.
 
         Returns ``[(fd, revents), ...]`` for ready descriptors only.
@@ -197,28 +197,31 @@ class SyscallInterface:
         grant of syscall entry, copyin and first scan, ``tail_parts``
         (the revents scan) follow the copyout, and ``deadline`` -- an
         absolute time -- becomes the relative timeout at the end of the
-        build, as a caller computing it itself would have.
+        build, as a caller computing it itself would have.  A caller
+        that polls again and again passes the same ``table``
+        (:class:`~repro.core.poll_table.PollTable`) each time, so the
+        host keeps what it watches between calls.
         """
         self.kernel.counters["sys.poll"] += 1
         result = yield from sys_poll(
             self.task, interests, timeout, deadline_abs=deadline,
-            build_part=build_part, tail_parts=tail_parts)
+            build_part=build_part, tail_parts=tail_parts, table=table)
         return result
 
     def select(self, readfds: Sequence[int], writefds: Sequence[int] = (),
                timeout: Optional[float] = None,
                deadline: Optional[float] = None,
-               build_part=None, tail_parts=()):
+               build_part=None, tail_parts=(), table=None):
         """Classic ``select(2)``; returns ``(readable, writable)``.
 
         Capped at FD_SETSIZE (1024) descriptors -- the very limit that
         forced the authors to modify httperf (section 5).  The fused
-        keywords mirror :meth:`poll`.
+        keywords and ``table`` mirror :meth:`poll`.
         """
         self.kernel.counters["sys.select"] += 1
         result = yield from sys_select(
             self.task, readfds, writefds, timeout, deadline_abs=deadline,
-            build_part=build_part, tail_parts=tail_parts)
+            build_part=build_part, tail_parts=tail_parts, table=table)
         return result
 
     def open_devpoll(self, config=None):

@@ -1,13 +1,23 @@
 """Kernel wait queues.
 
-A :class:`WaitQueue` is a list of entries, each owning a callback.  Two
-kinds of sleeper use them:
+A :class:`WaitQueue` is a list of entries.  Two kinds of sleeper use
+them:
 
 * blocking syscalls (``read`` on an empty socket) register an
   *auto-removing* entry whose callback wakes the sleeping process;
-* ``poll``-style waits register *persistent* entries ("poll table
-  entries" in Linux) on many queues at once; the caller removes them all
-  when the poll completes.
+* ``poll()`` and ``select()`` keep one :class:`PollEntry` per watched
+  file ("poll table entries" in Linux) registered across calls, owned
+  by the caller's poll table (:mod:`repro.core.poll_table`).  A poll
+  entry is *armed* while its owner's caller sleeps: it then wakes like
+  any entry, ordered as if it had been appended when its owner armed.
+  Disarmed, it wakes nothing and counts no wakeup; if its owner is
+  skipping the file as quiet, the owner still hears of the wake, which
+  is how the table learns that the file changed.
+
+Wake order is the order in which entries were added -- for a poll
+entry, the moment its owner armed.  Every added entry and every arming
+takes a stamp from one counter, and :meth:`WaitQueue.wake_all` sorts by
+those stamps only when more than one live entry sits on the queue.
 
 Section 6 of the paper singles out wait_queue manipulation as poll's
 expensive step -- the cost is charged by the poll implementations in
@@ -16,13 +26,20 @@ expensive step -- the cost is charged by the poll implementations in
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, List
 
 from ..sim.engine import Event, Simulator
 
+#: the next wake-order stamp: a plain entry takes one when it is added,
+#: a poll table when it arms
+next_stamp = itertools.count().__next__
+
 
 class WaitEntry:
-    __slots__ = ("queue", "callback", "autoremove", "active")
+    __slots__ = ("queue", "callback", "autoremove", "active", "stamp")
+    #: the poll table keeping the entry registered; None for a plain one
+    owner = None
 
     def __init__(self, queue: "WaitQueue", callback: Callable[..., None],
                  autoremove: bool):
@@ -30,6 +47,44 @@ class WaitEntry:
         self.callback = callback
         self.autoremove = autoremove
         self.active = True
+        self.stamp = next_stamp()
+
+
+class PollEntry(WaitEntry):
+    """One descriptor a poll table watches (one occurrence of it, for
+    poll's duplicates), registered on its file's wait queue while the
+    table is hooked.  A wake calls ``owner.notified(entry)``; the owner
+    counts as armed while ``owner.armed_at`` holds its arm stamp.
+
+    ``file`` is the resolved file or None, ``events`` the interest,
+    ``pos`` the result-order key, ``next`` the next entry on the fd
+    table's ``polled`` chain for ``fd``, and ``mark`` the scan that last
+    counted the file while the owner skips it as quiet and credits it
+    lazily (else None): only then must a disarmed entry's owner hear of
+    a wake.
+    """
+
+    __slots__ = ("owner", "fd", "events", "pos", "file", "mark", "next")
+
+    def __init__(self, owner, fd: int, events: int, pos: int):
+        self.owner = owner
+        self.fd = fd
+        self.events = events
+        self.pos = pos
+        self.file = None
+        self.mark = None
+        self.next = None
+        self.queue = None
+        self.active = False
+
+
+def _wake_stamp(entry: WaitEntry) -> int:
+    owner = entry.owner
+    if owner is None:
+        return entry.stamp
+    armed_at = owner.armed_at
+    # a disarmed poll entry wakes nothing; its owner just takes note
+    return -1 if armed_at is None else armed_at
 
 
 class WaitQueue:
@@ -45,6 +100,12 @@ class WaitQueue:
         self._entries.append(entry)
         return entry
 
+    def attach(self, entry: PollEntry) -> None:
+        """Register a poll table's entry; it stays until removed."""
+        entry.queue = self
+        entry.active = True
+        self._entries.append(entry)
+
     def remove(self, entry: WaitEntry) -> None:
         if entry.active:
             entry.active = False
@@ -53,14 +114,47 @@ class WaitQueue:
             except ValueError:  # pragma: no cover - defensive
                 pass
 
+    def poll_entries(self) -> List[PollEntry]:
+        """The poll tables' entries on this queue."""
+        return [e for e in self._entries if e.owner is not None]
+
+    def _wake_order(self) -> List[WaitEntry]:
+        """A snapshot of the entries, sorted by stamp when more than one
+        of them is live (a plain entry, or an armed poll entry)."""
+        entries = self._entries
+        live = 0
+        for entry in entries:
+            owner = entry.owner
+            if owner is None or owner.armed_at is not None:
+                live += 1
+        if live < 2:
+            return entries[:]
+        return sorted(entries, key=_wake_stamp)
+
     def wake_all(self, *args: Any) -> int:
         """Invoke every entry's callback; auto-removing entries detach first.
 
         Returns the number of entries woken.
         """
+        entries = self._entries
+        if len(entries) > 1:
+            entries = self._wake_order()
+        elif entries:
+            entries = entries[:]
+        else:
+            return 0
         woken = 0
-        for entry in list(self._entries):
+        for entry in entries:
             if not entry.active:
+                continue
+            owner = entry.owner
+            if owner is not None:
+                if owner.armed_at is not None:
+                    self.wakeups += 1
+                    woken += 1
+                elif entry.mark is None:
+                    continue
+                owner.notified(entry)
                 continue
             if entry.autoremove:
                 self.remove(entry)
@@ -71,14 +165,27 @@ class WaitQueue:
 
     def wake_one(self, *args: Any) -> bool:
         """Wake only the first waiter (the paper's section 6 suggests this
-        as a thundering-herd mitigation).  Returns True if one was woken."""
-        for entry in list(self._entries):
-            if entry.active:
-                if entry.autoremove:
-                    self.remove(entry)
+        as a thundering-herd mitigation).  Returns True if one was woken.
+
+        A disarmed poll entry is passed over: this is no ``notify()``,
+        so its file's readiness did not change."""
+        entries = self._entries
+        entries = self._wake_order() if len(entries) > 1 else entries[:]
+        for entry in entries:
+            if not entry.active:
+                continue
+            owner = entry.owner
+            if owner is not None:
+                if owner.armed_at is None:
+                    continue
                 self.wakeups += 1
-                entry.callback(*args)
+                owner.notified(entry)
                 return True
+            if entry.autoremove:
+                self.remove(entry)
+            self.wakeups += 1
+            entry.callback(*args)
+            return True
         return False
 
     # ------------------------------------------------------------------

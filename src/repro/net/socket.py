@@ -92,7 +92,7 @@ class SocketFile(File):
         """The callback, marking the socket quiet when it reads nothing
         but POLLOUT: the stack notifies every other bit's rise (a
         queued connection, data, FIN, RST), but not POLLOUT's."""
-        self.poll_callback_count += 1
+        self.settled_callbacks += 1
         mask = self.poll_mask()
         self.quiet = not mask & ~POLLOUT
         return mask

@@ -18,7 +18,10 @@ budget and says why.
 
 The ``smp_overload`` run then checks the end state a finished
 connection must reach: its endpoints are freed, and a TIME-WAIT entry
-holds no more than its port.  Each stack's TIME-WAIT FIFO must hold
+holds no more than its port.  It also checks what the select() callers'
+poll tables leave behind: every poll entry on a file belongs to a
+caller still parked in its wait, or to a table that still watches that
+file, and none sits on a closed file or off its fd table's chain.  Each stack's TIME-WAIT FIFO must hold
 every entry its counter saw enter, in calendar-key order, with the
 FIFO's one resident timer, and no other, pending under the head's key.
 
@@ -57,9 +60,38 @@ TRAJECTORY = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                           "BENCH_hostwork.json")
 
 
+def poll_entries_end_state(files):
+    """Problems with the poll entries left on ``files`` (see the module
+    docstring), and the tables holding them."""
+    problems = []
+    tables = set()
+    for file in files:
+        for entry in file.wait_queue.poll_entries():
+            table = entry.owner
+            tables.add(table)
+            where = f"{file.name} fd {entry.fd}"
+            if file.closed:
+                problems.append(f"{where}: entry on a closed file")
+            if entry.file is not file:
+                problems.append(f"{where}: entry resolved to another file")
+            if table.armed_at is not None and entry in table._stale:
+                continue  # its fd changed while its caller sleeps
+            watched = (table.by_fd.get(entry.fd) is entry
+                       if table.rset is not None else entry in table.entries)
+            if not watched:
+                problems.append(f"{where}: entry its table no longer watches")
+            chain = table.fdtable.polled.get(entry.fd)
+            while chain is not None and chain is not entry:
+                chain = chain.next
+            if chain is None or table.fdtable.lookup(entry.fd) is not file:
+                problems.append(f"{where}: entry off its fd table's chain")
+    return problems, tables
+
+
 def run_counted(name):
     """Run the golden point ``name`` once; returns its result, the
-    simulated callbacks and the host socket-mask evaluations."""
+    simulated callbacks, the host socket-mask evaluations and what
+    :func:`poll_entries_end_state` finds."""
     files = []
     masks = 0
     file_init = File.__init__
@@ -78,8 +110,10 @@ def run_counted(name):
         patch.setattr(File, "__init__", recording_init)
         patch.setattr(SocketFile, "poll_mask", counting_poll_mask)
         result = run_point(GOLDEN[name][0])
-    # summed here so that no list of every file outlives the run
-    return result, sum(f.poll_callback_count for f in files), masks
+    # summed and checked here so that no list of every file outlives
+    # the run
+    return (result, sum(f.poll_callback_count for f in files), masks,
+            poll_entries_end_state(files))
 
 
 def check_budget(name, simulated, masks):
@@ -97,13 +131,21 @@ def smp_overload():
 
 
 def test_smp_overload_host_work_within_budget(smp_overload):
-    check_budget("smp_overload", *smp_overload[1:])
+    check_budget("smp_overload", *smp_overload[1:3])
+
+
+def test_smp_overload_poll_tables_end_state(smp_overload):
+    problems, tables = smp_overload[3]
+    assert problems == []
+    # the four workers' kept tables, hooked
+    kept = [table for table in tables if table.keep]
+    assert len(kept) == 4 and all(table.hooked for table in kept)
 
 
 @pytest.mark.parametrize("name", ["overload_devpoll", "overload_epoll",
                                   "devpoll_nohints"])
 def test_ready_list_host_work_within_budget(name):
-    check_budget(name, *run_counted(name)[1:])
+    check_budget(name, *run_counted(name)[1:3])
 
 
 def test_smp_overload_frees_finished_connections(smp_overload):

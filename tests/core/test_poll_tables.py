@@ -1,0 +1,374 @@
+"""Poll tables kept across calls do exactly what per-call code did.
+
+``select()`` and ``poll()`` callers that keep a
+:class:`~repro.core.poll_table.PollTable` leave their wait-queue entries
+registered between sleeps, skip quiet files without touching them and
+credit their callbacks lazily, and learn of closed and reused
+descriptors from the fd table.  The property plays one random history
+twice on real sockets -- once with kept tables and one-shot polls, once
+with the per-call code every call ran before tables existed (kept
+below as the reference) -- and requires the same results, errors and
+``POLLNVAL``s, the same order of process resumes, and the same
+``poll_callback_count`` on every file.  Around the table callers run
+socket churn (connects, accepts, sends, reads, closes, so descriptors
+are closed and reused, during sleeps too), ``dup2`` over a watched
+descriptor, one-shot polls, blocking readers parked on socket wait
+queues, and a hints-off ``DP_POLL`` sleeper.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.devpoll import DevPollConfig
+from repro.core.poll_table import PollTable
+from repro.core.pollfd import DP_ALLOC, DP_POLL, DvPoll, PollFd
+from repro.core.select_syscall import FD_SETSIZE
+from repro.kernel.constants import (
+    EBADF,
+    EINVAL,
+    POLL_ALWAYS,
+    POLLERR,
+    POLLHUP,
+    POLLIN,
+    POLLNVAL,
+    POLLOUT,
+    SyscallError,
+)
+from repro.kernel.file import File
+from repro.sim.engine import Simulator
+from repro.sim.process import spawn, wait_with_timeout
+from repro.sim.resources import PRIO_USER
+
+from ..conftest import TwoHosts
+from ..net.churn import STEPS, SocketChurn
+
+# -- the reference: poll() and select() as every call ran them before
+# poll tables, one wait-queue entry per file per sleep --
+
+
+def sleep_on_files(sim, name, files, remaining):
+    wake = sim.event(name)
+
+    def on_wake(*_args):
+        if not wake.triggered:
+            wake.trigger(None)
+
+    entries = [file.wait_queue.add(on_wake, autoremove=False)
+               for file in files if file is not None and not file.closed]
+    try:
+        yield from wait_with_timeout(sim, wake, remaining)
+    finally:
+        for entry in entries:
+            entry.queue.remove(entry)
+
+
+def reference_poll(sys, interests, timeout):
+    task = sys.task
+    kernel = task.kernel
+    costs = kernel.costs
+    cpu = kernel.cpu
+    sim = kernel.sim
+    kernel.counters["sys.poll"] += 1
+    n = len(interests)
+    lookup = task.fdtable.lookup
+
+    def scan():
+        ready = []
+        for fd, events in interests:
+            file = lookup(fd)
+            if file is None or file.closed:
+                ready.append((fd, POLLNVAL))
+            elif file.quiet and not events & POLLOUT:
+                file.poll_callback_count += 1
+            else:
+                mask = file.driver_poll() & (events | POLL_ALWAYS)
+                if mask:
+                    ready.append((fd, mask))
+        return ready
+
+    scan_cost = costs.poll_driver_callback * n
+    scan_part = ("poll.scan", scan_cost, (("driver_callback", scan_cost),))
+    head = (kernel.fused.entry_part,
+            ("poll.copyin", costs.poll_copyin_per_fd * n, None))
+    stamps = []
+    yield cpu.consume_parts(head + kernel.under_bkl(scan_part), PRIO_USER,
+                            stamps=stamps)
+    deadline = None if timeout is None else stamps[len(head) - 1] + timeout
+    waitqueue_cost = costs.poll_waitqueue_per_fd * n
+    while True:
+        ready = scan()
+        if ready or timeout == 0:
+            yield cpu.consume_parts(
+                (("poll.copyout", costs.poll_copyout_per_ready * len(ready),
+                  None),), PRIO_USER)
+            return ready
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - sim.now
+            if remaining <= 0:
+                return []
+        if waitqueue_cost > 0:
+            yield cpu.consume(waitqueue_cost, PRIO_USER, "poll.waitqueue")
+        yield from sleep_on_files(
+            sim, "poll.wake", (lookup(fd) for fd, _events in interests),
+            remaining)
+        yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)
+
+
+def reference_select(sys, readfds, writefds, timeout):
+    task = sys.task
+    kernel = task.kernel
+    costs = kernel.costs
+    cpu = kernel.cpu
+    sim = kernel.sim
+    kernel.counters["sys.select"] += 1
+    rset = set(readfds)
+    wset = set(writefds)
+    watched = sorted(rset | wset)
+    if watched and not (0 <= watched[0] and watched[-1] < FD_SETSIZE):
+        raise SyscallError(EINVAL, "fd outside FD_SETSIZE")
+    maxfd = (watched[-1] + 1) if watched else 0
+    words = (maxfd + 31) // 32
+    lookup = task.fdtable.lookup
+
+    def scan():
+        readable, writable = [], []
+        for fd in watched:
+            file = lookup(fd)
+            if file is None or file.closed:
+                raise SyscallError(EBADF, f"select: fd {fd} not open")
+            if file.quiet and fd not in wset:
+                file.poll_callback_count += 1
+                continue
+            mask = file.driver_poll()
+            if fd in rset and mask & (POLLIN | POLLERR | POLLHUP):
+                readable.append(fd)
+            if fd in wset and mask & (POLLOUT | POLLERR):
+                writable.append(fd)
+        return readable, writable
+
+    bitmaps = ("select.bitmaps", 6 * words * costs.poll_copyin_per_fd, None)
+    scan_part = ("select.scan", costs.poll_driver_callback * len(watched),
+                 None)
+    head = (kernel.fused.entry_part, bitmaps)
+    stamps = []
+    yield cpu.consume_parts(head + kernel.under_bkl(scan_part), PRIO_USER,
+                            stamps=stamps)
+    deadline = None if timeout is None else stamps[len(head) - 1] + timeout
+    waitqueue_cost = costs.poll_waitqueue_per_fd * len(watched)
+    while True:
+        readable, writable = scan()
+        if readable or writable or timeout == 0:
+            yield cpu.consume_parts((bitmaps,), PRIO_USER)
+            return readable, writable
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - sim.now
+            if remaining <= 0:
+                return [], []
+        if waitqueue_cost > 0:
+            yield cpu.consume(waitqueue_cost, PRIO_USER, "select.waitqueue")
+        yield from sleep_on_files(sim, "select.wake", map(lookup, watched),
+                                  remaining)
+        yield cpu.consume_parts(kernel.under_bkl(scan_part), PRIO_USER)
+
+
+# -- the history --
+
+#: descriptors the callers watch: the listener and the connections,
+#: closed and reused as the churn goes, and one past them
+FDS = st.sampled_from((0, 1, 2, 3, 4) * 3 + (5, 6))
+EVENTS = st.sampled_from((POLLIN, POLLIN, POLLOUT, POLLIN | POLLOUT))
+TIMEOUTS = st.sampled_from((0, 0.001, 0.01, 0.05, None, None))
+GAPS = st.sampled_from((0.0, 0.0002, 0.001, 0.004))
+CALLS = st.tuples(GAPS, TIMEOUTS,
+                  st.lists(st.tuples(FDS, EVENTS), max_size=6),
+                  st.sets(FDS, max_size=5), st.sets(FDS, max_size=3))
+#: the client's sends wake the server's sockets
+SENDS = st.tuples(st.just("send"), st.just("client"),
+                  st.integers(min_value=0, max_value=7),
+                  st.integers(min_value=1, max_value=3000))
+HISTORY = st.fixed_dictionaries({
+    "churn": st.lists(st.tuples(
+        st.sampled_from((0.0005, 0.002, 0.005, 0.01)),
+        st.one_of(STEPS, SENDS, SENDS,
+                  st.tuples(st.just("dup2"), FDS, FDS))), max_size=40),
+    "select": st.lists(CALLS, max_size=10),
+    "poll": st.lists(CALLS, max_size=10),
+    "oneshot": st.lists(CALLS, max_size=12),
+    "readers": st.lists(st.tuples(GAPS, FDS), max_size=6),
+    "dp_poll": st.lists(st.tuples(GAPS, TIMEOUTS), max_size=6),
+})
+
+
+def play(history, kept):
+    """Run ``history`` on fresh sockets; ``kept`` runs the table
+    callers on kept tables and the one-shot polls through
+    ``SyscallInterface.poll``, else all of them on the reference.
+    Returns the log of every caller's resumes, in order, and every
+    file's callback count, in creation order."""
+    files = []
+    file_init = File.__init__
+
+    def recording_init(self, *args, **kwargs):
+        file_init(self, *args, **kwargs)
+        files.append(self)
+
+    File.__init__ = recording_init
+    try:
+        churn = SocketChurn(TwoHosts(Simulator()), connections=4, backlog=8)
+        log = run_callers(churn, history, kept)
+    finally:
+        File.__init__ = file_init
+    return log, [f.poll_callback_count for f in files]
+
+
+def run_callers(churn, history, kept):
+    sim = churn.sim
+    server = churn.server
+    fdtable = server.task.fdtable
+    log = []
+
+    def note(*what):
+        log.append((sim.now,) + what)
+
+    def caller(name, calls):
+        table = PollTable(server.task) if kept else None
+        for gap, timeout, interests, rset, wset in calls:
+            if gap:
+                yield gap
+            try:
+                if name == "select":
+                    if kept:
+                        result = yield from server.select(
+                            rset, wset, timeout, table=table)
+                    else:
+                        result = yield from reference_select(
+                            server, rset, wset, timeout)
+                elif kept:
+                    result = yield from server.poll(interests, timeout,
+                                                    table=table)
+                else:
+                    result = yield from reference_poll(server, interests,
+                                                       timeout)
+            except SyscallError as err:
+                result = ("errno", err.errno_code)
+            note(name, result)
+
+    def one_shot(gap, timeout, interests):
+        yield gap
+        if kept:
+            result = yield from server.poll(interests, timeout)
+        else:
+            result = yield from reference_poll(server, interests, timeout)
+        note("oneshot", result)
+
+    def reader(gap, fd):
+        yield gap
+        file = fdtable.lookup(fd)
+        if file is None:
+            return
+        yield file.wait_queue.wait_event()
+        note("reader", fd)
+
+    def dp_sleeper(polls):
+        dp_fd = yield from server.open_devpoll(DevPollConfig(use_hints=False))
+        yield from server.ioctl(dp_fd, DP_ALLOC, 16)
+        yield from server.mmap_devpoll(dp_fd)
+        fds = [fd for fd in sorted(fdtable._files) if fd != dp_fd]
+        yield from server.write(dp_fd, [PollFd(fd, POLLIN) for fd in fds])
+        for gap, timeout in polls:
+            if gap:
+                yield gap
+            result = yield from server.ioctl(
+                dp_fd, DP_POLL, DvPoll(dp_fds=None, dp_nfds=0,
+                                       dp_timeout=timeout))
+            note("dp_poll", [(p.fd, p.revents) for p in result])
+
+    def dup2(old, new):
+        try:
+            yield from server.dup2(old, new)
+        except SyscallError:
+            pass
+
+    def churner(steps):
+        for delay, step in steps:
+            yield delay
+            if step[0] == "dup2":
+                spawn(sim, dup2(step[1], step[2]), "dup2")
+            else:
+                churn.apply(step)
+
+    spawn(sim, dp_sleeper(history["dp_poll"]), "dp_poll")
+    for name in ("select", "poll"):
+        spawn(sim, caller(name, history[name]), name)
+    for gap, timeout, interests, _rset, _wset in history["oneshot"]:
+        spawn(sim, one_shot(gap, timeout, interests), "oneshot")
+    for gap, fd in history["readers"]:
+        spawn(sim, reader(gap, fd), "reader")
+    spawn(sim, churner(history["churn"]), "churn")
+    churn.run_for(0.3)
+    return log
+
+
+@given(history=HISTORY)
+@settings(max_examples=100, deadline=None)
+def test_kept_tables_match_the_per_call_reference(history):
+    kept = play(history, kept=True)
+    reference = play(history, kept=False)
+    assert kept[0] == reference[0]
+    assert kept[1] == reference[1]
+
+
+def test_a_select_sleeper_sees_its_descriptor_closed_and_reused():
+    """A select() asleep on a kept table while another process closes a
+    watched descriptor keeps its entry on the old file until it wakes,
+    then fails with ``EBADF``; once the descriptor names a new socket,
+    the table watches that one."""
+    churn = SocketChurn(TwoHosts(Simulator()), connections=2, backlog=4)
+    sim = churn.sim
+    server = churn.server
+    fdtable = server.task.fdtable
+    table = PollTable(server.task)
+    first, second = churn.connection_fds("server")
+    reused = sim.event("reused")
+    out = []
+
+    def select(timeout):
+        try:
+            result = yield from server.select({first, second}, set(),
+                                              timeout, table=table)
+        except SyscallError as err:
+            result = err.errno_code
+        out.append(result)
+
+    def body():
+        yield from select(None)
+        yield reused
+        yield from select(0.05)
+
+    spawn(sim, body(), "select")
+    churn.run_for(0.01)
+    assert table.armed_at is not None
+    old = fdtable.get(second)
+    spawn(sim, server.close(second), "close")
+    churn.run_for(0.001)
+    assert old.closed and not out
+    # the sleeper's entry stays on the closed file while it sleeps
+    assert [e.fd for e in old.wait_queue.poll_entries()] == [second]
+    churn.apply(("send", "client", 0, 10))
+    churn.run_for(0.05)
+    assert out == [EBADF]
+    assert not old.wait_queue.poll_entries()
+    assert second not in fdtable.polled
+    # reuse: the next accept takes the lowest free fd, ``second``
+    churn.apply(("connect", "client", 0, 1))
+    churn.run_for(0.01)
+    churn.apply(("accept", "server", 0, 1))
+    churn.run_for(0.01)
+    new = fdtable.get(second)
+    assert new is not old
+    reused.trigger(None)
+    churn.run_for(0.1)
+    assert out[1] == ([first], [])
+    assert [e.fd for e in new.wait_queue.poll_entries()] == [second]

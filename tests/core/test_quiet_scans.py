@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.devpoll import DevPollConfig
+from repro.core.poll_table import PollTable
 from repro.core.pollfd import DP_ALLOC, DP_POLL, DvPoll, PollFd
 from repro.kernel.constants import (
     POLL_ALWAYS,
@@ -27,6 +28,7 @@ from repro.kernel.constants import (
     POLLREMOVE,
 )
 from repro.kernel.costs import CostModel
+from repro.kernel.waitqueue import WaitQueue
 from repro.net.socket import SocketFile
 from repro.sim.engine import Simulator
 from repro.sim.process import spawn
@@ -168,7 +170,10 @@ def test_scans_match_a_reference_that_evaluates_every_descriptor(data):
 def test_second_scan_evaluates_only_what_changed(scan, monkeypatch):
     """200 idle sockets and one active one: the second scan makes at
     most two socket callbacks on the host, but counts (and charges) one
-    for every socket."""
+    for every socket.  For select() and poll() with a kept poll table,
+    a second sleep over the same sockets adds and removes no wait-queue
+    entry and looks up no descriptor, and its two scans make at most
+    two socket callbacks."""
     churn = SocketChurn(TwoHosts(Simulator()), connections=201, backlog=256)
     server = churn.server
     fds = churn.connection_fds("server")
@@ -207,3 +212,46 @@ def test_second_scan_evaluates_only_what_changed(scan, monkeypatch):
     assert masks <= 2
     assert [sock.poll_callback_count for sock in sockets] == [
         count + 1 for count in before]
+    if scan == "dp_poll":
+        return
+    churn.apply(("read", "server", 0, 100))  # idle again
+    churn.run_for(0.01)
+    table = PollTable(server.task)
+    if scan == "select":
+        def sleep():
+            return server.select(set(fds), set(), None, table=table)
+    else:
+        interests = [(fd, POLLIN) for fd in fds]
+
+        def sleep():
+            return server.poll(interests, None, table=table)
+    def counting(calls, name, method):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    for _sleep in range(2):
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("add", "attach", "remove"):
+                patch.setattr(WaitQueue, name,
+                              counting(calls, name, getattr(WaitQueue, name)))
+            fdtable = server.task.fdtable
+            patch.setattr(fdtable, "lookup",
+                          counting(calls, "lookup", fdtable.lookup))
+            masks = 0
+            before = [sock.poll_callback_count for sock in sockets]
+            spawn(churn.sim, sleep(), "sleep")
+            churn.run_for(0.01)
+            assert table.armed_at is not None  # asleep
+            churn.apply(("send", "client", 1, 100))
+            churn.run_for(0.01)
+            # the socket read since the last scan, and the one woken
+            assert table.armed_at is None and masks <= 2
+            assert [sock.poll_callback_count for sock in sockets] == [
+                count + 2 for count in before]
+        churn.apply(("read", "server", 1, 100))
+        churn.run_for(0.01)
+    # the second sleep: the first hooked every socket
+    assert calls == Counter(), calls

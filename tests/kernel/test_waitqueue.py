@@ -1,6 +1,6 @@
 """Unit tests for kernel wait queues."""
 
-from repro.kernel.waitqueue import WaitQueue
+from repro.kernel.waitqueue import PollEntry, WaitQueue, next_stamp
 from repro.sim.engine import Simulator
 from repro.sim.process import spawn
 
@@ -113,3 +113,51 @@ def test_entry_added_during_wake_not_invoked_in_same_wake():
     assert got == ["outer"]
     wq.wake_all()
     assert got == ["outer", "inner"]
+
+
+class Owner:
+    """A stand-in poll table: armed while ``armed_at`` holds a stamp."""
+
+    armed_at = None
+
+    def __init__(self, log):
+        self.log = log
+
+    def notified(self, entry):
+        self.log.append(("table", entry.fd))
+
+
+def test_armed_poll_entry_wakes_in_arm_order():
+    """A poll entry registered before a plain one wakes after it when its
+    table armed after the plain entry was added, and counts no wakeup
+    while disarmed."""
+    wq = WaitQueue(Simulator())
+    got = []
+    owner = Owner(got)
+    entry = PollEntry(owner, 7, 0, 7)
+    wq.attach(entry)
+    wq.add(lambda *a: got.append("plain"), autoremove=False)
+    assert wq.wake_all() == 1  # disarmed, and not skipping its file
+    assert got == ["plain"] and wq.wakeups == 1
+    owner.armed_at = next_stamp()
+    assert wq.wake_all() == 2
+    assert got == ["plain", "plain", ("table", 7)]
+    late = wq.add(lambda *a: got.append("late"), autoremove=False)
+    del got[:]
+    wq.wake_all()
+    assert got == ["plain", ("table", 7), "late"]
+    wq.remove(late)
+    assert wq.wake_one() is True
+    assert got[-1] == "plain"
+
+
+def test_disarmed_poll_entry_tells_a_table_skipping_its_file():
+    wq = WaitQueue(Simulator())
+    got = []
+    entry = PollEntry(Owner(got), 3, 0, 3)
+    wq.attach(entry)
+    entry.mark = 0  # its table skips the file as quiet
+    assert wq.wake_all() == 0 and wq.wakeups == 0
+    assert got == [("table", 3)]
+    assert wq.wake_one() is False  # no notify: nothing to tell
+    assert got == [("table", 3)]

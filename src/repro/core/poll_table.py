@@ -51,7 +51,8 @@ A table that is not hooked -- a one-shot caller's, or a kept one whose
 caller has not slept yet -- scans every watched descriptor as the
 per-call code always did, looking each one up.  A one-shot table hooks
 when its caller sleeps and unhooks when it resumes, so its entries live
-exactly as long as the per-sleep entries it replaces.
+exactly as long as the per-sleep entries it replaces; it never scans
+while hooked, so it keeps no ``due`` and credits nothing lazily.
 """
 
 from __future__ import annotations
@@ -78,32 +79,36 @@ class PollTable:
     calls when ``keep`` is true (see the module docstring).  A one-shot
     poll() table may be built watching its call's ``interests``."""
 
+    __slots__ = ("fdtable", "keep", "interests", "rset", "wset", "watched",
+                 "nwatched", "maxfd", "hooked", "entries", "by_fd", "due",
+                 "scans", "armed_at", "wake", "_stale")
+
     def __init__(self, task, keep: bool = True,
                  interests: Optional[List[Tuple[int, int]]] = None):
         self.fdtable = task.fdtable
         self.keep = keep
         #: poll: the interest list of the last call
         self.interests = interests
-        #: select: the read and write sets of the last call, their union
-        #: (sorted when a scan needs it), its size and highest fd
+        #: select: the read and write sets of the last call, their
+        #: union, its size and highest fd
         self.rset: Optional[Set[int]] = None
         self.wset: Optional[Set[int]] = None
-        self.watched: Set[int] = set()
-        self._ascending: Optional[List[int]] = None
+        self.watched: Optional[Set[int]] = None
         self.nwatched = 0
         self.maxfd = -1
-        #: hooked: poll's entries in interest order; select's by fd
-        self.entries: List[PollEntry] = []
-        self.by_fd: Dict[int, PollEntry] = {}
+        # hooked only (None otherwise, so a one-shot call that does not
+        # sleep builds none of them): poll's entries in interest order,
+        # select's by fd, and the entries the next scan evaluates
         self.hooked = False
-        #: the entries the next scan evaluates (see the module docstring)
-        self.due: Dict[PollEntry, None] = {}
+        self.entries: Optional[List[PollEntry]] = None
+        self.by_fd: Optional[Dict[int, PollEntry]] = None
+        self.due: Optional[Dict[PollEntry, None]] = None
         self.scans = 0
         #: the arm stamp while the caller sleeps, else None
         self.armed_at: Optional[int] = None
         self.wake = None
         #: entries whose descriptor changed while the caller slept
-        self._stale: List[PollEntry] = []
+        self._stale: Optional[List[PollEntry]] = None
 
     # ------------------------------------------------------------------
     # what the caller watches
@@ -161,7 +166,6 @@ class PollTable:
                     | (POLLOUT if fd in wset else 0), fd)
                 due[entry] = None
         self.rset, self.wset, self.watched = rset, wset, watched
-        self._ascending = None
         self.nwatched = len(watched)
         self.maxfd = high
 
@@ -272,9 +276,7 @@ class PollTable:
         ready = []
         lookup = self.fdtable.lookup
         rset, wset = self.rset, self.wset
-        if self._ascending is None:
-            self._ascending = sorted(self.watched)
-        for fd in self._ascending:
+        for fd in sorted(self.watched):
             file = lookup(fd)
             if file is None or file.closed:
                 raise SyscallError(EBADF, f"select: fd {fd} not open")
@@ -315,8 +317,12 @@ class PollTable:
                     if file is not None and not file.closed:
                         self._hook(entry, file)
         else:
+            # a one-shot table never scans while hooked, so it keeps no
+            # ``due`` and credits nothing lazily
+            keep = self.keep
             polled = self.fdtable.polled
             scans = self.scans
+            self.due = due = {} if keep else None
             if self.rset is None:
                 watched = [(fd, events, pos) for pos, (fd, events)
                            in enumerate(self.interests)]
@@ -330,16 +336,17 @@ class PollTable:
                 entry = PollEntry(self, fd, events, pos)
                 entries.append(entry)
                 file = lookup(fd)
-                if file is None or file.closed:
-                    due[entry] = None
-                    continue
-                entry.file = file
-                file.wait_queue.attach(entry)
-                entry.next = polled.get(fd)
-                polled[fd] = entry
-                if file.quiet and not events & POLLOUT:
-                    entry.mark = scans  # the scan just made counted it
-                else:
+                if file is not None and not file.closed:
+                    entry.file = file
+                    file.wait_queue.attach(entry)
+                    entry.next = polled.get(fd)
+                    polled[fd] = entry
+                    if not keep:
+                        continue
+                    if file.quiet and not events & POLLOUT:
+                        entry.mark = scans  # the scan just made counted it
+                        continue
+                if keep:
                     due[entry] = None
             if self.rset is None:
                 self.entries = entries
@@ -358,21 +365,18 @@ class PollTable:
         self.armed_at = None
         self.wake = None
         if self._stale:
-            stale, self._stale = self._stale, []
+            stale, self._stale = self._stale, None
             for entry in stale:
                 self._detach(entry)
-                self.due[entry] = None
+                if self.keep:
+                    self.due[entry] = None
         if self.keep:
             return
         polled = self.fdtable.polled
-        scans = self.scans
         for entry in (self.entries if self.rset is None
                       else self.by_fd.values()):
-            file = entry.file
-            if file is None:
+            if entry.file is None:
                 continue
-            if entry.mark is not None:
-                file.settled_callbacks += scans - entry.mark
             entry.queue.remove(entry)
             fd = entry.fd
             head = polled[fd]
@@ -385,9 +389,7 @@ class PollTable:
                 while head.next is not entry:
                     head = head.next
                 head.next = entry.next
-        self.entries = []
-        self.by_fd = {}
-        self.due = {}
+        self.entries = self.by_fd = self.due = None
         self.hooked = False
 
     # ------------------------------------------------------------------
@@ -410,6 +412,8 @@ class PollTable:
         inlined) and the next scan looks the descriptor up again."""
         if self.armed_at is not None:
             # the sleeping caller keeps its entry until it resumes
+            if self._stale is None:
+                self._stale = []
             self._stale.append(entry)
             return
         if entry.mark is not None:

@@ -36,8 +36,15 @@ from ..sim.engine import Event, Simulator
 next_stamp = itertools.count().__next__
 
 
-class WaitEntry:
-    __slots__ = ("queue", "callback", "autoremove", "active", "stamp")
+class _Entry:
+    """What a wait queue needs of every entry: its queue while it is
+    registered, and whether it is."""
+
+    __slots__ = ("queue", "active")
+
+
+class WaitEntry(_Entry):
+    __slots__ = ("callback", "autoremove", "stamp")
     #: the poll table keeping the entry registered; None for a plain one
     owner = None
 
@@ -50,7 +57,7 @@ class WaitEntry:
         self.stamp = next_stamp()
 
 
-class PollEntry(WaitEntry):
+class PollEntry(_Entry):
     """One descriptor a poll table watches (one occurrence of it, for
     poll's duplicates), registered on its file's wait queue while the
     table is hooked.  A wake calls ``owner.notified(entry)``; the owner
@@ -78,7 +85,7 @@ class PollEntry(WaitEntry):
         self.active = False
 
 
-def _wake_stamp(entry: WaitEntry) -> int:
+def _wake_stamp(entry: _Entry) -> int:
     owner = entry.owner
     if owner is None:
         return entry.stamp
@@ -91,7 +98,7 @@ class WaitQueue:
     def __init__(self, sim: Simulator, name: str = "wq"):
         self.sim = sim
         self.name = name
-        self._entries: List[WaitEntry] = []
+        self._entries: List[_Entry] = []
         self.wakeups = 0
 
     # ------------------------------------------------------------------
@@ -106,7 +113,7 @@ class WaitQueue:
         entry.active = True
         self._entries.append(entry)
 
-    def remove(self, entry: WaitEntry) -> None:
+    def remove(self, entry: _Entry) -> None:
         if entry.active:
             entry.active = False
             try:
@@ -118,7 +125,7 @@ class WaitQueue:
         """The poll tables' entries on this queue."""
         return [e for e in self._entries if e.owner is not None]
 
-    def _wake_order(self) -> List[WaitEntry]:
+    def _wake_order(self) -> List[_Entry]:
         """A snapshot of the entries, sorted by stamp when more than one
         of them is live (a plain entry, or an armed poll entry)."""
         entries = self._entries

@@ -74,7 +74,7 @@ def poll_entries_end_state(files):
                 problems.append(f"{where}: entry on a closed file")
             if entry.file is not file:
                 problems.append(f"{where}: entry resolved to another file")
-            if table.armed_at is not None and entry in table._stale:
+            if table.armed_at is not None and entry in (table._stale or ()):
                 continue  # its fd changed while its caller sleeps
             watched = (table.by_fd.get(entry.fd) is entry
                        if table.rset is not None else entry in table.entries)

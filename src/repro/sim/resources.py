@@ -441,20 +441,21 @@ class CPU:
                 # nothing else due now: no ready entry pending, no live
                 # hot entry at ``now`` (far timers are always due after it)
                 sim = self.sim
-                if sim._ready_head >= len(sim._ready):
-                    heap = sim._heap
-                    now = sim.now
-                    if not heap or heap[0][0] > now:
-                        resume = done
-                    else:
-                        while heap[0][2].cancelled:
-                            _heappop(heap)
-                            sim._cancelled_pending -= 1
-                            if not heap or heap[0][0] > now:
-                                resume = done
-                                break
-                if resume is None:
+                heap = sim._heap
+                if sim._ready_head < len(sim._ready):
                     sim._call_soon_unref(Process._resume, (done, None, None))
+                elif not heap or heap[0][0] > sim.now:
+                    resume = done
+                else:
+                    while heap[0][2].cancelled:
+                        _heappop(heap)
+                        sim._cancelled_pending -= 1
+                        if not heap or heap[0][0] > sim.now:
+                            resume = done
+                            break
+                    else:
+                        sim._call_soon_unref(Process._resume,
+                                             (done, None, None))
         if self._q_softirq or self._q_user:
             self._dispatch()
         else:

@@ -18,9 +18,8 @@ Each entry keeps the calendar key ``(expiry, seq)`` that a timer of its
 own would have had, so each expiry fires as one engine event at the
 place, and in the order among ties, that a timer per entry would.  The
 calendar's shape differs (one entry, not one per port), which moves
-when a crowded hot heap is compacted; docs/performance.md ("Where the
-event count can move") says when that can change the engine's event
-count.
+when a crowded hot heap is compacted; no event moves with it
+(docs/performance.md, "Where the event count could move").
 """
 
 from __future__ import annotations

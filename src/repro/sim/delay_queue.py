@@ -33,8 +33,8 @@ class FixedDelayQueue:
     the tier the distance to the head picks, where a per-item timer stays
     in the tier its append picked until it migrates.  The heaps'
     lengths, and with them the moments compaction runs, can therefore
-    differ; docs/performance.md ("Where the event count can move") names
-    the one decision that can notice.
+    differ, which no engine event notices (docs/performance.md, "Where
+    the event count could move").
     """
 
     __slots__ = ("sim", "delay", "fn", "entries", "_timer")

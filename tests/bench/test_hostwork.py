@@ -2,9 +2,10 @@
 
 Host seconds on a shared machine are noisy; call counts repeat exactly.
 This test runs the golden ``smp_overload`` point (select() on 4 CPUs x 4
-workers, past the knee, 128 idle connections) and three golden points
-that scan a hinted ready list -- ``overload_devpoll``, ``overload_epoll``
-and ``devpoll_nohints`` -- once each and counts
+workers, past the knee, 128 idle connections), two golden points whose
+server keeps a poll() table -- ``rtsig_overflow`` and ``poll`` -- and
+three golden points that scan a hinted ready list -- ``overload_devpoll``,
+``overload_epoll`` and ``devpoll_nohints`` -- once each and counts
 
 * the simulated driver poll callbacks: the sum of every file's
   ``poll_callback_count``, which the simulated scan cost is made of;
@@ -18,10 +19,11 @@ budget and says why.
 
 The ``smp_overload`` run then checks the end state a finished
 connection must reach: its endpoints are freed, and a TIME-WAIT entry
-holds no more than its port.  It also checks what the select() callers'
-poll tables leave behind: every poll entry on a file belongs to a
-caller still parked in its wait, or to a table that still watches that
-file, and none sits on a closed file or off its fd table's chain.  Each stack's TIME-WAIT FIFO must hold
+holds no more than its port.  It, ``rtsig_overflow`` and ``poll`` also
+check what the select() and poll() callers' poll tables leave behind:
+every poll entry on a file belongs to a caller still parked in its
+wait, or to a table that still watches that file, and none sits on a
+closed file or off its fd table's chain.  Each stack's TIME-WAIT FIFO must hold
 every entry its counter saw enter, in calendar-key order, with the
 FIFO's one resident timer, and no other, pending under the head's key.
 
@@ -140,6 +142,17 @@ def test_smp_overload_poll_tables_end_state(smp_overload):
     # the four workers' kept tables, hooked
     kept = [table for table in tables if table.keep]
     assert len(kept) == 4 and all(table.hooked for table in kept)
+
+
+@pytest.mark.parametrize("name", ["rtsig_overflow", "poll"])
+def test_poll_table_host_work_and_end_state(name):
+    """Kept poll() tables: phhttpd's poll sibling keeps one through an
+    RT-signal overflow (``rtsig_overflow``), thttpd's loop on poll()
+    keeps one (``poll``)."""
+    _result, simulated, masks, (problems, tables) = run_counted(name)
+    check_budget(name, simulated, masks)
+    assert problems == []
+    assert len([table for table in tables if table.keep]) == 1
 
 
 @pytest.mark.parametrize("name", ["overload_devpoll", "overload_epoll",

@@ -16,7 +16,7 @@ descriptor, one-shot polls, blocking readers parked on socket wait
 queues, and a hints-off ``DP_POLL`` sleeper.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.devpoll import DevPollConfig
@@ -280,9 +280,14 @@ def run_callers(churn, history, kept):
         for gap, timeout in polls:
             if gap:
                 yield gap
-            result = yield from server.ioctl(
-                dp_fd, DP_POLL, DvPoll(dp_fds=None, dp_nfds=0,
-                                       dp_timeout=timeout))
+            try:
+                result = yield from server.ioctl(
+                    dp_fd, DP_POLL, DvPoll(dp_fds=None, dp_nfds=0,
+                                           dp_timeout=timeout))
+            except SyscallError as err:
+                # the churn's dup2 put a socket over the /dev/poll fd
+                note("dp_poll", ("errno", err.errno_code))
+                return
             note("dp_poll", [(p.fd, p.revents) for p in result])
 
     def dup2(old, new):
@@ -313,6 +318,10 @@ def run_callers(churn, history, kept):
 
 @given(history=HISTORY)
 @settings(max_examples=100, deadline=None)
+# a dup2 over the DP_POLL sleeper's /dev/poll descriptor
+@example(history={"churn": [(0.0005, ("dup2", 0, 5))], "select": [],
+                  "poll": [], "oneshot": [], "readers": [],
+                  "dp_poll": [(0.001, 0)]})
 def test_kept_tables_match_the_per_call_reference(history):
     kept = play(history, kept=True)
     reference = play(history, kept=False)

@@ -83,7 +83,7 @@ def sys_poll(task: Task, interests: Sequence[Tuple[int, int]],
     waitqueue_cost = costs.poll_waitqueue_per_fd * n
 
     while True:
-        ready = table.scan_due() if table.hooked else table.scan_list()
+        ready = table.scan()
         if kernel.tracer.enabled:
             kernel.trace("poll", f"scan n={n} ready={len(ready)}")
         if ready or timeout == 0:

@@ -9,56 +9,58 @@ The simulator still charges select's and poll's O(n) work in simulated
 time (:mod:`repro.core.select_syscall`, :mod:`repro.core.poll_syscall`);
 a :class:`PollTable` applies the fix to the host work behind it.  The
 ``poll`` and ``select`` event backends keep one table per server
-process, so a call costs the host O(descriptors changed + descriptors
-not quiet) rather than O(watched); any other caller gets a table that
-lives for one call.
+process (``keep``), so a call costs the host O(descriptors changed +
+descriptors not quiet) rather than O(watched); any other caller gets a
+table that lives for one call.  Both kinds run one path:
 
-A table keeps:
-
-* what the caller watches: poll's interest list, or select's read and
-  write sets with the watched count and the highest fd.  Each call
-  compares the caller's with them (a C-level comparison) and updates
-  only what differs: select the descriptors that joined, left or
-  changed interest; poll re-matches its list by descriptor.
-* once its caller has slept (the table is *hooked*), one
-  :class:`~repro.kernel.waitqueue.PollEntry` per watched descriptor (per
-  occurrence, for poll's duplicates), resolved to its file and kept on
-  that file's wait queue.  :meth:`arm` arms them all at once with one
-  stamp, so a wake orders them as if appended then, and :meth:`disarm`
-  disarms them; disarmed they wake nothing, but a notified file still
-  tells the table (:meth:`notified`).
-* ``due``: the entries the next scan evaluates -- every entry whose file
-  is not ``quiet`` (see :mod:`repro.kernel.file`), every entry asking
-  for ``POLLOUT``, every closed or unopened descriptor.  An entry leaves
-  ``due`` when a scan reads its file quiet and rejoins when ``notify()``
-  clears the bit.  A hooked scan evaluates ``due`` in result order
-  (ascending fd for select; interest order for poll) and skips every
-  other entry, as the quiet skip always has.
-* the callback count.  Every scan counts one callback on every watched
-  open file; an entry outside ``due`` notes the scan that last counted
-  it (``mark``) and the scans since are credited to its file when it
-  rejoins ``due``, leaves the table, or the count is read
+* *Built* when the table learns what its caller watches: a one-shot
+  poll() table at construction, any other by :meth:`watch_list` (poll's
+  interest list, re-matched by descriptor) or :meth:`watch_sets`
+  (select's read and write sets, updated by difference, with the
+  watched count and the highest fd).  A kept table compares each call's
+  list or sets with its own (a C-level comparison) and changes only
+  what differs.  There is one
+  :class:`~repro.kernel.waitqueue.PollEntry` per watched descriptor
+  (per occurrence, for poll's duplicates); a new one is unhooked and
+  sits in ``due``, the entries the next scan evaluates.
+* *Scanned*: :meth:`scan` evaluates ``due`` in result order (ascending
+  fd for select; interest order for poll).  An unhooked entry's
+  descriptor is looked up: closed or unopened, it reports ``POLLNVAL``
+  to poll and fails select with ``EBADF``.  A one-shot table evaluates
+  every entry in place and counts a quiet file (see
+  :mod:`repro.kernel.file`) at once.
+* *Hooked*: a kept table hooks an entry at the scan that finds its
+  descriptor open -- registers it on the file's wait queue and links it
+  on the fd table's ``polled`` chain -- and leaves it there across
+  calls.  A scan that reads its file quiet, asked nothing of
+  ``POLLOUT``, drops it from ``due`` and notes the scan (``mark``);
+  ``notify()``, clearing the bit, puts it back (:meth:`notified`).
+  Every scan counts one callback on every watched open file, so the
+  scans that skipped a file are credited to it when its entry rejoins
+  ``due``, leaves its file, or the count is read
   (:attr:`repro.kernel.file.File.poll_callback_count`).  A select()
   that fails on a closed descriptor counted only the files before it,
   so such a scan takes its credit back from the entries after it.
-* descriptor changes.  A hooked entry is linked on its fd table's
-  ``polled`` chain; closing its descriptor, or installing another file
-  over it, calls :meth:`fd_closed`, and the entry leaves its file --
-  at once, or when its caller resumes if it sleeps, as a per-sleep
-  entry did -- and is looked up again by the next scan.
+* *Armed*: :meth:`arm` hooks every unhooked entry in ``due`` whose
+  descriptor is open (looked up then, as the per-sleep registration
+  did) and arms them all with one stamp, so a wake orders them as if
+  appended then; :meth:`disarm` disarms them.  Disarmed, they wake
+  nothing, but a notified file still tells a table that skips it.
+* *Unhooked* when the table stops watching the descriptor, or when it
+  is closed or given another file (the fd table calls
+  :meth:`fd_closed`) -- at once, or when the caller resumes if it
+  sleeps, as a per-sleep entry did -- and the next scan looks it up
+  again.  A one-shot table's entries are unhooked by :meth:`disarm`, so
+  they live exactly as long as the per-sleep entries they replace.
 
-A table that is not hooked -- a one-shot caller's, or a kept one whose
-caller has not slept yet -- scans every watched descriptor as the
-per-call code always did, looking each one up.  A one-shot table hooks
-when its caller sleeps and unhooks when it resumes, so its entries live
-exactly as long as the per-sleep entries it replaces; it never scans
-while hooked, so it keeps no ``due`` and credits nothing lazily.
+An entry names its table (``owner``) only while it is hooked, so a
+one-shot call that never sleeps leaves no table-entry cycle behind.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..kernel.constants import (
     EBADF,
@@ -72,37 +74,36 @@ from ..kernel.constants import (
 from ..kernel.waitqueue import PollEntry, next_stamp
 
 _POS = attrgetter("pos")
+_EMPTY = frozenset()
 
 
 class PollTable:
     """One select()/poll() caller's watched descriptors, kept across
     calls when ``keep`` is true (see the module docstring).  A one-shot
-    poll() table may be built watching its call's ``interests``."""
+    poll() table is built watching its call's ``interests``."""
 
-    __slots__ = ("fdtable", "keep", "interests", "rset", "wset", "watched",
-                 "nwatched", "maxfd", "hooked", "entries", "by_fd", "due",
-                 "scans", "armed_at", "wake", "_stale")
+    __slots__ = ("fdtable", "keep", "interests", "entries", "rset", "wset",
+                 "watched", "nwatched", "maxfd", "by_fd", "due", "scans",
+                 "armed_at", "wake", "_stale")
 
     def __init__(self, task, keep: bool = True,
                  interests: Optional[List[Tuple[int, int]]] = None):
         self.fdtable = task.fdtable
         self.keep = keep
-        #: poll: the interest list of the last call
+        #: poll: the interest list of the last call, and its entries in
+        #: interest order
         self.interests = interests
+        self.entries = ([] if interests is None else
+                        [PollEntry(fd, events, pos)
+                         for pos, (fd, events) in enumerate(interests)])
         #: select: the read and write sets of the last call, their
-        #: union, its size and highest fd
-        self.rset: Optional[Set[int]] = None
-        self.wset: Optional[Set[int]] = None
-        self.watched: Optional[Set[int]] = None
+        #: union, its size and highest fd, and the entries by fd
+        self.rset = self.wset = self.watched = _EMPTY
         self.nwatched = 0
         self.maxfd = -1
-        # hooked only (None otherwise, so a one-shot call that does not
-        # sleep builds none of them): poll's entries in interest order,
-        # select's by fd, and the entries the next scan evaluates
-        self.hooked = False
-        self.entries: Optional[List[PollEntry]] = None
-        self.by_fd: Optional[Dict[int, PollEntry]] = None
-        self.due: Optional[Dict[PollEntry, None]] = None
+        self.by_fd = {}
+        #: the entries the next scan evaluates
+        self.due = dict.fromkeys(self.entries)
         self.scans = 0
         #: the arm stamp while the caller sleeps, else None
         self.armed_at: Optional[int] = None
@@ -114,13 +115,34 @@ class PollTable:
     # what the caller watches
     # ------------------------------------------------------------------
     def watch_list(self, interests: Sequence[Tuple[int, int]]) -> None:
-        """poll(): watch ``interests``, ``[(fd, events), ...]``."""
+        """poll(): watch ``interests``, ``[(fd, events), ...]``; the
+        entries are re-matched to it by fd."""
         if interests == self.interests:
             return
-        interests = list(interests)
-        self.interests = interests
-        if self.hooked:
-            self._rematch(interests)
+        self.interests = interests = list(interests)
+        old = {}
+        for entry in self.entries:
+            old.setdefault(entry.fd, []).append(entry)
+        due = self.due
+        entries = []
+        for pos, (fd, events) in enumerate(interests):
+            same = old.get(fd)
+            if same:
+                entry = same.pop(0)
+                entry.pos = pos
+                entry.events = events
+                if events & POLLOUT and entry.mark is not None:
+                    self._settle(entry)
+            else:
+                entry = PollEntry(fd, events, pos)
+                due[entry] = None
+            entries.append(entry)
+        for same in old.values():
+            for entry in same:
+                if entry.file is not None:
+                    self._drop(entry)
+                del due[entry]
+        self.entries = entries
 
     def watch_sets(self, readfds: Iterable[int], writefds: Iterable[int],
                    limit: int) -> None:
@@ -139,157 +161,80 @@ class PollTable:
                 raise SyscallError(EINVAL, f"fd {bad} outside FD_SETSIZE")
         else:
             high = -1
-        if self.hooked:
-            # drop the fds that left, re-type those whose interest
-            # changed, add new ones unresolved (the next scan looks them
-            # up)
-            old = self.watched
-            by_fd = self.by_fd
-            due = self.due
-            for fd in old - watched:
-                entry = by_fd.pop(fd)
-                if entry.file is None:  # closed: already off its file
-                    due.pop(entry, None)
-                else:
-                    self._drop(entry)
-            for fd in ((rset ^ self.rset) | (wset ^ self.wset)) & old & watched:
-                entry = by_fd[fd]
-                events = entry.events = ((POLLIN if fd in rset else 0)
-                                         | (POLLOUT if fd in wset else 0))
-                if events & POLLOUT and entry.mark is not None:
-                    entry.file.settled_callbacks += self.scans - entry.mark
-                    entry.mark = None
-                    due[entry] = None
-            for fd in watched - old:
-                entry = by_fd[fd] = PollEntry(
-                    self, fd, (POLLIN if fd in rset else 0)
-                    | (POLLOUT if fd in wset else 0), fd)
-                due[entry] = None
+        old = self.watched
+        by_fd = self.by_fd
+        due = self.due
+        for fd in old - watched:
+            entry = by_fd.pop(fd)
+            if entry.file is not None:
+                self._drop(entry)
+            del due[entry]
+        for fd in ((rset ^ self.rset) | (wset ^ self.wset)) & old & watched:
+            entry = by_fd[fd]
+            entry.events = ((POLLIN if fd in rset else 0)
+                            | (POLLOUT if fd in wset else 0))
+            if fd in wset and entry.mark is not None:
+                self._settle(entry)
+        for fd in watched - old:
+            entry = by_fd[fd] = PollEntry(
+                fd, (POLLIN if fd in rset else 0)
+                | (POLLOUT if fd in wset else 0), fd)
+            due[entry] = None
         self.rset, self.wset, self.watched = rset, wset, watched
         self.nwatched = len(watched)
         self.maxfd = high
 
-    def _rematch(self, interests: List[Tuple[int, int]]) -> None:
-        """Re-match the hooked entries to poll's new list, by fd."""
-        old: Dict[int, List[PollEntry]] = {}
-        for entry in self.entries:
-            old.setdefault(entry.fd, []).append(entry)
-        due = self.due
-        entries = []
-        for pos, (fd, events) in enumerate(interests):
-            same = old.get(fd)
-            if same:
-                entry = same.pop(0)
-                entry.pos = pos
-                if events & POLLOUT and entry.mark is not None:
-                    entry.file.settled_callbacks += self.scans - entry.mark
-                    entry.mark = None
-                    due[entry] = None
-                entry.events = events
-            else:
-                entry = PollEntry(self, fd, events, pos)
-                due[entry] = None
-            entries.append(entry)
-        for same in old.values():
-            for entry in same:
-                self._drop(entry)
-        self.entries = entries
-
-    def _drop(self, entry: PollEntry) -> None:
-        """``entry`` is no longer watched."""
-        if entry.file is not None:
-            self._detach(entry)
-            self._unlink(entry)
-        self.due.pop(entry, None)
-
     # ------------------------------------------------------------------
     # scanning
     # ------------------------------------------------------------------
-    # Each scan returns the ready ``(fd, revents)`` pairs in result
-    # order, ``POLLNVAL`` for a closed or unopened descriptor, and counts
-    # one callback on every watched open file; for select() a closed
-    # descriptor raises ``EBADF`` and ends the count there.  A hooked
-    # table scans with scan_due(), an unhooked one with scan_list()
-    # (poll) or scan_sets() (select).
-
-    def scan_due(self) -> List[Tuple[int, int]]:
-        """A hooked scan: ``due`` only, in result order."""
+    def scan(self) -> List[Tuple[int, int]]:
+        """Evaluate ``due`` in result order: return the ready ``(fd,
+        revents)`` pairs, ``POLLNVAL`` for a closed or unopened
+        descriptor, and count one callback on every watched open file.
+        For select() a closed descriptor raises ``EBADF`` and ends the
+        count there."""
         self.scans += 1
         scans = self.scans
+        keep = self.keep
         due = self.due
+        lookup = self.fdtable.lookup
         ready = []
         for entry in sorted(due, key=_POS):
             file = entry.file
             if file is None:
                 fd = entry.fd
-                file = self.fdtable.lookup(fd)
+                file = lookup(fd)
                 if file is None or file.closed:
-                    if self.rset is not None:
+                    if self.interests is None:
                         self._uncount_after(fd)
                         raise SyscallError(EBADF, f"select: fd {fd} not open")
                     ready.append((fd, POLLNVAL))
                     continue
-                # _hook, inlined
-                entry.file = file
-                file.wait_queue.attach(entry)
-                polled = self.fdtable.polled
-                entry.next = polled.get(fd)
-                polled[fd] = entry
+                if keep:
+                    # hooked here, and in arm(), without a helper: a
+                    # kept table hooks every new connection here
+                    entry.file = file
+                    file.wait_queue.attach(entry, self)
+                    polled = self.fdtable.polled
+                    entry.next = polled.get(fd)
+                    polled[fd] = entry
             events = entry.events
             if events & POLLOUT:
                 revents = file.driver_poll() & (events | POLL_ALWAYS)
             elif file.quiet:
                 file.settled_callbacks += 1
-                entry.mark = scans
-                del due[entry]
+                if keep:
+                    entry.mark = scans
+                    del due[entry]
                 continue
             else:
                 revents = file.driver_poll() & (events | POLL_ALWAYS)
-                if file.quiet:
+                if keep and file.quiet:
                     entry.mark = scans
                     del due[entry]
                     continue
             if revents:
                 ready.append((entry.fd, revents))
-        return ready
-
-    def scan_list(self) -> List[Tuple[int, int]]:
-        """An unhooked poll() scan: every interest, in order."""
-        self.scans += 1
-        ready = []
-        lookup = self.fdtable.lookup
-        for fd, events in self.interests:
-            file = lookup(fd)
-            if file is None or file.closed:
-                ready.append((fd, POLLNVAL))
-            elif file.quiet and not events & POLLOUT:
-                file.settled_callbacks += 1
-            else:
-                mask = file.driver_poll() & (events | POLL_ALWAYS)
-                if mask:
-                    ready.append((fd, mask))
-        return ready
-
-    def scan_sets(self) -> List[Tuple[int, int]]:
-        """An unhooked select() scan: every watched fd, ascending."""
-        self.scans += 1
-        ready = []
-        lookup = self.fdtable.lookup
-        rset, wset = self.rset, self.wset
-        for fd in sorted(self.watched):
-            file = lookup(fd)
-            if file is None or file.closed:
-                raise SyscallError(EBADF, f"select: fd {fd} not open")
-            if fd in wset:
-                mask = file.driver_poll() & (
-                    (POLLIN if fd in rset else 0) | POLLOUT | POLL_ALWAYS)
-            elif file.quiet:
-                file.settled_callbacks += 1
-                continue
-            else:
-                mask = file.driver_poll() & (POLLIN | POLL_ALWAYS)
-            if mask:
-                ready.append((fd, mask))
         return ready
 
     def _uncount_after(self, fd: int) -> None:
@@ -303,56 +248,23 @@ class PollTable:
     # sleeping
     # ------------------------------------------------------------------
     def arm(self, sim, name: str):
-        """The caller is about to sleep: hook every watched open file
-        (looked up now, as the per-sleep registration did) or, once
-        hooked, the descriptors not resolved yet; arm; return the
-        event a notified file triggers.  (``_hook`` is inlined in the
-        first loop: a one-shot caller hooks on every sleep.)"""
+        """The caller is about to sleep: hook every unhooked entry in
+        ``due`` whose descriptor is open (looked up now, as the per-sleep
+        registration did), arm, and return the event a notified file
+        triggers.  Only a kept table links its entries on the fd table's
+        ``polled`` chain: a one-shot table unhooks them all on resume."""
         lookup = self.fdtable.lookup
-        due = self.due
-        if self.hooked:
-            for entry in due:
-                if entry.file is None:
-                    file = lookup(entry.fd)
-                    if file is not None and not file.closed:
-                        self._hook(entry, file)
-        else:
-            # a one-shot table never scans while hooked, so it keeps no
-            # ``due`` and credits nothing lazily
-            keep = self.keep
-            polled = self.fdtable.polled
-            scans = self.scans
-            self.due = due = {} if keep else None
-            if self.rset is None:
-                watched = [(fd, events, pos) for pos, (fd, events)
-                           in enumerate(self.interests)]
-            else:
-                rset, wset = self.rset, self.wset
-                watched = [(fd, (POLLIN if fd in rset else 0)
-                            | (POLLOUT if fd in wset else 0), fd)
-                           for fd in self.watched]
-            entries = []
-            for fd, events, pos in watched:
-                entry = PollEntry(self, fd, events, pos)
-                entries.append(entry)
-                file = lookup(fd)
+        polled = self.fdtable.polled if self.keep else None
+        for entry in self.due:
+            if entry.file is None:
+                file = lookup(entry.fd)
                 if file is not None and not file.closed:
+                    # the httperf client's poll() hooks here on every sleep
                     entry.file = file
-                    file.wait_queue.attach(entry)
-                    entry.next = polled.get(fd)
-                    polled[fd] = entry
-                    if not keep:
-                        continue
-                    if file.quiet and not events & POLLOUT:
-                        entry.mark = scans  # the scan just made counted it
-                        continue
-                if keep:
-                    due[entry] = None
-            if self.rset is None:
-                self.entries = entries
-            else:
-                self.by_fd = {entry.fd: entry for entry in entries}
-            self.hooked = True
+                    file.wait_queue.attach(entry, self)
+                    if polled is not None:
+                        entry.next = polled.get(entry.fd)
+                        polled[entry.fd] = entry
         self.armed_at = next_stamp()
         self.wake = wake = sim.event(name)
         return wake
@@ -360,37 +272,21 @@ class PollTable:
     def disarm(self) -> None:
         """The caller resumed: its entries wake nothing until it sleeps
         again.  Entries whose descriptor changed during the sleep leave
-        their files now; a one-shot table unhooks altogether (``_detach``
-        and ``_unlink`` inlined: it does so every sleep)."""
+        their files now, and a one-shot table's entries all do."""
         self.armed_at = None
         self.wake = None
-        if self._stale:
-            stale, self._stale = self._stale, None
-            for entry in stale:
-                self._detach(entry)
-                if self.keep:
-                    self.due[entry] = None
         if self.keep:
+            if self._stale:
+                stale, self._stale = self._stale, None
+                for entry in stale:
+                    self._detach(entry)
             return
-        polled = self.fdtable.polled
-        for entry in (self.entries if self.rset is None
-                      else self.by_fd.values()):
-            if entry.file is None:
-                continue
-            entry.queue.remove(entry)
-            fd = entry.fd
-            head = polled[fd]
-            if head is entry:
-                if entry.next is None:
-                    del polled[fd]
-                else:
-                    polled[fd] = entry.next
-            else:
-                while head.next is not entry:
-                    head = head.next
-                head.next = entry.next
-        self.entries = self.by_fd = self.due = None
-        self.hooked = False
+        # ``_detach`` inlined, less the credit a one-shot table never
+        # owes: the httperf client's poll() comes here on every sleep
+        for entry in self.due:
+            if entry.file is not None:
+                entry.queue.remove(entry)
+                entry.file = entry.owner = None
 
     # ------------------------------------------------------------------
     # hooks: wake-ups, descriptor changes, count reads
@@ -399,6 +295,8 @@ class PollTable:
         """``entry``'s file was notified (``notify()`` cleared its quiet
         bit): evaluate it at the next scan, and wake a sleeping caller."""
         if entry.mark is not None:
+            # ``_settle`` inlined: every wake of a file a kept table
+            # skips comes here
             entry.file.settled_callbacks += self.scans - entry.mark
             entry.mark = None
             self.due[entry] = None
@@ -408,44 +306,46 @@ class PollTable:
 
     def fd_closed(self, entry: PollEntry) -> None:
         """``entry``'s descriptor was closed or given another file (the
-        fd table has unlinked the entry): it leaves its file (``_detach``,
-        inlined) and the next scan looks the descriptor up again."""
+        fd table has unlinked the entry): it leaves its file, and the
+        next scan looks the descriptor up again."""
         if self.armed_at is not None:
             # the sleeping caller keeps its entry until it resumes
             if self._stale is None:
                 self._stale = []
             self._stale.append(entry)
             return
+        # ``_detach`` inlined: every close of a descriptor a kept table
+        # watches comes here
         if entry.mark is not None:
-            entry.file.settled_callbacks += self.scans - entry.mark
-            entry.mark = None
+            self._settle(entry)
         entry.queue.remove(entry)
-        entry.file = None
+        entry.file = entry.owner = None
         self.due[entry] = None
 
     def credit(self, entry: PollEntry) -> int:
         """Callbacks owed to ``entry``'s file for the scans that skipped it."""
         return 0 if entry.mark is None else self.scans - entry.mark
 
-    def _hook(self, entry: PollEntry, file) -> None:
-        """Resolve ``entry`` to ``file``: register it on the file's wait
-        queue and link it on the fd table's chain."""
-        entry.file = file
-        file.wait_queue.attach(entry)
-        polled = self.fdtable.polled
-        entry.next = polled.get(entry.fd)
-        polled[entry.fd] = entry
+    def _settle(self, entry: PollEntry) -> None:
+        """Credit ``entry``'s file with the scans that skipped it, and
+        evaluate it at the next scan."""
+        entry.file.settled_callbacks += self.scans - entry.mark
+        entry.mark = None
+        self.due[entry] = None
 
     def _detach(self, entry: PollEntry) -> None:
-        """Take ``entry`` off its file, crediting what it is owed."""
+        """Take ``entry`` off its file, crediting what it is owed; the
+        next scan looks its descriptor up again."""
         if entry.mark is not None:
-            entry.file.settled_callbacks += self.scans - entry.mark
-            entry.mark = None
+            self._settle(entry)
         entry.queue.remove(entry)
-        entry.file = None
+        entry.file = entry.owner = None
+        self.due[entry] = None
 
-    def _unlink(self, entry: PollEntry) -> None:
-        """Take ``entry`` off the fd table's chain for its descriptor."""
+    def _drop(self, entry: PollEntry) -> None:
+        """Unhook ``entry``, which the table no longer watches: take it
+        off its file and off the fd table's chain for its descriptor."""
+        self._detach(entry)
         polled = self.fdtable.polled
         fd = entry.fd
         head = polled[fd]

@@ -93,7 +93,7 @@ def sys_select(task: Task, readfds: Iterable[int], writefds: Iterable[int],
     waitqueue_cost = costs.poll_waitqueue_per_fd * nwatched
 
     while True:
-        ready = table.scan_due() if table.hooked else table.scan_sets()
+        ready = table.scan()
         rset, wset = table.rset, table.wset
         readable = [fd for fd, revents in ready
                     if revents & (POLLIN | POLLERR | POLLHUP) and fd in rset]

@@ -6,13 +6,14 @@ them:
 * blocking syscalls (``read`` on an empty socket) register an
   *auto-removing* entry whose callback wakes the sleeping process;
 * ``poll()`` and ``select()`` keep one :class:`PollEntry` per watched
-  file ("poll table entries" in Linux) registered across calls, owned
-  by the caller's poll table (:mod:`repro.core.poll_table`).  A poll
-  entry is *armed* while its owner's caller sleeps: it then wakes like
-  any entry, ordered as if it had been appended when its owner armed.
-  Disarmed, it wakes nothing and counts no wakeup; if its owner is
-  skipping the file as quiet, the owner still hears of the wake, which
-  is how the table learns that the file changed.
+  file ("poll table entries" in Linux) in the caller's poll table
+  (:mod:`repro.core.poll_table`), which may leave it registered across
+  calls.  A poll entry names its table (``owner``) only while it is on
+  a queue.  It is *armed* while its owner's caller sleeps: it then
+  wakes like any entry, ordered as if it had been appended when its
+  owner armed.  Disarmed, it wakes nothing and counts no wakeup; if its
+  owner is skipping the file as quiet, the owner still hears of the
+  wake, which is how the table learns that the file changed.
 
 Wake order is the order in which entries were added -- for a poll
 entry, the moment its owner armed.  Every added entry and every arming
@@ -59,22 +60,23 @@ class WaitEntry(_Entry):
 
 class PollEntry(_Entry):
     """One descriptor a poll table watches (one occurrence of it, for
-    poll's duplicates), registered on its file's wait queue while the
-    table is hooked.  A wake calls ``owner.notified(entry)``; the owner
-    counts as armed while ``owner.armed_at`` holds its arm stamp.
+    poll's duplicates).  While it is registered on its file's wait
+    queue (hooked), ``owner`` is the table and ``file`` the file;
+    otherwise both are None.  A wake calls ``owner.notified(entry)``;
+    the owner counts as armed while ``owner.armed_at`` holds its arm
+    stamp.
 
-    ``file`` is the resolved file or None, ``events`` the interest,
-    ``pos`` the result-order key, ``next`` the next entry on the fd
-    table's ``polled`` chain for ``fd``, and ``mark`` the scan that last
-    counted the file while the owner skips it as quiet and credits it
-    lazily (else None): only then must a disarmed entry's owner hear of
-    a wake.
+    ``events`` is the interest, ``pos`` the result-order key, ``next``
+    the next entry on the fd table's ``polled`` chain for ``fd``, and
+    ``mark`` the scan that last counted the file while the owner skips
+    it as quiet and credits it lazily (else None): only then must a
+    disarmed entry's owner hear of a wake.
     """
 
     __slots__ = ("owner", "fd", "events", "pos", "file", "mark", "next")
 
-    def __init__(self, owner, fd: int, events: int, pos: int):
-        self.owner = owner
+    def __init__(self, fd: int, events: int, pos: int):
+        self.owner = None
         self.fd = fd
         self.events = events
         self.pos = pos
@@ -107,8 +109,9 @@ class WaitQueue:
         self._entries.append(entry)
         return entry
 
-    def attach(self, entry: PollEntry) -> None:
-        """Register a poll table's entry; it stays until removed."""
+    def attach(self, entry: PollEntry, owner) -> None:
+        """Register ``owner``'s poll entry; it stays until removed."""
+        entry.owner = owner
         entry.queue = self
         entry.active = True
         self._entries.append(entry)

@@ -134,8 +134,8 @@ def test_armed_poll_entry_wakes_in_arm_order():
     wq = WaitQueue(Simulator())
     got = []
     owner = Owner(got)
-    entry = PollEntry(owner, 7, 0, 7)
-    wq.attach(entry)
+    entry = PollEntry(7, 0, 7)
+    wq.attach(entry, owner)
     wq.add(lambda *a: got.append("plain"), autoremove=False)
     assert wq.wake_all() == 1  # disarmed, and not skipping its file
     assert got == ["plain"] and wq.wakeups == 1
@@ -154,8 +154,8 @@ def test_armed_poll_entry_wakes_in_arm_order():
 def test_disarmed_poll_entry_tells_a_table_skipping_its_file():
     wq = WaitQueue(Simulator())
     got = []
-    entry = PollEntry(Owner(got), 3, 0, 3)
-    wq.attach(entry)
+    entry = PollEntry(3, 0, 3)
+    wq.attach(entry, Owner(got))
     entry.mark = 0  # its table skips the file as quiet
     assert wq.wake_all() == 0 and wq.wakeups == 0
     assert got == [("table", 3)]

@@ -5,16 +5,18 @@
 registered between sleeps, skip quiet files without touching them and
 credit their callbacks lazily, and learn of closed and reused
 descriptors from the fd table.  The property plays one random history
-twice on real sockets -- once with kept tables and one-shot polls, once
-with the per-call code every call ran before tables existed (kept
+twice on real sockets -- once with kept tables and one-shot polls and
+selects, once with the per-call code every call ran before tables existed (kept
 below as the reference) -- and requires the same results, errors and
 ``POLLNVAL``s, the same order of process resumes, and the same
 ``poll_callback_count`` on every file.  Around the table callers run
 socket churn (connects, accepts, sends, reads, closes, so descriptors
 are closed and reused, during sleeps too), ``dup2`` over a watched
-descriptor, one-shot polls, blocking readers parked on socket wait
+descriptor, one-shot polls and selects, blocking readers parked on socket wait
 queues, and a hints-off ``DP_POLL`` sleeper.
 """
+
+import gc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from repro.kernel.constants import (
     SyscallError,
 )
 from repro.kernel.file import File
+from repro.kernel.waitqueue import PollEntry
 from repro.sim.engine import Simulator
 from repro.sim.process import spawn, wait_with_timeout
 from repro.sim.resources import PRIO_USER
@@ -195,7 +198,8 @@ HISTORY = st.fixed_dictionaries({
                   st.tuples(st.just("dup2"), FDS, FDS))), max_size=40),
     "select": st.lists(CALLS, max_size=10),
     "poll": st.lists(CALLS, max_size=10),
-    "oneshot": st.lists(CALLS, max_size=12),
+    "oneshot": st.lists(st.tuples(st.sampled_from(("poll", "select")),
+                                  CALLS), max_size=12),
     "readers": st.lists(st.tuples(GAPS, FDS), max_size=6),
     "dp_poll": st.lists(st.tuples(GAPS, TIMEOUTS), max_size=6),
 })
@@ -203,8 +207,9 @@ HISTORY = st.fixed_dictionaries({
 
 def play(history, kept):
     """Run ``history`` on fresh sockets; ``kept`` runs the table
-    callers on kept tables and the one-shot polls through
-    ``SyscallInterface.poll``, else all of them on the reference.
+    callers on kept tables and the one-shot calls through
+    ``SyscallInterface.poll`` and ``select``, else all of them on the
+    reference.
     Returns the log of every caller's resumes, in order, and every
     file's callback count, in creation order."""
     files = []
@@ -255,13 +260,22 @@ def run_callers(churn, history, kept):
                 result = ("errno", err.errno_code)
             note(name, result)
 
-    def one_shot(gap, timeout, interests):
+    def one_shot(kind, gap, timeout, interests, rset, wset):
         yield gap
-        if kept:
-            result = yield from server.poll(interests, timeout)
-        else:
-            result = yield from reference_poll(server, interests, timeout)
-        note("oneshot", result)
+        try:
+            if kind == "select":
+                if kept:
+                    result = yield from server.select(rset, wset, timeout)
+                else:
+                    result = yield from reference_select(server, rset, wset,
+                                                         timeout)
+            elif kept:
+                result = yield from server.poll(interests, timeout)
+            else:
+                result = yield from reference_poll(server, interests, timeout)
+        except SyscallError as err:
+            result = ("errno", err.errno_code)
+        note("oneshot", kind, result)
 
     def reader(gap, fd):
         yield gap
@@ -307,8 +321,8 @@ def run_callers(churn, history, kept):
     spawn(sim, dp_sleeper(history["dp_poll"]), "dp_poll")
     for name in ("select", "poll"):
         spawn(sim, caller(name, history[name]), name)
-    for gap, timeout, interests, _rset, _wset in history["oneshot"]:
-        spawn(sim, one_shot(gap, timeout, interests), "oneshot")
+    for kind, call in history["oneshot"]:
+        spawn(sim, one_shot(kind, *call), "oneshot")
     for gap, fd in history["readers"]:
         spawn(sim, reader(gap, fd), "reader")
     spawn(sim, churner(history["churn"]), "churn")
@@ -381,3 +395,35 @@ def test_a_select_sleeper_sees_its_descriptor_closed_and_reused():
     churn.run_for(0.1)
     assert out[1] == ([first], [])
     assert [e.fd for e in new.wait_queue.poll_entries()] == [second]
+
+
+def test_one_shot_polls_leave_no_table_behind():
+    """A one-shot poll() table names no entry's owner until its caller
+    sleeps, and its entries forget it on resume, so reference counting
+    frees the table and its entries as each call returns: with the
+    collector off, none is left alive."""
+    churn = SocketChurn(TwoHosts(Simulator()), connections=2, backlog=4)
+    server = churn.server
+    first, second = churn.connection_fds("server")
+    results = []
+
+    def polls():
+        for timeout in (0, 0.001) * 10:
+            # ``first`` is writable, so a call returns at its first scan;
+            # alone, the idle ``second`` sleeps until the timeout
+            interests = [(first, POLLOUT), (second, POLLIN), (first, POLLIN)]
+            results.append((yield from server.poll(interests, timeout)))
+            results.append((yield from server.poll(interests[1:2],
+                                                   timeout)))
+
+    gc.collect()
+    gc.disable()
+    try:
+        spawn(churn.sim, polls(), "polls")
+        churn.run_for(0.05)
+        alive = [o for o in gc.get_objects()
+                 if type(o) in (PollTable, PollEntry)]
+    finally:
+        gc.enable()
+    assert results == [[(first, POLLOUT)], []] * 20
+    assert alive == []

@@ -79,8 +79,8 @@ _EMPTY = frozenset()
 
 class PollTable:
     """One select()/poll() caller's watched descriptors, kept across
-    calls when ``keep`` is true (see the module docstring).  A one-shot
-    poll() table is built watching its call's ``interests``."""
+    calls when ``keep`` is true (see the module docstring).  Passing
+    ``interests`` builds a one-shot poll() table watching them."""
 
     __slots__ = ("fdtable", "keep", "interests", "entries", "rset", "wset",
                  "watched", "nwatched", "maxfd", "by_fd", "due", "scans",
@@ -91,19 +91,26 @@ class PollTable:
         self.fdtable = task.fdtable
         self.keep = keep
         #: poll: the interest list of the last call, and its entries in
-        #: interest order
+        #: interest order; select: the read and write sets of the last
+        #: call, their union, its size and highest fd, and the entries
+        #: by fd
         self.interests = interests
-        self.entries = ([] if interests is None else
-                        [PollEntry(fd, events, pos)
-                         for pos, (fd, events) in enumerate(interests)])
-        #: select: the read and write sets of the last call, their
-        #: union, its size and highest fd, and the entries by fd
         self.rset = self.wset = self.watched = _EMPTY
         self.nwatched = 0
         self.maxfd = -1
-        self.by_fd = {}
-        #: the entries the next scan evaluates
-        self.due = dict.fromkeys(self.entries)
+        if interests is None:
+            self.entries = []
+            self.by_fd = {}
+            #: the entries the next scan evaluates
+            self.due = {}
+        else:
+            # a one-shot poll(): every scan evaluates every entry, so the
+            # list serves as ``due`` (the httperf client keeps hundreds of
+            # these asleep at once)
+            self.entries = self.due = [
+                PollEntry(fd, events, pos)
+                for pos, (fd, events) in enumerate(interests)]
+            self.by_fd = None
         self.scans = 0
         #: the arm stamp while the caller sleeps, else None
         self.armed_at: Optional[int] = None

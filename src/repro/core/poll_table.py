@@ -28,7 +28,8 @@ table that lives for one call.  Both kinds run one path:
   descriptor is looked up: closed or unopened, it reports ``POLLNVAL``
   to poll and fails select with ``EBADF``.  A one-shot table evaluates
   every entry in place and counts a quiet file (see
-  :mod:`repro.kernel.file`) at once.
+  :mod:`repro.kernel.file`) at once, so all its entries stay in
+  ``due``.
 * *Hooked*: a kept table hooks an entry at the scan that finds its
   descriptor open -- registers it on the file's wait queue and links it
   on the fd table's ``polled`` chain -- and leaves it there across
@@ -129,26 +130,25 @@ class PollTable:
         self.interests = interests = list(interests)
         old = {}
         for entry in self.entries:
-            old.setdefault(entry.fd, []).append(entry)
+            # one entry per descriptor is matched; a second occurrence
+            # (poll() may list an fd twice) is dropped and built anew
+            if old.setdefault(entry.fd, entry) is not entry:
+                self._drop(entry)
         due = self.due
         entries = []
         for pos, (fd, events) in enumerate(interests):
-            same = old.get(fd)
-            if same:
-                entry = same.pop(0)
+            entry = old.pop(fd, None)
+            if entry is None:
+                entry = PollEntry(fd, events, pos)
+                due[entry] = None
+            else:
                 entry.pos = pos
                 entry.events = events
                 if events & POLLOUT and entry.mark is not None:
                     self._settle(entry)
-            else:
-                entry = PollEntry(fd, events, pos)
-                due[entry] = None
             entries.append(entry)
-        for same in old.values():
-            for entry in same:
-                if entry.file is not None:
-                    self._drop(entry)
-                del due[entry]
+        for entry in old.values():
+            self._drop(entry)
         self.entries = entries
 
     def watch_sets(self, readfds: Iterable[int], writefds: Iterable[int],
@@ -173,16 +173,20 @@ class PollTable:
         due = self.due
         for fd in old - watched:
             entry = by_fd.pop(fd)
-            if entry.file is not None:
+            # ``_drop`` inlined for a closed fd: every select() worker
+            # forgets each fd it closes
+            if entry.file is None:
+                del due[entry]
+            else:
                 self._drop(entry)
-            del due[entry]
         for fd in ((rset ^ self.rset) | (wset ^ self.wset)) & old & watched:
             entry = by_fd[fd]
             entry.events = ((POLLIN if fd in rset else 0)
                             | (POLLOUT if fd in wset else 0))
             if fd in wset and entry.mark is not None:
                 self._settle(entry)
-        for fd in watched - old:
+        # ascending, so that a one-shot table's ``due`` is in result order
+        for fd in sorted(watched - old):
             entry = by_fd[fd] = PollEntry(
                 fd, (POLLIN if fd in rset else 0)
                 | (POLLOUT if fd in wset else 0), fd)
@@ -206,7 +210,8 @@ class PollTable:
         due = self.due
         lookup = self.fdtable.lookup
         ready = []
-        for entry in sorted(due, key=_POS):
+        # a one-shot table's ``due`` is every entry, built in result order
+        for entry in sorted(due, key=_POS) if keep else due:
             file = entry.file
             if file is None:
                 fd = entry.fd
@@ -350,19 +355,21 @@ class PollTable:
         self.due[entry] = None
 
     def _drop(self, entry: PollEntry) -> None:
-        """Unhook ``entry``, which the table no longer watches: take it
-        off its file and off the fd table's chain for its descriptor."""
-        self._detach(entry)
-        polled = self.fdtable.polled
-        fd = entry.fd
-        head = polled[fd]
-        if head is entry:
-            if entry.next is None:
-                del polled[fd]
+        """The table no longer watches ``entry``: unhook it if it is
+        hooked -- off its file and the fd table's chain -- and forget it."""
+        if entry.file is not None:
+            self._detach(entry)
+            polled = self.fdtable.polled
+            fd = entry.fd
+            head = polled[fd]
+            if head is entry:
+                if entry.next is None:
+                    del polled[fd]
+                else:
+                    polled[fd] = entry.next
             else:
-                polled[fd] = entry.next
-        else:
-            while head.next is not entry:
-                head = head.next
-            head.next = entry.next
-        entry.next = None
+                while head.next is not entry:
+                    head = head.next
+                head.next = entry.next
+            entry.next = None
+        del self.due[entry]

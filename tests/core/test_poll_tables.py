@@ -336,6 +336,12 @@ def run_callers(churn, history, kept):
 @example(history={"churn": [(0.0005, ("dup2", 0, 5))], "select": [],
                   "poll": [], "oneshot": [], "readers": [],
                   "dp_poll": [(0.001, 0)]})
+# a kept select() skips fd 3 as quiet, then fails with EBADF on fd 1,
+# closed meanwhile: fd 3 was not covered by the failed scan
+@example(history={"churn": [(0.002, ("close", "server", 0, 1))],
+                  "select": [(0.0, 0, [], {1, 3}, set()),
+                             (0.004, 0, [], {1, 3}, set())],
+                  "poll": [], "oneshot": [], "readers": [], "dp_poll": []})
 def test_kept_tables_match_the_per_call_reference(history):
     kept = play(history, kept=True)
     reference = play(history, kept=False)
@@ -427,3 +433,23 @@ def test_one_shot_polls_leave_no_table_behind():
         gc.enable()
     assert results == [[(first, POLLOUT)], []] * 20
     assert alive == []
+
+
+def test_one_shot_select_reports_in_fd_order():
+    """A one-shot select() evaluates its descriptors in ascending order
+    where its sets iterate in another: ``{8, 1}`` iterates 8 first."""
+    churn = SocketChurn(TwoHosts(Simulator()), connections=8, backlog=16)
+    server = churn.server
+    assert churn.connection_fds("server") == list(range(1, 9))
+    for which in range(8):
+        churn.apply(("send", "client", which, 10))
+    churn.run_for(0.01)
+    assert list({8, 1}) == [8, 1]
+    out = []
+
+    def select():
+        out.append((yield from server.select({8, 1}, set(), 0)))
+
+    spawn(churn.sim, select(), "select")
+    churn.run_for(0.01)
+    assert out == [([1, 8], [])]

@@ -7,11 +7,11 @@ every ``poll()`` must wade through them), and the table is bounded by an
 ``RLIMIT_NOFILE``-style limit -- httperf's stock assumption of 1024 fds,
 which the authors had to lift, is modelled by the client harness.
 
-A poll table (:mod:`repro.core.poll_table`) that has resolved a
-descriptor to its file links its entry into :attr:`FDTable.polled`;
-closing the descriptor, or installing another file over it, hands each
-linked entry to its table's ``fd_closed``, so no table has to look up
-every descriptor on every call to notice.
+A poll table kept across calls (:mod:`repro.core.poll_table`) that has
+resolved a descriptor to its file links its entry into
+:attr:`FDTable.polled`; closing the descriptor, or installing another
+file over it, hands each linked entry to its table's ``fd_closed``, so
+no table has to look up every descriptor on every call to notice.
 """
 
 from __future__ import annotations
